@@ -26,7 +26,7 @@ from .errors import (
     ImpossibleOutcome,
     PeakNotFound,
 )
-from .interferometer import conditional_state_outside, path_probabilities
+from .interferometer import DARK_PORT_TOL, conditional_state_outside, path_probabilities
 
 ORACLE_CHECK_THRESHOLD = 1e-5
 ORACLE_PROB_THRESHOLD = 1e-8
@@ -305,7 +305,7 @@ def cmd_divisibility(cfg: InterferometerConfig, grid: np.ndarray) -> int:
     step = float(np.max(np.diff(grid)))
     agree = True
     for jp, location in ((0, "path0_out"), (1, "path1_out")):
-        if path_probabilities(cfg)[jp] < 1e-14:
+        if path_probabilities(cfg)[jp] < DARK_PORT_TOL:
             print(f"port {jp}: dark port, no conditional dynamics")
             continue
         scan = maps.divisibility_scan(cfg, jp, grid)
@@ -326,8 +326,22 @@ def cmd_divisibility(cfg: InterferometerConfig, grid: np.ndarray) -> int:
 
 
 def cmd_oracle_check(cfg: InterferometerConfig, n: int, times) -> int:
-    """Compare closed forms against the brute-force evolution."""
+    """Compare closed forms against the brute-force evolution.
+
+    Warns on stderr when the frequency grid aliases at some requested time,
+    because the deviation then measures the quadrature, not the closed forms.
+    """
     grid = oracle.FrequencyGrid.build(cfg.dist, n=n)
+    bound = oracle.alias_free_delay(cfg, grid)
+    beyond = np.flatnonzero(oracle.max_component_delay(cfg, times) > bound)
+    if len(beyond):
+        print(
+            f"warning: n_freq={n} resolves polarization-path delays up to "
+            f"{bound:.6g} (alias period 2*pi/h less {oracle.ALIAS_MARGIN:g}/sigma), "
+            f"first exceeded at t={_fmt(times[beyond[0]])}; the deviation then "
+            "measures the quadrature, not the closed forms",
+            file=sys.stderr,
+        )
     result = oracle.oracle_compare(cfg, grid, times)
     ok = (
         result.max_deviation <= ORACLE_CHECK_THRESHOLD
@@ -337,6 +351,16 @@ def cmd_oracle_check(cfg: InterferometerConfig, n: int, times) -> int:
     print(f"probability_deviation: {_fmt(result.probability_deviation)}")
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
+
+
+def _n_freq(flag, run: dict) -> int:
+    """Frequency grid size: the flag, else run.n_freq, else the default."""
+    field, value = "--n-freq", flag
+    if value is None:
+        field, value = "run.n_freq", run.get("n_freq", oracle.DEFAULT_N_FREQ)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 3:
+        raise ConfigError([f"{field}: expected an integer >= 3, got {value!r}"])
+    return value
 
 
 def _default_times(cfg: InterferometerConfig) -> list[float]:
@@ -369,8 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("divisibility", parents=[common], help="CP-divisibility report")
 
     p_oracle = sub.add_parser("oracle-check", parents=[common], help="brute-force check")
-    p_oracle.add_argument("--n-freq", type=int, default=oracle.DEFAULT_N_FREQ,
-                          help="frequency grid size")
+    p_oracle.add_argument(
+        "--n-freq", type=int,
+        help=f"frequency grid size (default: run.n_freq, else {oracle.DEFAULT_N_FREQ})",
+    )
     return parser
 
 
@@ -398,7 +424,7 @@ def main(argv=None) -> int:
                 raise ConfigError(["grid: required for divisibility"])
             return cmd_divisibility(cfg, parse_grid(grid_spec))
         if args.command == "oracle-check":
-            n = args.n_freq if args.n_freq else run.get("n_freq", oracle.DEFAULT_N_FREQ)
+            n = _n_freq(args.n_freq, run)
             times = list(parse_grid(grid_spec)) if grid_spec else _default_times(cfg)
             return cmd_oracle_check(cfg, n, times)
         raise AssertionError(f"unhandled command {args.command}")

@@ -283,6 +283,68 @@ def test_oracle_check_coarse_grid_degrades(capsys):
     assert code == 1
 
 
+def test_oracle_check_honours_run_n_freq(tmp_path, capsys):
+    doc = dict(BASELINE, run={"n_freq": 51, "grid": "0:2400:200"})
+    path = write_config(tmp_path, doc)
+    assert main(["oracle-check", "--config", path]) == 1
+    capsys.readouterr()
+    # the flag still takes precedence over the config
+    assert main(["oracle-check", "--config", path, "--n-freq", "2001"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["2", "0", "-5"])
+def test_oracle_check_rejects_small_n_freq_flag(value, capsys):
+    code = main([
+        "oracle-check", "--config", "preset:dtau10", "--grid", "0:120:60",
+        "--n-freq", value,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--n-freq" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", [2, 0, 201.0, "201", True, None])
+def test_oracle_check_rejects_invalid_run_n_freq(tmp_path, value, capsys):
+    doc = dict(BASELINE, run={"n_freq": value, "grid": "0:120:60"})
+    assert main(["oracle-check", "--config", write_config(tmp_path, doc)]) == 2
+    assert "run.n_freq" in capsys.readouterr().err
+
+
+def test_oracle_check_warns_when_quadrature_aliases(capsys):
+    code = main([
+        "oracle-check", "--config", "preset:dtau10",
+        "--grid", "8737:8737:1", "--n-freq", "201",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "verdict: FAIL" in captured.out
+    assert "warning:" not in captured.out
+    assert "n_freq=201" in captured.err
+    assert "t=8737" in captured.err
+    assert "68.5398" in captured.err
+    assert "measures the quadrature, not the closed forms" in captured.err
+
+
+def test_oracle_check_alias_warning_boundary(capsys):
+    # for dtau10 at n_freq=201 the largest component delay reaches
+    # 2*pi/h - 10 = 68.54 at t = 5899.98
+    for spec, warns in (("5899:5899:1", False), ("5901:5901:1", True)):
+        code = main([
+            "oracle-check", "--config", "preset:dtau10",
+            "--grid", spec, "--n-freq", "201",
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert ("warning:" in captured.err) == warns, spec
+
+
+def test_oracle_check_default_run_is_silent(capsys):
+    assert main(["oracle-check", "--config", "preset:dtau10"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------

@@ -158,3 +158,112 @@ def test_tail_truncation_sensitivity(baseline):
                 b = oracle_state(baseline, g4, t, stage, cond)
                 worst = max(worst, trace_distance(a, b))
     assert worst < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# fused, chunked comparison against per-cell evaluation
+# ---------------------------------------------------------------------------
+
+def _per_cell_compare(cfg, grid, times):
+    """oracle_compare as one oracle_state (and port-weight) call per cell."""
+    from mzdephase import interferometer as itf
+
+    cells = {
+        "path0": ("inside", 0, lambda t: itf.path_state_inside(cfg, 0, t)),
+        "path1": ("inside", 1, lambda t: itf.path_state_inside(cfg, 1, t)),
+        "joint_inside": ("inside", None, lambda t: itf.joint_state_inside(cfg, t)),
+        "path0_out": ("outside", 0, lambda t: itf.conditional_state_outside(cfg, 0, t)),
+        "path1_out": ("outside", 1, lambda t: itf.conditional_state_outside(cfg, 1, t)),
+        "joint_out": ("outside", None, lambda t: itf.averaged_state_outside(cfg, t)),
+    }
+    p_analytic = itf.path_probabilities(cfg)
+    start = cfg.window_out.t_start
+    worst_state = worst_prob = 0.0
+    for stage, conditioning, reference in cells.values():
+        if stage == "outside" and conditioning is not None:
+            if p_analytic[conditioning] < itf.DARK_PORT_TOL:
+                continue
+        for t in times:
+            if (stage == "inside" and not 0 <= t <= start) or (
+                stage == "outside" and t < start
+            ):
+                continue
+            simulated = oracle_state(cfg, grid, t, stage, conditioning)
+            worst_state = max(worst_state, trace_distance(reference(t), simulated))
+            if stage == "outside":
+                p = oracle_port_probabilities(cfg, grid, t)
+                worst_prob = max(
+                    worst_prob, abs(p[0] - p_analytic[0]), abs(p[1] - p_analytic[1])
+                )
+    return worst_state, worst_prob
+
+
+def _assert_fused_matches_per_cell(cfg, grid, times):
+    fused = oracle_compare(cfg, grid, times)
+    per_cell = _per_cell_compare(cfg, grid, times)
+    assert abs(fused.max_deviation - per_cell[0]) <= 1e-14
+    assert abs(fused.probability_deviation - per_cell[1]) <= 1e-14
+
+
+def test_fused_compare_matches_per_cell_random_configs():
+    rng = np.random.default_rng(57)
+    for _ in range(3):
+        cfg = random_config(rng)
+        grid = FrequencyGrid.build(cfg.dist, n=201)
+        start = cfg.window_out.t_start
+        times = [*rng.uniform(0.0, start, 5), start, start, *start + rng.uniform(0.0, 400.0, 7)]
+        _assert_fused_matches_per_cell(cfg, grid, times)
+
+
+@pytest.mark.parametrize("n", [51, 8001])
+def test_fused_compare_spans_several_chunks(baseline, n):
+    from mzdephase.oracle import CHUNK_ELEMENTS
+
+    per_chunk = max(1, CHUNK_ELEMENTS // (4 * n))
+    count = per_chunk + 3
+    start = baseline.window_out.t_start
+    times = [*np.linspace(0.0, start, count), *np.linspace(start, 2000.0, count)]
+    _assert_fused_matches_per_cell(baseline, FrequencyGrid.build(baseline.dist, n=n), times)
+
+
+def test_fused_compare_skips_dark_port(grid):
+    cfg = preset("dtau0")
+    start = cfg.window_out.t_start
+    times = [0.0, 30.0, start, start + 100.0, start + 700.0]
+    _assert_fused_matches_per_cell(cfg, grid, times)
+    # the dark port alone leaves nothing to compare
+    assert oracle_compare(cfg, grid, times, ["path1_out"]) == (0.0, 0.0)
+
+
+def test_amplitudes_of_a_time_array_match_each_time(grid, baseline):
+    from mzdephase.oracle import _amplitudes_inside
+
+    times = np.array([0.0, 12.5, 50.0, 60.0, 400.0])
+    batch = _amplitudes_inside(baseline, grid, times)
+    assert batch.shape == (len(times), 2, len(grid.omegas), 2)
+    for t, psi in zip(times, batch):
+        np.testing.assert_array_equal(psi, _amplitudes_inside(baseline, grid, t))
+
+
+# ---------------------------------------------------------------------------
+# quadrature alias bound
+# ---------------------------------------------------------------------------
+
+def test_alias_free_delay_is_period_less_margin():
+    from mzdephase.oracle import ALIAS_MARGIN, alias_free_delay
+
+    cfg = preset("dtau10")
+    for n in (201, 2001):
+        step = 16.0 / (n - 1)
+        got = alias_free_delay(cfg, FrequencyGrid.build(cfg.dist, n=n))
+        assert got == pytest.approx(2.0 * np.pi / step - ALIAS_MARGIN, rel=1e-12)
+
+
+def test_max_component_delay_examples(baseline):
+    from mzdephase.oracle import max_component_delay
+
+    # before any coupling all four components are in phase; inside, the H
+    # part of the longer arm leads the V part of the shorter one
+    got = max_component_delay(baseline, [0.0, 60.0, 1060.0])
+    lead = 1.553 * 60.0 - 1.544 * 50.0
+    np.testing.assert_allclose(got, [0.0, lead, lead + 0.009 * 1000.0], rtol=1e-12)
