@@ -7,6 +7,7 @@ in-interferometer optical path difference from output-side memory effects."""
 from .analysis import (
     LOCATIONS,
     TraceDistanceSeries,
+    auto_scan_range,
     backflow_intervals,
     blp_measure,
     estimate_interaction_time_difference,
@@ -36,6 +37,7 @@ from .errors import (
 from .interferometer import (
     OutputFunctions,
     averaged_state_outside,
+    coherence_factors,
     conditional_state_outside,
     interference_kappas,
     joint_state_inside,
@@ -61,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LOCATIONS",
     "TraceDistanceSeries",
+    "auto_scan_range",
     "backflow_intervals",
     "blp_measure",
     "estimate_interaction_time_difference",
@@ -85,6 +88,7 @@ __all__ = [
     "ZeroCoherenceFactor",
     "OutputFunctions",
     "averaged_state_outside",
+    "coherence_factors",
     "conditional_state_outside",
     "interference_kappas",
     "joint_state_inside",

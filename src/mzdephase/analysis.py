@@ -13,11 +13,12 @@ from .core import (
     InterferometerConfig,
     PolarizationState,
     effective_time,
-    kappa_of_delay,
     trace_distance,
 )
 from .errors import EstimatorOutOfRegime, PeakNotFound
 from .interferometer import (
+    _cross_delays,
+    _lambda_of_total_time,
     averaged_state_outside,
     conditional_state_outside,
     interference_kappas,
@@ -116,25 +117,6 @@ def blp_measure(series: TraceDistanceSeries, rise_tol: float = RISE_TOL) -> floa
     return float(inc[inc > rise_tol].sum())
 
 
-def _cross_delays(cfg: InterferometerConfig) -> tuple[float, float]:
-    """Initial cross-path delays whose cancellation by the outside coupling
-    produces the recoherence peak."""
-    t0 = cfg.window0.duration
-    t1 = cfg.window1.duration
-    a1 = cfg.window0.n_h * t0 - cfg.window1.n_v * t1
-    a2 = cfg.window1.n_h * t1 - cfg.window0.n_v * t0
-    return a1, a2
-
-
-def _lambda_of_total_time(cfg: InterferometerConfig, total: np.ndarray) -> np.ndarray:
-    a1, a2 = _cross_delays(cfg)
-    dn_out = cfg.window_out.delta_n
-    theta = cfg.pol.theta
-    return kappa_of_delay(cfg.dist, theta, a1 + dn_out * total) + kappa_of_delay(
-        cfg.dist, theta, a2 + dn_out * total
-    )
-
-
 def _lambda_envelope(cfg: InterferometerConfig, total: np.ndarray) -> np.ndarray:
     """Smooth upper envelope: sum of the two term moduli."""
     a1, a2 = _cross_delays(cfg)
@@ -217,7 +199,20 @@ def lambda_peak(
     return t_max, peak_value
 
 
-def estimate_interaction_time_difference(cfg: InterferometerConfig) -> float:
+def auto_scan_range(cfg: InterferometerConfig) -> tuple[float, float]:
+    """Laboratory times from the output start to comfortably past any
+    recoherence peak: the larger cross delay plus ten spectral widths, undone
+    at the outside birefringence, or 100 time units without birefringence."""
+    a1, a2 = _cross_delays(cfg)
+    dn_out = abs(cfg.window_out.delta_n)
+    reach = (max(abs(a1), abs(a2)) + 10.0 / cfg.dist.sigma) / dn_out if dn_out else 100.0
+    t_start = cfg.window_out.t_start
+    return t_start, min(t_start + reach, cfg.window_out.t_stop)
+
+
+def estimate_interaction_time_difference(
+    cfg: InterferometerConfig, scan_range: tuple[float, float] | None = None
+) -> float:
     """Estimate the inside interaction-time difference from the recoherence peak.
 
     Valid only without interference at the output beam splitter.  The returned
@@ -225,7 +220,8 @@ def estimate_interaction_time_difference(cfg: InterferometerConfig) -> float:
     divided by the largest inside refractive index: a documented approximation
     of the true difference, not an exact inversion.  For equal durations and
     unequal inside indices the same quantity approximates the index difference
-    times the common duration over the largest index.
+    times the common duration over the largest index.  The peak is searched
+    over ``scan_range``, by default ``auto_scan_range(cfg)``.
     """
     kh, kv = interference_kappas(cfg)
     if max(abs(kh), abs(kv)) >= INTERFERENCE_TOL:
@@ -237,9 +233,6 @@ def estimate_interaction_time_difference(cfg: InterferometerConfig) -> float:
         raise EstimatorOutOfRegime(
             "output coupling has zero birefringence: no delay is accumulated"
         )
-    a1, a2 = _cross_delays(cfg)
-    reach = (max(abs(a1), abs(a2)) + 10.0 / cfg.dist.sigma) / abs(dn_out)
-    t_hi = min(cfg.window_out.t_start + reach, cfg.window_out.t_stop)
-    t_max, _ = lambda_peak(cfg, (cfg.window_out.t_start, t_hi))
+    t_max, _ = lambda_peak(cfg, scan_range or auto_scan_range(cfg))
     n_max = max(cfg.window0.n_h, cfg.window0.n_v, cfg.window1.n_h, cfg.window1.n_v)
     return abs(dn_out) * t_max / n_max

@@ -26,7 +26,12 @@ from .errors import (
     ImpossibleOutcome,
     PeakNotFound,
 )
-from .interferometer import DARK_PORT_TOL, conditional_state_outside, path_probabilities
+from .interferometer import (
+    DARK_PORT_TOL,
+    coherence_factors,
+    conditional_state_outside,
+    path_probabilities,
+)
 
 ORACLE_CHECK_THRESHOLD = 1e-5
 ORACLE_PROB_THRESHOLD = 1e-8
@@ -184,41 +189,38 @@ def load_config(path) -> tuple[InterferometerConfig, dict]:
     return build_config(data)
 
 
-def parse_grid(spec: str) -> np.ndarray:
-    """Parse START:STOP:STEP into an inclusive, deterministic time grid."""
-    parts = spec.split(":")
+def parse_grid(spec: str, min_points: int = 1) -> np.ndarray:
+    """Parse START:STOP:STEP into an inclusive, deterministic time grid of at
+    least ``min_points`` times."""
+    parts = spec.split(":") if isinstance(spec, str) else []
     if len(parts) != 3:
         raise ConfigError([f"grid: expected START:STOP:STEP, got {spec!r}"])
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError([f"grid: non-numeric component in {spec!r}"])
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError([f"grid: components must be finite in {spec!r}"])
     if step <= 0 or stop < start:
         raise ConfigError([f"grid: need stop >= start and step > 0 in {spec!r}"])
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if count < min_points:
+        raise ConfigError(
+            [f"grid: {spec!r} has {count} point(s), at least {min_points} needed"]
+        )
     return start + step * np.arange(count)
 
 
+_FLOAT_CELL = "{:.17g}"
+
+
 def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
-def _auto_reach(cfg: InterferometerConfig) -> float:
-    """Laboratory-time horizon comfortably past any recoherence peak."""
-    t0, t1 = cfg.window0.duration, cfg.window1.duration
-    a1 = abs(cfg.window0.n_h * t0 - cfg.window1.n_v * t1)
-    a2 = abs(cfg.window1.n_h * t1 - cfg.window0.n_v * t0)
-    dn = abs(cfg.window_out.delta_n)
-    spread = (max(a1, a2) + 10.0 / cfg.dist.sigma) / dn if dn else 100.0
-    return min(cfg.window_out.t_start + spread, cfg.window_out.t_stop)
+    return _FLOAT_CELL.format(value)
 
 
 def cmd_sweep(cfg: InterferometerConfig, grid: np.ndarray, locations, out) -> int:
     """Write one CSV row per grid time with the requested trace distances,
     port probabilities and output-port H populations."""
-    unknown = [loc for loc in locations if loc not in analysis.LOCATIONS]
-    if unknown:
-        raise ConfigError([f"locations: unknown {', '.join(unknown)}"])
     inside = {"path0", "path1", "joint_inside"}
     limit = cfg.window_out.t_start
     for loc in locations:
@@ -227,37 +229,32 @@ def cmd_sweep(cfg: InterferometerConfig, grid: np.ndarray, locations, out) -> in
                 [f"locations: {loc} is only defined for times in [0, {limit}]"]
             )
 
-    columns: dict[str, list[str] | None] = {}
+    header = ["tau"] + [f"D_{loc}" for loc in locations]
+    header += ["p_out0", "p_out1", "popH_out0", "popH_out1"]
+    # one row template: a float cell per grid time and bright location, an
+    # empty one per dark location, then the time-independent columns
+    cells, columns = [_FLOAT_CELL], [grid.tolist()]
     for loc in locations:
         try:
-            series = analysis.trace_distance_series(cfg, loc, grid)
-            columns[loc] = [_fmt(v) for v in series.values]
+            c = coherence_factors(cfg, loc, grid)
         except ImpossibleOutcome:
             print(
                 f"warning: {loc} is a dark port; emitting empty cells",
                 file=sys.stderr,
             )
-            columns[loc] = None
+            cells.append("")
+            continue
+        cells.append(_FLOAT_CELL)
+        columns.append(analysis.TraceDistanceSeries(grid, np.abs(c), loc).values.tolist())
 
-    p0, p1 = path_probabilities(cfg)
-    pops = []
+    cells += [_fmt(p) for p in path_probabilities(cfg)]
     for jp in (0, 1):
         try:
-            pops.append(_fmt(conditional_state_outside(cfg, jp, grid[0]).population_h))
+            cells.append(_fmt(conditional_state_outside(cfg, jp, grid[0]).population_h))
         except ImpossibleOutcome:
-            pops.append("")
-
-    header = ["tau"] + [f"D_{loc}" for loc in locations]
-    header += ["p_out0", "p_out1", "popH_out0", "popH_out1"]
-    lines = [",".join(header)]
-    p0s, p1s = _fmt(p0), _fmt(p1)
-    for k, t in enumerate(grid):
-        row = [_fmt(t)]
-        for loc in locations:
-            col = columns[loc]
-            row.append("" if col is None else col[k])
-        row += [p0s, p1s, pops[0], pops[1]]
-        lines.append(",".join(row))
+            cells.append("")
+    row = ",".join(cells)
+    lines = [",".join(header)] + [row.format(*values) for values in zip(*columns)]
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
@@ -270,8 +267,8 @@ def cmd_sweep(cfg: InterferometerConfig, grid: np.ndarray, locations, out) -> in
 def cmd_estimate(cfg: InterferometerConfig, scan: tuple[float, float] | None) -> int:
     """Report the recoherence peak and the path-difference estimate."""
     if scan is None:
-        scan = (cfg.window_out.t_start, _auto_reach(cfg))
-    estimate = analysis.estimate_interaction_time_difference(cfg)
+        scan = analysis.auto_scan_range(cfg)
+    estimate = analysis.estimate_interaction_time_difference(cfg, scan)
     t_max, peak = analysis.lambda_peak(cfg, scan)
     t0, t1 = cfg.window0.duration, cfg.window1.duration
     index_mode = abs(t0 - t1) < 1e-12 and (
@@ -364,10 +361,28 @@ def _n_freq(flag, run: dict) -> int:
 
 
 def _default_times(cfg: InterferometerConfig) -> list[float]:
-    start = cfg.window_out.t_start
+    """Ten times inside and ten outside, sharing the output start."""
+    start, reach = analysis.auto_scan_range(cfg)
     inside = np.linspace(0.0, start, 10)
-    outside = np.linspace(start, _auto_reach(cfg), 10)
-    return [*inside, *outside]
+    outside = np.linspace(start, reach, 10)
+    return [*inside, *outside[1:]]
+
+
+def _sweep_locations(flag: str | None, run: dict) -> list[str]:
+    """Sweep locations: the flag, else run.locations, else the output ones."""
+    if flag is not None:
+        field, raw, locations = "--locations", flag, flag.split(",")
+    elif "locations" in run:
+        field, raw = "run.locations", run["locations"]
+        locations = raw if isinstance(raw, list) else []
+    else:
+        return ["path0_out", "path1_out", "joint_out"]
+    if not locations or not all(loc in analysis.LOCATIONS for loc in locations):
+        raise ConfigError([
+            f"{field}: expected a list of one or more of "
+            f"{', '.join(analysis.LOCATIONS)}; got {raw!r}"
+        ])
+    return locations
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,11 +423,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             if not grid_spec:
                 raise ConfigError(["grid: required for sweep (flag --grid or run.grid)"])
-            if args.locations:
-                locations = args.locations.split(",")
-            else:
-                locations = run.get("locations") or ["path0_out", "path1_out", "joint_out"]
-            return cmd_sweep(cfg, parse_grid(grid_spec), locations, args.out)
+            locations = _sweep_locations(args.locations, run)
+            return cmd_sweep(cfg, parse_grid(grid_spec, min_points=2), locations, args.out)
         if args.command == "estimate":
             scan = None
             if grid_spec:
@@ -422,7 +434,7 @@ def main(argv=None) -> int:
         if args.command == "divisibility":
             if not grid_spec:
                 raise ConfigError(["grid: required for divisibility"])
-            return cmd_divisibility(cfg, parse_grid(grid_spec))
+            return cmd_divisibility(cfg, parse_grid(grid_spec, min_points=2))
         if args.command == "oracle-check":
             n = _n_freq(args.n_freq, run)
             times = list(parse_grid(grid_spec)) if grid_spec else _default_times(cfg)

@@ -9,15 +9,19 @@ factor; the brute-force cross-check lives in the oracle module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .channels import single_path_state
+from .channels import single_path_kappa, single_path_state
 from .core import (
+    PSD_TOL,
+    TRACE_TOL,
+    UNIT_TRACE_TOL,
     DensityMatrix,
     InterferometerConfig,
+    PolarizationState,
     effective_time,
     kappa_of_delay,
 )
@@ -51,6 +55,26 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _cross_delays(cfg: InterferometerConfig) -> tuple[float, float]:
+    """Inside delays between the H component of one path and the V component
+    of the other; the outside coupling shifts both and their cancellation
+    produces the recoherence peak."""
+    t0, t1 = _inside_durations(cfg)
+    a1 = cfg.window0.n_h * t0 - cfg.window1.n_v * t1
+    a2 = cfg.window1.n_h * t1 - cfg.window0.n_v * t0
+    return a1, a2
+
+
+def _lambda_of_total_time(cfg: InterferometerConfig, total):
+    """Cross-term transfer after a total outside interaction time."""
+    a1, a2 = _cross_delays(cfg)
+    shift = cfg.window_out.delta_n * total
+    theta = cfg.pol.theta
+    return kappa_of_delay(cfg.dist, theta, a1 + shift) + kappa_of_delay(
+        cfg.dist, theta, a2 + shift
+    )
+
+
 def lambda_function(cfg: InterferometerConfig, t):
     """Cross-term coherence transfer for the conditional output states.
 
@@ -58,12 +82,7 @@ def lambda_function(cfg: InterferometerConfig, t):
     inside path with the V component of the other, both shifted by the
     accumulated outside delay.  Accepts scalar or array t.
     """
-    t0, t1 = _inside_durations(cfg)
-    shift = cfg.window_out.delta_n * effective_time(cfg.window_out, t)
-    x1 = cfg.window0.n_h * t0 - cfg.window1.n_v * t1 + shift
-    x2 = cfg.window1.n_h * t1 - cfg.window0.n_v * t0 + shift
-    theta = cfg.pol.theta
-    return kappa_of_delay(cfg.dist, theta, x1) + kappa_of_delay(cfg.dist, theta, x2)
+    return _lambda_of_total_time(cfg, effective_time(cfg.window_out, t))
 
 
 def _shifted_kappa(cfg: InterferometerConfig, j: int, t):
@@ -211,12 +230,16 @@ def conditional_state_outside(
     )
     if not normalized:
         return DensityMatrix(m, require_unit_trace=False)
+    return DensityMatrix(m / _conditioning_probability(cfg, jp))
+
+
+def _conditioning_probability(cfg: InterferometerConfig, jp: int) -> float:
     prob = path_probabilities(cfg)[jp]
     if prob < DARK_PORT_TOL:
         raise ImpossibleOutcome(
             f"output port {jp} has probability {prob!r}; cannot condition on it"
         )
-    return DensityMatrix(m / prob)
+    return prob
 
 
 def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
@@ -235,3 +258,59 @@ def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix
         ]
     )
     return DensityMatrix(m)
+
+
+def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
+    """Coherence factor of the |+> / |-> pair at a location, at every time.
+
+    The off-diagonal element <H|rho_+ - rho_-|V> of the pair's normalized
+    states: 2 c_h c_v^* (one, up to rounding) times the coherence transfer
+    divided by the pair's conditioning probability, that is kappa_j on inside
+    path j, (kappa_0 + kappa_1) / 2 jointly inside, f_jp / p_jp on output
+    port jp, and the mean of the two shifted path factors jointly outside.
+    Its modulus is the pair's trace distance.  The configured polarization
+    is replaced by the pair.
+
+    Every normalized pair state is checked against the tolerances that
+    DensityMatrix enforces, and a violation raises ValueError, as do inside
+    locations at times outside [0, window_out.t_start].  A dark output port
+    raises ImpossibleOutcome.
+    """
+    times = np.asarray(times, dtype=float)
+    pair = replace(cfg, pol=PolarizationState.plus())
+    theta = pair.pol.theta
+    pop_h, pop_v = abs(pair.pol.c_h) ** 2, abs(pair.pol.c_v) ** 2
+    prob = 1.0
+    if location in ("path0", "path1", "joint_inside"):
+        if times.size:
+            _check_inside_time(cfg, times.min())
+            _check_inside_time(cfg, times.max())
+        k0 = single_path_kappa(cfg.window0, cfg.dist, theta, times)
+        k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
+        transfer = {"path0": k0, "path1": k1, "joint_inside": (k0 + k1) / 2.0}[location]
+    elif location == "joint_out":
+        of = OutputFunctions.from_config(pair)
+        transfer = (of.kappa0_at(times) + of.kappa1_at(times)) / 2.0
+    elif location in ("path0_out", "path1_out"):
+        jp = int(location[4])
+        prob = _conditioning_probability(pair, jp)
+        of = OutputFunctions.from_config(pair)
+        transfer = of.f(jp, times)
+        pop_h, pop_v = of.h(jp) * pop_h / prob, of.v(jp) * pop_v / prob
+    else:
+        raise ValueError(f"unknown location {location!r}")
+    coherence = pair.pol.c_h * np.conj(pair.pol.c_v) * transfer / prob
+    _check_pair_states(pop_h, pop_v, np.abs(coherence))
+    return 2.0 * coherence
+
+
+def _check_pair_states(pop_h: float, pop_v: float, coherence) -> None:
+    """Raise ValueError where DensityMatrix would reject the state with these
+    populations and off-diagonal moduli."""
+    tr = pop_h + pop_v
+    if tr > 1.0 + TRACE_TOL or abs(tr - 1.0) > UNIT_TRACE_TOL:
+        raise ValueError(f"trace {tr} differs from 1")
+    spread = np.hypot((pop_h - pop_v) / 2.0, coherence)
+    lowest = float(np.min(tr / 2.0 - spread, initial=np.inf))
+    if not lowest >= -PSD_TOL:
+        raise ValueError(f"matrix is not positive semidefinite: min eig {lowest}")

@@ -2,15 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from conftest import PRESETS
 
+from mzdephase.analysis import trace_distance_series
 from mzdephase.cli import (
+    _default_times,
     build_config,
     load_config,
     main,
     parse_grid,
     preset_path,
 )
-from mzdephase.errors import ConfigError
+from mzdephase.errors import ConfigError, ImpossibleOutcome
 
 BASELINE = {
     "distribution": {"mu_over_sigma": 400.0},
@@ -105,7 +108,7 @@ def test_parse_grid():
     assert len(grid) == 121
     assert grid[0] == 0.0
     assert grid[-1] == 60.0
-    for bad in ("10:0:1", "0:10:0", "1:2", "a:b:c"):
+    for bad in ("10:0:1", "0:10:0", "1:2", "a:b:c", 5, None):
         with pytest.raises(ConfigError):
             parse_grid(bad)
 
@@ -166,6 +169,62 @@ def test_full_interference_sweep_constant_port(tmp_path, capsys):
         assert cells[dark_col] == ""
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_sweep_columns_match_state_based_series(name, tmp_path, capsys):
+    cfg, _ = load_config(preset_path(name))
+    for spec, locations in (
+        ("60:3000:10", "path0_out,path1_out,joint_out"),
+        ("0:60:0.25", "path0,path1,joint_inside"),
+    ):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            assert main([
+                "sweep", "--config", f"preset:{name}", "--grid", spec,
+                "--locations", locations, "--out", str(out),
+            ]) == 0
+        text = outs[0].read_text()
+        assert outs[1].read_text() == text
+        rows = [line.split(",") for line in text.splitlines()]
+        grid = parse_grid(spec)
+        np.testing.assert_array_equal([float(r[0]) for r in rows[1:]], grid)
+        for k, location in enumerate(locations.split(","), start=1):
+            assert rows[0][k] == f"D_{location}"
+            cells = [r[k] for r in rows[1:]]
+            try:
+                want = trace_distance_series(cfg, location, grid).values
+            except ImpossibleOutcome:
+                assert set(cells) == {""}
+                assert f"{location} is a dark port" in capsys.readouterr().err
+                continue
+            got = np.array([float(c) for c in cells])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=location)
+
+
+@pytest.mark.parametrize("command", ["sweep", "divisibility"])
+@pytest.mark.parametrize("spec", ["60:inf:1", "60:nan:1", "nan:100:1", "60:100:inf", "60:60:1"])
+def test_non_finite_or_one_point_grid_exits_2(command, spec, capsys):
+    assert main([command, "--config", "preset:dtau10", "--grid", spec]) == 2
+    assert "config error: grid:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, run, field", [
+    ("", {}, "--locations"),
+    ("path0_out,", {}, "--locations"),
+    (None, {"locations": "path0_out"}, "run.locations"),
+    (None, {"locations": []}, "run.locations"),
+    (None, {"locations": ["path0_out", 3]}, "run.locations"),
+])
+def test_sweep_rejects_bad_locations(tmp_path, flag, run, field, capsys):
+    argv = ["sweep", "--config", write_config(tmp_path, dict(BASELINE, run=run)),
+            "--grid", "60:100:1"]
+    if flag is not None:
+        argv += ["--locations", flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_rejects_inside_location_beyond_validity(tmp_path):
     cfg_path = write_config(tmp_path, BASELINE)
     code = main([
@@ -192,6 +251,19 @@ def test_estimate_baseline(capsys):
     assert fields["estimated_quantity"] == "interaction_time_difference"
     assert float(fields["ground_truth"]) == 10.0
     assert float(fields["relative_error"]) <= 0.05
+
+
+def test_estimate_follows_the_printed_peak(capsys):
+    # the user's range ends before the automatic range's peak at 1665.6
+    cfg, _ = load_config(preset_path("dtau10"))
+    assert main(["estimate", "--config", "preset:dtau10", "--grid", "60:1600:1"]) == 0
+    out = capsys.readouterr().out
+    fields = dict(line.split(": ") for line in out.strip().splitlines())
+    peak = float(fields["peak_total_interaction_time"])
+    assert peak == pytest.approx(1540.0)
+    n_max = max(cfg.window0.n_h, cfg.window0.n_v, cfg.window1.n_h, cfg.window1.n_v)
+    want = abs(cfg.window_out.delta_n) * peak / n_max
+    assert float(fields["time_difference_estimate"]) == pytest.approx(want, rel=1e-15)
 
 
 def test_estimate_full_interference_exits_3(capsys):
@@ -343,6 +415,14 @@ def test_oracle_check_alias_warning_boundary(capsys):
 def test_oracle_check_default_run_is_silent(capsys):
     assert main(["oracle-check", "--config", "preset:dtau10"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_default_oracle_times_evaluate_the_output_start_once():
+    cfg, _ = load_config(preset_path("dtau10"))
+    times = _default_times(cfg)
+    assert len(times) == 19
+    assert times.count(cfg.window_out.t_start) == 1
+    assert times == sorted(times)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from conftest import preset, random_config
+from conftest import PRESETS, preset, random_config
 
+from mzdephase.analysis import LOCATIONS, trace_distance_series
 from mzdephase.channels import single_path_state
 from mzdephase.core import (
+    DensityMatrix,
     FrequencyDistribution,
     InteractionWindow,
     InterferometerConfig,
@@ -15,7 +17,9 @@ from mzdephase.core import (
 from mzdephase.errors import ImpossibleOutcome
 from mzdephase.interferometer import (
     OutputFunctions,
+    _check_pair_states,
     averaged_state_outside,
+    coherence_factors,
     conditional_state_outside,
     interference_kappas,
     joint_state_inside,
@@ -61,6 +65,10 @@ def test_joint_inside_rejects_times_past_output_start(baseline):
         joint_state_inside(baseline, 60.5)
     with pytest.raises(ValueError):
         joint_state_inside(baseline, -1.0)
+    for location in ("path0", "path1", "joint_inside"):
+        for times in ([0.0, 60.0, 60.5], [-1.0, 0.0]):
+            with pytest.raises(ValueError, match="outside the inside region"):
+                coherence_factors(baseline, location, times)
 
 
 def test_path_state_inside_matches_single_path(baseline):
@@ -170,6 +178,75 @@ def test_path_probabilities_small_offset_frozen():
 def test_dark_port_conditioning_raises():
     with pytest.raises(ImpossibleOutcome):
         conditional_state_outside(symmetric_config(), 1, 70.0)
+    with pytest.raises(ImpossibleOutcome):
+        coherence_factors(preset("dtau0"), "path1_out", np.linspace(60.0, 200.0, 10))
+
+
+# ---------------------------------------------------------------------------
+# vectorised coherence factors of the |+> / |-> pair
+# ---------------------------------------------------------------------------
+
+_RNG = np.random.default_rng(2024)
+AGREEMENT_CONFIGS = {name: preset(name) for name in PRESETS} | {
+    f"random{k}": random_config(_RNG) for k in range(6)
+}
+
+
+@pytest.mark.parametrize("cfg", AGREEMENT_CONFIGS.values(), ids=AGREEMENT_CONFIGS.keys())
+def test_coherence_factors_match_state_based_series(cfg):
+    # the state-based series builds two DensityMatrix per point and takes the
+    # eigenvalues of their difference; the layer only differs by rounding
+    start = cfg.window_out.t_start
+    grids = {
+        "inside": np.linspace(0.0, start, 151),
+        "outside": np.linspace(start - 1.0, start + 3000.0, 151),
+    }
+    for location in LOCATIONS:
+        grid = grids["outside" if location.endswith("_out") else "inside"]
+        try:
+            want = trace_distance_series(cfg, location, grid).values
+        except ImpossibleOutcome:
+            with pytest.raises(ImpossibleOutcome):
+                coherence_factors(cfg, location, grid)
+            continue
+        got = np.abs(coherence_factors(cfg, location, grid))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=location)
+
+
+def test_coherence_factors_reject_unknown_location(baseline):
+    with pytest.raises(ValueError, match="unknown location"):
+        coherence_factors(baseline, "nowhere", [60.0])
+
+
+def test_pair_state_check_rejects_what_density_matrix_rejects():
+    # populations (a, b) and off-diagonal modulus r, on either side of the
+    # PSD and unit-trace tolerances by a factor of two
+    eps = 2e-12
+    cases = [
+        (0.5, 0.5, 0.5),
+        (0.5, 0.5, 0.5 + eps),
+        (0.5, 0.5, 0.5 + eps / 4),
+        (0.9, 0.1, 0.3),
+        (0.9, 0.1, 0.3 + eps),
+        (0.5 + 5e-13, 0.5, 0.1),
+        (0.5 + 1e-10, 0.5, 0.1),
+        (0.5 - 1e-10, 0.5, 0.1),
+        (0.5 - 1e-9, 0.5 - 1e-9, 0.1),
+    ]
+    for a, b, r in cases:
+        try:
+            DensityMatrix([[a, r], [r, b]])
+            accepted = True
+        except (ValueError, np.linalg.LinAlgError):
+            accepted = False
+        if accepted:
+            _check_pair_states(a, b, np.array([0.0, r]))
+        else:
+            with pytest.raises(ValueError):
+                _check_pair_states(a, b, np.array([0.0, r]))
+    # stricter than DensityMatrix, whose comparisons let a NaN through
+    with pytest.raises(ValueError):
+        _check_pair_states(0.5, 0.5, np.array([0.0, np.nan]))
 
 
 def test_dissipative_like_population_at_exit():
