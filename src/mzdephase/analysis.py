@@ -210,29 +210,41 @@ def auto_scan_range(cfg: InterferometerConfig) -> tuple[float, float]:
     return t_start, min(t_start + reach, cfg.window_out.t_stop)
 
 
-def estimate_interaction_time_difference(
-    cfg: InterferometerConfig, scan_range: tuple[float, float] | None = None
-) -> float:
-    """Estimate the inside interaction-time difference from the recoherence peak.
-
-    Valid only without interference at the output beam splitter.  The returned
-    value is the outside birefringence times the peak's total interaction time,
-    divided by the largest inside refractive index: a documented approximation
-    of the true difference, not an exact inversion.  For equal durations and
-    unequal inside indices the same quantity approximates the index difference
-    times the common duration over the largest index.  The peak is searched
-    over ``scan_range``, by default ``auto_scan_range(cfg)``.
-    """
+def check_estimator_regime(cfg: InterferometerConfig) -> None:
+    """Raise EstimatorOutOfRegime unless the interference weights at the
+    output beam splitter are negligible and the output coupling accumulates
+    a delay."""
     kh, kv = interference_kappas(cfg)
     if max(abs(kh), abs(kv)) >= INTERFERENCE_TOL:
         raise EstimatorOutOfRegime(
             f"interference weights ({kh!r}, {kv!r}) are not negligible"
         )
-    dn_out = cfg.window_out.delta_n
-    if dn_out == 0.0:
+    if cfg.window_out.delta_n == 0.0:
         raise EstimatorOutOfRegime(
             "output coupling has zero birefringence: no delay is accumulated"
         )
-    t_max, _ = lambda_peak(cfg, scan_range or auto_scan_range(cfg))
+
+
+def time_difference_from_peak(cfg: InterferometerConfig, t_max: float) -> float:
+    """The outside birefringence times the peak's total interaction time,
+    divided by the largest inside refractive index."""
     n_max = max(cfg.window0.n_h, cfg.window0.n_v, cfg.window1.n_h, cfg.window1.n_v)
-    return abs(dn_out) * t_max / n_max
+    return abs(cfg.window_out.delta_n) * t_max / n_max
+
+
+def estimate_interaction_time_difference(
+    cfg: InterferometerConfig, scan_range: tuple[float, float] | None = None
+) -> float:
+    """Estimate the inside interaction-time difference from the recoherence peak.
+
+    Valid only without interference at the output beam splitter
+    (``check_estimator_regime``).  The returned value is
+    ``time_difference_from_peak`` at the peak of ``lambda_peak``: a documented
+    approximation of the true difference, not an exact inversion.  For equal
+    durations and unequal inside indices the same quantity approximates the
+    index difference times the common duration over the largest index.  The
+    peak is searched over ``scan_range``, by default ``auto_scan_range(cfg)``.
+    """
+    check_estimator_regime(cfg)
+    t_max, _ = lambda_peak(cfg, scan_range or auto_scan_range(cfg))
+    return time_difference_from_peak(cfg, t_max)

@@ -2,8 +2,6 @@
 photon traverses one birefringent medium."""
 from __future__ import annotations
 
-import numpy as np
-
 from .core import (
     DensityMatrix,
     FrequencyDistribution,
@@ -39,12 +37,13 @@ def single_path_state(
     Pure dephasing: the populations stay at their initial values while the
     coherence is multiplied by the decoherence factor.
     """
-    kappa = single_path_kappa(window, dist, pol.theta, t)
-    coh = pol.c_h * np.conj(pol.c_v) * kappa
-    m = np.array(
-        [
-            [abs(pol.c_h) ** 2, coh],
-            [np.conj(coh), abs(pol.c_v) ** 2],
-        ]
+    return _dephased_state(pol, single_path_kappa(window, dist, pol.theta, t))
+
+
+def _dephased_state(pol: PolarizationState, factor) -> DensityMatrix:
+    """The input state with its populations kept and its coherence
+    multiplied by a decoherence factor."""
+    coh = pol.c_h * pol.c_v.conjugate() * factor
+    return DensityMatrix(
+        [[abs(pol.c_h) ** 2, coh], [coh.conjugate(), abs(pol.c_v) ** 2]]
     )
-    return DensityMatrix(m)

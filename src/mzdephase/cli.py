@@ -36,6 +36,9 @@ from .interferometer import (
 ORACLE_CHECK_THRESHOLD = 1e-5
 ORACLE_PROB_THRESHOLD = 1e-8
 
+# largest number of times a grid may hold
+MAX_GRID_POINTS = 1_000_000
+
 _WINDOW_SECTIONS = ("arm0", "arm1", "output")
 _SQ2 = 1.0 / math.sqrt(2.0)
 _DEFAULT_POLARIZATION = {
@@ -191,7 +194,7 @@ def load_config(path) -> tuple[InterferometerConfig, dict]:
 
 def parse_grid(spec: str, min_points: int = 1) -> np.ndarray:
     """Parse START:STOP:STEP into an inclusive, deterministic time grid of at
-    least ``min_points`` times."""
+    least ``min_points`` and at most ``MAX_GRID_POINTS`` times."""
     parts = spec.split(":") if isinstance(spec, str) else []
     if len(parts) != 3:
         raise ConfigError([f"grid: expected START:STOP:STEP, got {spec!r}"])
@@ -203,7 +206,12 @@ def parse_grid(spec: str, min_points: int = 1) -> np.ndarray:
         raise ConfigError([f"grid: components must be finite in {spec!r}"])
     if step <= 0 or stop < start:
         raise ConfigError([f"grid: need stop >= start and step > 0 in {spec!r}"])
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ConfigError(
+            [f"grid: {spec!r} has more than {MAX_GRID_POINTS} points"]
+        )
+    count = int(math.floor(steps)) + 1
     if count < min_points:
         raise ConfigError(
             [f"grid: {spec!r} has {count} point(s), at least {min_points} needed"]
@@ -268,8 +276,9 @@ def cmd_estimate(cfg: InterferometerConfig, scan: tuple[float, float] | None) ->
     """Report the recoherence peak and the path-difference estimate."""
     if scan is None:
         scan = analysis.auto_scan_range(cfg)
-    estimate = analysis.estimate_interaction_time_difference(cfg, scan)
+    analysis.check_estimator_regime(cfg)
     t_max, peak = analysis.lambda_peak(cfg, scan)
+    estimate = analysis.time_difference_from_peak(cfg, t_max)
     t0, t1 = cfg.window0.duration, cfg.window1.duration
     index_mode = abs(t0 - t1) < 1e-12 and (
         cfg.window0.n_h != cfg.window1.n_h or cfg.window0.n_v != cfg.window1.n_v

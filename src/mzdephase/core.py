@@ -6,6 +6,7 @@ decoherence factors at a numerically safe scale.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -132,25 +133,33 @@ class DensityMatrix:
     unnormalized conditional states (``require_unit_trace=False``).
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_trace")
 
     def __init__(self, matrix, *, require_unit_trace: bool = True):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        # every check is written so that a NaN fails it
+        a, b, c, d = m.ravel().tolist()
+        if not (
+            2.0 * abs(a.imag) <= HERMITICITY_TOL
+            and abs(b - c.conjugate()) <= HERMITICITY_TOL
+            and 2.0 * abs(d.imag) <= HERMITICITY_TOL
+        ):
             raise ValueError("matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -PSD_TOL:
-            raise ValueError(f"matrix is not positive semidefinite: min eig {eigs[0]}")
-        tr = float(np.real(np.trace(m)))
-        if tr < -TRACE_TOL or tr > 1.0 + TRACE_TOL:
+        # smallest eigenvalue of the Hermitian matrix read from the lower
+        # triangle, as LAPACK's eigvalsh reads it
+        tr = a.real + d.real
+        lowest = tr / 2.0 - math.hypot((a.real - d.real) / 2.0, abs(c))
+        if not lowest >= -PSD_TOL:
+            raise ValueError(f"matrix is not positive semidefinite: min eig {lowest}")
+        if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise ValueError(f"trace {tr} outside [0, 1]")
-        if require_unit_trace and abs(tr - 1.0) > UNIT_TRACE_TOL:
+        if require_unit_trace and not abs(tr - 1.0) <= UNIT_TRACE_TOL:
             raise ValueError(f"trace {tr} differs from 1")
-        m = m.copy()
         m.setflags(write=False)
         self._m = m
+        self._trace = tr
 
     @property
     def matrix(self) -> np.ndarray:
@@ -159,7 +168,7 @@ class DensityMatrix:
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self._m)))
+        return self._trace
 
     @property
     def population_h(self) -> float:
@@ -187,8 +196,10 @@ def effective_time(window: InteractionWindow, t):
 
     Piecewise linear and non-decreasing: zero before the window opens, grows
     at unit rate inside, and saturates at the window duration.  Accepts scalar
-    or array t.
+    or array t; a float t gives a float.
     """
+    if isinstance(t, float):
+        return min(max(float(t), window.t_start), window.t_stop) - window.t_start
     return np.clip(t, window.t_start, window.t_stop) - window.t_start
 
 
@@ -198,19 +209,31 @@ def kappa_of_delay(dist: FrequencyDistribution, theta: float, x):
     Averaging e^(i*omega*x) over the Gaussian spectrum gives
     exp[i(theta + mu*x) - (sigma*x)^2 / 2]: the modulus decays like a Gaussian
     in the delay while the phase rotates at the mean frequency.  Accepts
-    scalar or array x.
+    scalar or array x; a float x is evaluated without numpy.
     """
+    if isinstance(x, float):
+        x = float(x)
+        s = dist.sigma * x
+        return cmath.exp(complex(-0.5 * (s * s), theta + dist.mu * x))
     x = np.asarray(x, dtype=float)
     out = np.exp(1j * (theta + dist.mu * x) - 0.5 * (dist.sigma * x) ** 2)
     return out if out.ndim else complex(out)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Trace distance (1/2)||a - b||_1 between two unit-trace states."""
+    """Trace distance (1/2)||a - b||_1 between two unit-trace states.
+
+    The difference is Hermitian with trace s and eigenvalues s/2 +- r, where
+    r is read from its lower triangle as for the DensityMatrix check.
+    """
     if not a.unit_trace or not b.unit_trace:
         raise ValueError("trace distance requires unit-trace inputs")
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(0.5 * np.sum(np.abs(eigs)))
+    a00, _, a10, a11 = a.matrix.ravel().tolist()
+    b00, _, b10, b11 = b.matrix.ravel().tolist()
+    d00, d11 = a00.real - b00.real, a11.real - b11.real
+    half = (d00 + d11) / 2.0
+    r = math.hypot((d00 - d11) / 2.0, abs(a10 - b10))
+    return 0.5 * (abs(half + r) + abs(half - r))
 
 
 def pure_density(pol: PolarizationState) -> DensityMatrix:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import single_path_kappa, single_path_state
+from .channels import _dephased_state, single_path_kappa, single_path_state
 from .core import (
     PSD_TOL,
     TRACE_TOL,
@@ -41,7 +41,7 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     They originate from the cross-terms between the two inside paths evaluated
     at the full coupling durations: a Gaussian envelope in the optical path
     difference of each polarization component times a cosine at the mean
-    frequency, with prefactor 2.  Time-independent.
+    frequency, with prefactor 2.  Time-independent; returned as Python floats.
     """
     t0, t1 = _inside_durations(cfg)
     mu, sigma = cfg.dist.mu, cfg.dist.sigma
@@ -51,7 +51,7 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
         (cfg.window0.n_v, cfg.window1.n_v),
     ):
         d = n0 * t0 - n1 * t1
-        out.append(2.0 * np.exp(-0.5 * (sigma * d) ** 2) * np.cos(mu * d))
+        out.append(float(2.0 * np.exp(-0.5 * (sigma * d) ** 2) * np.cos(mu * d)))
     return out[0], out[1]
 
 
@@ -85,13 +85,32 @@ def lambda_function(cfg: InterferometerConfig, t):
     return _lambda_of_total_time(cfg, effective_time(cfg.window_out, t))
 
 
-def _shifted_kappa(cfg: InterferometerConfig, j: int, t):
-    """Path-j decoherence factor with the outside delay added on top of the
-    full inside delay."""
-    window = cfg.window0 if j == 0 else cfg.window1
-    t_j = window.duration
-    shift = cfg.window_out.delta_n * effective_time(cfg.window_out, t)
-    return kappa_of_delay(cfg.dist, cfg.pol.theta, window.delta_n * t_j + shift)
+def _shifted_kappas(cfg: InterferometerConfig, total):
+    """Decoherence factors of both paths after a total outside interaction
+    time: the outside delay added on top of each full inside delay."""
+    shift = cfg.window_out.delta_n * total
+    return tuple(
+        kappa_of_delay(cfg.dist, cfg.pol.theta, window.delta_n * window.duration + shift)
+        for window in (cfg.window0, cfg.window1)
+    )
+
+
+def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
+    """Conditional coherence transfer factor f_jp of output port jp.
+
+    A quarter of the two shifted path factors plus (port 0) or minus (port 1)
+    the cross-term transfer.  Accepts scalar or array laboratory times.
+    """
+    total = effective_time(cfg.window_out, t)
+    k0, k1 = _shifted_kappas(cfg, total)
+    lam = _lambda_of_total_time(cfg, total)
+    return (k0 + k1 + lam) / 4.0 if jp == 0 else (k0 + k1 - lam) / 4.0
+
+
+def _port_weight(kappa: float, jp: int) -> float:
+    """Population weight of the unnormalized port-jp state for the
+    interference weight of that polarization."""
+    return (2.0 + (-1) ** jp * kappa) / 4.0
 
 
 @dataclass(frozen=True)
@@ -120,16 +139,16 @@ class OutputFunctions:
             return lambda_function(_cfg, t)
 
         def k0(t, _cfg=cfg):
-            return _shifted_kappa(_cfg, 0, t)
+            return _shifted_kappas(_cfg, effective_time(_cfg.window_out, t))[0]
 
         def k1(t, _cfg=cfg):
-            return _shifted_kappa(_cfg, 1, t)
+            return _shifted_kappas(_cfg, effective_time(_cfg.window_out, t))[1]
 
-        def f0(t):
-            return (k0(t) + k1(t) + lam(t)) / 4.0
+        def f0(t, _cfg=cfg):
+            return coherence_transfer(_cfg, 0, t)
 
-        def f1(t):
-            return (k0(t) + k1(t) - lam(t)) / 4.0
+        def f1(t, _cfg=cfg):
+            return coherence_transfer(_cfg, 1, t)
 
         return cls(kh, kv, lam, f0, f1, k0, k1)
 
@@ -139,11 +158,11 @@ class OutputFunctions:
 
     def h(self, jp: int) -> float:
         """H-population weight of the unnormalized port-jp state."""
-        return (2.0 + (-1) ** jp * self.kappa_h) / 4.0
+        return _port_weight(self.kappa_h, jp)
 
     def v(self, jp: int) -> float:
         """V-population weight of the unnormalized port-jp state."""
-        return (2.0 + (-1) ** jp * self.kappa_v) / 4.0
+        return _port_weight(self.kappa_v, jp)
 
 
 def _check_inside_time(cfg: InterferometerConfig, t: float):
@@ -162,20 +181,9 @@ def joint_state_inside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
     """
     _check_inside_time(cfg, t)
     theta = cfg.pol.theta
-    k0 = kappa_of_delay(
-        cfg.dist, theta, cfg.window0.delta_n * effective_time(cfg.window0, t)
-    )
-    k1 = kappa_of_delay(
-        cfg.dist, theta, cfg.window1.delta_n * effective_time(cfg.window1, t)
-    )
-    coh = cfg.pol.c_h * np.conj(cfg.pol.c_v) * (k0 + k1) / 2.0
-    m = np.array(
-        [
-            [abs(cfg.pol.c_h) ** 2, coh],
-            [np.conj(coh), abs(cfg.pol.c_v) ** 2],
-        ]
-    )
-    return DensityMatrix(m)
+    k0 = single_path_kappa(cfg.window0, cfg.dist, theta, t)
+    k1 = single_path_kappa(cfg.window1, cfg.dist, theta, t)
+    return _dephased_state(cfg.pol, (k0 + k1) / 2.0)
 
 
 def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMatrix:
@@ -195,11 +203,26 @@ def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
     Interference weights, weighted by the input populations, on top of the
     balanced 1/2 background; the two always sum to one.
     """
-    kh, kv = interference_kappas(cfg)
+    return _port_probabilities(cfg, *interference_kappas(cfg))
+
+
+def _port_probabilities(
+    cfg: InterferometerConfig, kh: float, kv: float
+) -> tuple[float, float]:
     ph = abs(cfg.pol.c_h) ** 2
     pv = abs(cfg.pol.c_v) ** 2
     p0 = (2.0 + ph * kh + pv * kv) / 4.0
     return p0, 1.0 - p0
+
+
+def _bright_port(probs: tuple[float, float], jp: int) -> float:
+    """The conditioning probability of port jp; a dark port raises."""
+    prob = probs[jp]
+    if prob < DARK_PORT_TOL:
+        raise ImpossibleOutcome(
+            f"output port {jp} has probability {prob!r}; cannot condition on it"
+        )
+    return prob
 
 
 def conditional_state_outside(
@@ -217,29 +240,19 @@ def conditional_state_outside(
     time-independent because only dephasing acts after the output beam
     splitter.
     """
-    of = OutputFunctions.from_config(cfg)
-    ph = abs(cfg.pol.c_h) ** 2
-    pv = abs(cfg.pol.c_v) ** 2
-    f = of.f(jp, t)
-    coh = cfg.pol.c_h * np.conj(cfg.pol.c_v) * f
-    m = np.array(
-        [
-            [of.h(jp) * ph, coh],
-            [np.conj(coh), of.v(jp) * pv],
-        ]
-    )
+    kh, kv = interference_kappas(cfg)
+    pol = cfg.pol
+    coh = pol.c_h * pol.c_v.conjugate() * coherence_transfer(cfg, jp, t)
+    m = [
+        [_port_weight(kh, jp) * abs(pol.c_h) ** 2, coh],
+        [coh.conjugate(), _port_weight(kv, jp) * abs(pol.c_v) ** 2],
+    ]
     if not normalized:
         return DensityMatrix(m, require_unit_trace=False)
-    return DensityMatrix(m / _conditioning_probability(cfg, jp))
-
-
-def _conditioning_probability(cfg: InterferometerConfig, jp: int) -> float:
-    prob = path_probabilities(cfg)[jp]
-    if prob < DARK_PORT_TOL:
-        raise ImpossibleOutcome(
-            f"output port {jp} has probability {prob!r}; cannot condition on it"
-        )
-    return prob
+    # reciprocal scaling, as numpy divides a complex array by a float: the
+    # populations that sweep prints to 17 digits keep those bits
+    scale = 1.0 / _bright_port(_port_probabilities(cfg, kh, kv), jp)
+    return DensityMatrix([[x * scale for x in row] for row in m])
 
 
 def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
@@ -249,15 +262,8 @@ def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix
     interference term: the coherence is the mean of the two path decoherence
     factors, each with the outside delay added to its full inside delay.
     """
-    of = OutputFunctions.from_config(cfg)
-    coh = cfg.pol.c_h * np.conj(cfg.pol.c_v) * (of.kappa0_at(t) + of.kappa1_at(t)) / 2.0
-    m = np.array(
-        [
-            [abs(cfg.pol.c_h) ** 2, coh],
-            [np.conj(coh), abs(cfg.pol.c_v) ** 2],
-        ]
-    )
-    return DensityMatrix(m)
+    k0, k1 = _shifted_kappas(cfg, effective_time(cfg.window_out, t))
+    return _dephased_state(cfg.pol, (k0 + k1) / 2.0)
 
 
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
@@ -289,14 +295,15 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
         k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
         transfer = {"path0": k0, "path1": k1, "joint_inside": (k0 + k1) / 2.0}[location]
     elif location == "joint_out":
-        of = OutputFunctions.from_config(pair)
-        transfer = (of.kappa0_at(times) + of.kappa1_at(times)) / 2.0
+        k0, k1 = _shifted_kappas(pair, effective_time(cfg.window_out, times))
+        transfer = (k0 + k1) / 2.0
     elif location in ("path0_out", "path1_out"):
         jp = int(location[4])
-        prob = _conditioning_probability(pair, jp)
-        of = OutputFunctions.from_config(pair)
-        transfer = of.f(jp, times)
-        pop_h, pop_v = of.h(jp) * pop_h / prob, of.v(jp) * pop_v / prob
+        kh, kv = interference_kappas(pair)
+        prob = _bright_port(_port_probabilities(pair, kh, kv), jp)
+        transfer = coherence_transfer(pair, jp, times)
+        pop_h = _port_weight(kh, jp) * pop_h / prob
+        pop_v = _port_weight(kv, jp) * pop_v / prob
     else:
         raise ValueError(f"unknown location {location!r}")
     coherence = pair.pol.c_h * np.conj(pair.pol.c_v) * transfer / prob

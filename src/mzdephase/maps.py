@@ -18,7 +18,12 @@ import numpy as np
 from ._intervals import merge_rising_steps
 from .core import InterferometerConfig
 from .errors import ZeroCoherenceFactor
-from .interferometer import DARK_PORT_TOL, OutputFunctions, path_probabilities
+from .interferometer import (
+    DARK_PORT_TOL,
+    OutputFunctions,
+    coherence_transfer,
+    path_probabilities,
+)
 
 # |f| below this is treated as an exact zero: the Kraus phase is undefined
 ZERO_F_TOL = 1e-14
@@ -30,18 +35,16 @@ CP_TOL = 1e-10
 # probability; matches the trace-distance rise tolerance used in analysis
 DIVISIBILITY_RISE_TOL = 1e-9
 
-_MAX_ENT = np.array([1.0, 0.0, 0.0, 1.0])  # |HH> + |VV>, unnormalized
-
-
 def _choi_from_weighted_kraus(weights, operators) -> np.ndarray:
     """Choi matrix sum_i w_i (A_i (x) 1)|Omega><Omega|(A_i (x) 1)^dag.
 
     Negative weights are admitted so that algebraically continued (non-CP)
-    maps still have a well-defined Hermitian Choi matrix.
+    maps still have a well-defined Hermitian Choi matrix.  With
+    |Omega> = |HH> + |VV>, (A (x) 1)|Omega> is A flattened row by row.
     """
     choi = np.zeros((4, 4), dtype=complex)
     for w, op in zip(weights, operators):
-        vec = np.kron(op, np.eye(2)) @ _MAX_ENT
+        vec = op.reshape(4)
         choi += w * np.outer(vec, vec.conj())
     return choi
 
@@ -166,9 +169,8 @@ def propagator(
     """
     if t2 < t1:
         raise ValueError(f"t2={t2} must not precede t1={t1}")
-    of = OutputFunctions.from_config(cfg)
-    f1 = complex(of.f(jp, t1))
-    f2 = complex(of.f(jp, t2))
+    f1 = complex(coherence_transfer(cfg, jp, t1))
+    f2 = complex(coherence_transfer(cfg, jp, t2))
     if abs(f1) < ZERO_F_TOL:
         raise ZeroCoherenceFactor(
             f"|f(t1)|={abs(f1)!r}: propagator undefined from t1={t1} on port {jp}"
@@ -243,7 +245,6 @@ def divisibility_scan(
     prob = path_probabilities(cfg)[jp]
     if prob < DARK_PORT_TOL:
         return []
-    of = OutputFunctions.from_config(cfg)
-    fabs = np.abs(of.f(jp, grid))
+    fabs = np.abs(coherence_transfer(cfg, jp, grid))
     rising = np.diff(fabs) > rise_tol * prob
     return merge_rising_steps(grid, rising)

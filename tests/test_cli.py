@@ -1,11 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from conftest import PRESETS
 
+from mzdephase import analysis
 from mzdephase.analysis import trace_distance_series
 from mzdephase.cli import (
+    MAX_GRID_POINTS,
     _default_times,
     build_config,
     load_config,
@@ -207,6 +210,22 @@ def test_non_finite_or_one_point_grid_exits_2(command, spec, capsys):
     assert "config error: grid:" in capsys.readouterr().err
 
 
+def test_parse_grid_caps_the_number_of_points():
+    assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    for bad in (f"0:{MAX_GRID_POINTS}:1", "60:1e300:1", "-1e308:1e308:1"):
+        with pytest.raises(ConfigError, match="grid:"):
+            parse_grid(bad)
+
+
+@pytest.mark.parametrize("command", ["sweep", "divisibility", "oracle-check"])
+@pytest.mark.parametrize("spec", ["60:1e300:1", f"0:{MAX_GRID_POINTS}:1"])
+def test_oversized_grid_exits_2(command, spec, capsys):
+    assert main([command, "--config", "preset:dtau10", "--grid", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: grid:")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, run, field", [
     ("", {}, "--locations"),
     ("path0_out,", {}, "--locations"),
@@ -269,7 +288,35 @@ def test_estimate_follows_the_printed_peak(capsys):
 def test_estimate_full_interference_exits_3(capsys):
     code = main(["estimate", "--config", str(preset_path("dtau0"))])
     assert code == 3
-    assert "out of regime" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "out of regime: interference weights (2.0, 2.0) are not negligible\n"
+    )
+
+
+def test_estimate_searches_the_peak_once(tmp_path, monkeypatch, capsys):
+    # both cross delays are negative, so |Lambda| has two unit peaks, at
+    # total outside times 400 and 1640: the peak search warns
+    doc = json.loads(json.dumps(BASELINE))
+    doc["arm0"].update({"n_h": 1.5, "n_v": 1.6, "t_stop": 100.0})
+    doc["arm1"].update({"n_h": 1.5, "n_v": 1.6, "t_stop": 104.0})
+    doc["output"].update({"n_h": 1.56, "n_v": 1.55, "t_start": 104.0})
+    searches = []
+    search = analysis.lambda_peak
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "lambda_peak", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", "--config", write_config(tmp_path, doc)]) == 0
+    assert len(searches) == 1
+    assert len(caught) == 1
+    assert "recoherence peak is ambiguous" in str(caught[0].message)
+    fields = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    t_max = float(fields["peak_total_interaction_time"])
+    assert float(fields["time_difference_estimate"]) == pytest.approx(0.01 * t_max / 1.6)
 
 
 def test_estimate_index_mode(tmp_path, capsys):

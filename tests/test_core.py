@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mzdephase.core import (
+    HERMITICITY_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    UNIT_TRACE_TOL,
     DensityMatrix,
     FrequencyDistribution,
     InteractionWindow,
@@ -213,3 +221,151 @@ def test_config_requires_output_after_arms():
     w_bad = InteractionWindow(1.553, 1.544, 55.0, np.inf)
     with pytest.raises(ValueError):
         InterferometerConfig(dist, w0, w1, w_bad, PolarizationState.plus())
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.5, math.nan], [math.nan, 0.5]],
+    [[0.5, 0.0], [math.nan, 0.5]],
+    [[0.5, math.nan], [0.0, 0.5]],
+    [[math.nan, 0.0], [0.0, 0.5]],
+    [[complex(0.5, math.nan), 0.0], [0.0, 0.5]],
+    [[0.5, complex(math.inf, 0.0)], [complex(math.inf, 0.0), 0.5]],
+])
+def test_density_matrix_rejects_non_finite_entries(matrix):
+    with pytest.raises(ValueError):
+        DensityMatrix(matrix)
+
+
+# ---------------------------------------------------------------------------
+# closed-form 2x2 kernels against their LAPACK and array references
+# ---------------------------------------------------------------------------
+
+def eigvalsh_verdict(m, require_unit_trace):
+    """The checks DensityMatrix makes, computed with eigvalsh: the first one
+    that fails, or None."""
+    m = np.asarray(m, dtype=complex)
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        return "Hermitian"
+    if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
+        return "positive semidefinite"
+    tr = float(np.real(np.trace(m)))
+    if tr < -TRACE_TOL or tr > 1.0 + TRACE_TOL:
+        return "outside [0, 1]"
+    if require_unit_trace and abs(tr - 1.0) > UNIT_TRACE_TOL:
+        return "differs from 1"
+    return None
+
+
+def closed_form_verdict(m, require_unit_trace):
+    try:
+        DensityMatrix(m, require_unit_trace=require_unit_trace)
+    except ValueError as exc:
+        for reason in ("Hermitian", "positive semidefinite", "outside [0, 1]",
+                       "differs from 1"):
+            if reason in str(exc):
+                return reason
+        raise
+    return None
+
+
+# a factor that puts a quantity clearly inside or outside its tolerance
+_NEAR = st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 3.0))
+_SIGN = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def matrices_near_the_tolerances(draw):
+    """A 2x2 matrix [[a, b], [c, d]] with prescribed trace, smallest
+    eigenvalue and Hermiticity defect (off the diagonal or in one diagonal
+    entry), each either generic or within a few tolerances of the point where
+    a check flips; and the unit-trace flag."""
+    case = draw(st.sampled_from(["generic", "psd", "trace", "unit", "hermitian"]))
+    unit = draw(st.booleans())
+    tr = draw(st.floats(0.0, 1.0))
+    lowest = draw(st.floats(-0.5, 0.5)) * tr
+    defect = draw(st.floats(0.0, 2.0)) * HERMITICITY_TOL
+    if case == "psd":
+        lowest = -draw(_NEAR) * PSD_TOL
+    elif case == "trace":
+        unit = False
+        tr = draw(st.sampled_from([1.0 + draw(_NEAR) * TRACE_TOL, -draw(_NEAR) * TRACE_TOL]))
+        lowest = min(tr / 2.0, 0.0)
+    elif case == "unit":
+        unit = True
+        tr = 1.0 + draw(_SIGN) * draw(_NEAR) * UNIT_TRACE_TOL
+        lowest = draw(st.floats(0.0, 0.5)) * tr
+    elif case == "hermitian":
+        defect = draw(_NEAR) * HERMITICITY_TOL
+    r = max(tr / 2.0 - lowest, 0.0)
+    alpha = draw(st.floats(0.0, math.pi))
+    phi = draw(st.floats(-math.pi, math.pi))
+    psi = draw(st.floats(-math.pi, math.pi))
+    a = tr / 2.0 + r * math.cos(alpha)
+    d = tr / 2.0 - r * math.cos(alpha)
+    c = r * math.sin(alpha) * complex(math.cos(phi), math.sin(phi))
+    spot = draw(st.sampled_from(["off-diagonal", "a", "d"]))
+    if spot == "off-diagonal":
+        return [[a, c.conjugate() + defect * complex(math.cos(psi), math.sin(psi))],
+                [c, d]], unit
+    # a diagonal entry x misses Hermiticity by |x - x^*| = 2 |Im x|
+    if spot == "a":
+        a = complex(a, defect / 2.0)
+    else:
+        d = complex(d, defect / 2.0)
+    return [[a, c.conjugate()], [c, d]], unit
+
+
+@settings(max_examples=600, deadline=None)
+@given(matrices_near_the_tolerances())
+# Hermitian within tolerance, but only the lower triangle, which eigvalsh
+# reads, puts the smallest eigenvalue below -PSD_TOL
+@example(([[0.5, 0.5 + 0.2e-12], [0.5 + 1.05e-12, 0.5]], True))
+def test_density_matrix_checks_agree_with_eigvalsh(case):
+    m, unit = case
+    assert closed_form_verdict(m, unit) == eigvalsh_verdict(m, unit)
+
+
+@st.composite
+def unit_trace_states(draw):
+    """A state (1 + r.sigma)/2 with the Bloch vector r in the unit ball."""
+    x, y, z = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    length = math.sqrt(x * x + y * y + z * z)
+    scale = draw(st.floats(0.0, 1.0)) / length if length > 1.0 else 1.0
+    x, y, z = x * scale, y * scale, z * scale
+    return DensityMatrix([[(1 + z) / 2, complex(x, -y) / 2], [complex(x, y) / 2, (1 - z) / 2]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_trace_states(), unit_trace_states())
+def test_trace_distance_matches_eigvalsh(a, b):
+    want = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)))
+    assert abs(trace_distance(a, b) - want) <= 1e-15
+
+
+@st.composite
+def windows_and_edge_times(draw):
+    start = draw(st.floats(0.0, 100.0))
+    stop = draw(st.one_of(st.just(math.inf), st.floats(start, start + 100.0)))
+    edge = draw(st.sampled_from([start, stop if math.isfinite(stop) else start]))
+    t = draw(st.one_of(
+        st.just(edge),
+        st.floats(-1e-9, 1e-9).map(lambda dt: edge + dt),
+        st.floats(-10.0, 300.0),
+    ))
+    n_v = draw(st.floats(1.0, 2.0))
+    return InteractionWindow(n_v + draw(st.floats(-0.05, 0.05)), n_v, start, stop), t
+
+
+@settings(max_examples=400, deadline=None)
+@given(windows_and_edge_times(), st.floats(50.0, 600.0), st.floats(-math.pi, math.pi))
+def test_scalar_and_array_kernels_agree(window_and_t, mu, theta):
+    window, t = window_and_t
+    dist = FrequencyDistribution(mu=mu)
+    for scalar_t in (t, np.float64(t)):
+        eff = effective_time(window, scalar_t)
+        assert type(eff) is float
+        assert abs(eff - effective_time(window, np.array([t]))[0]) <= 1e-15
+        x = window.delta_n * eff
+        kappa = kappa_of_delay(dist, theta, x)
+        assert type(kappa) is complex
+        assert abs(kappa - kappa_of_delay(dist, theta, np.array([x]))[0]) <= 1e-15

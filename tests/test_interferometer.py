@@ -152,6 +152,18 @@ def test_output_functions_invariants():
 # port probabilities
 # ---------------------------------------------------------------------------
 
+def test_interference_kappas_are_python_floats_with_the_numpy_bits():
+    rng = np.random.default_rng(36)
+    for cfg in [preset(name) for name in PRESETS] + [random_config(rng) for _ in range(5)]:
+        got = interference_kappas(cfg)
+        t0, t1 = cfg.window0.duration, cfg.window1.duration
+        for value, (n0, n1) in zip(got, ((cfg.window0.n_h, cfg.window1.n_h),
+                                         (cfg.window0.n_v, cfg.window1.n_v))):
+            d = n0 * t0 - n1 * t1
+            assert type(value) is float
+            assert value == 2.0 * np.exp(-0.5 * (cfg.dist.sigma * d) ** 2) * np.cos(cfg.dist.mu * d)
+
+
 def test_path_probabilities_full_interference():
     p0, p1 = path_probabilities(symmetric_config())
     assert p0 == 1.0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import preset, random_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzdephase.core import (
     FrequencyDistribution,
@@ -51,6 +53,25 @@ def test_transposition_via_choi_is_not_cp():
     assert not is_completely_positive(op)
     # transposition is still trace preserving
     assert trace_character(op) is TraceCharacter.TRACE_PRESERVING
+
+
+_ENTRY = st.floats(-2.0, 2.0)
+_OPERATOR = st.lists(st.builds(complex, _ENTRY, _ENTRY), min_size=4, max_size=4).map(
+    lambda entries: np.array(entries).reshape(2, 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), _OPERATOR), min_size=1, max_size=3))
+def test_choi_matches_the_kron_formula(terms):
+    weights, operators = zip(*terms)
+    omega = np.array([1.0, 0.0, 0.0, 1.0])
+    want = np.zeros((4, 4), dtype=complex)
+    for w, op in terms:
+        vec = np.kron(op, np.eye(2)) @ omega
+        want += w * np.outer(vec, vec.conj())
+    got = QuantumOperation.from_weighted_kraus(weights, operators).choi
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_choi_application_matches_kraus_application():
