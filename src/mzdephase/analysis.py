@@ -17,6 +17,7 @@ from .core import (
 )
 from .errors import EstimatorOutOfRegime, PeakNotFound
 from .interferometer import (
+    LOCATION_STAGES,
     _cross_delays,
     _lambda_of_total_time,
     averaged_state_outside,
@@ -26,7 +27,7 @@ from .interferometer import (
     path_state_inside,
 )
 
-LOCATIONS = ("path0", "path1", "joint_inside", "path0_out", "path1_out", "joint_out")
+LOCATIONS = tuple(LOCATION_STAGES)
 
 # a trace-distance rise must exceed this to count as information backflow;
 # separates genuine recoherence from floating-point ripple on flat tails

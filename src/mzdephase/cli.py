@@ -6,8 +6,11 @@ Exit codes: 0 ok, 1 check failure, 2 config error, 3 estimator out of regime.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
+import select
 import sys
 from importlib.resources import files
 
@@ -28,6 +31,7 @@ from .errors import (
 )
 from .interferometer import (
     DARK_PORT_TOL,
+    LOCATION_STAGES,
     coherence_factors,
     conditional_state_outside,
     path_probabilities,
@@ -229,10 +233,9 @@ def _fmt(value: float) -> str:
 def cmd_sweep(cfg: InterferometerConfig, grid: np.ndarray, locations, out) -> int:
     """Write one CSV row per grid time with the requested trace distances,
     port probabilities and output-port H populations."""
-    inside = {"path0", "path1", "joint_inside"}
     limit = cfg.window_out.t_start
     for loc in locations:
-        if loc in inside and (grid[0] < 0 or grid[-1] > limit):
+        if LOCATION_STAGES[loc][0] == "inside" and (grid[0] < 0 or grid[-1] > limit):
             raise ConfigError(
                 [f"locations: {loc} is only defined for times in [0, {limit}]"]
             )
@@ -424,8 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code."""
+    args = _parser().parse_args(argv)
     try:
         cfg, run = load_config(args.config)
         grid_spec = args.grid or run.get("grid")
@@ -458,5 +468,31 @@ def main(argv=None) -> int:
         return 3
 
 
+def console() -> int:
+    """Console entry point: main() on the process arguments.  If the reader
+    of standard output closes it early, the command ends with exit code 1
+    and no traceback; every other error propagates."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not _reader_gone(sys.stdout):
+            raise
+        # as the Python docs advise, point standard output at devnull, so
+        # that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _reader_gone(stream) -> bool:
+    """Whether stream is a pipe or socket whose reading end is closed."""
+    poller = select.poll()
+    poller.register(stream.fileno(), select.POLLOUT)
+    return any(events & (select.POLLERR | select.POLLHUP) for _, events in poller.poll(0))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

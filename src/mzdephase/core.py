@@ -191,6 +191,43 @@ class DensityMatrix:
         return f"DensityMatrix({self._m.tolist()!r})"
 
 
+def check_density_matrices(m) -> None:
+    """Raise ValueError, with its message, for the first matrix of the stack
+    m[..., 2, 2] (in C order) that DensityMatrix, unit trace required, would
+    reject.
+
+    The checks are DensityMatrix's, in its order and with its tolerances;
+    each one fails on NaN.  ``abs`` of a complex entry is taken as the hypot
+    of its parts, as Python's ``abs`` takes it.
+    """
+    m = np.asarray(m, dtype=complex).reshape(-1, 2, 2)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    # infinite entries give NaN (inf - inf), which the checks reject
+    with np.errstate(invalid="ignore"):
+        skew = b - c.conj()
+        tr = a.real + d.real
+        lowest = tr / 2.0 - np.hypot((a.real - d.real) / 2.0, np.hypot(c.real, c.imag))
+    hermitian = (
+        (2.0 * np.abs(a.imag) <= HERMITICITY_TOL)
+        & (np.hypot(skew.real, skew.imag) <= HERMITICITY_TOL)
+        & (2.0 * np.abs(d.imag) <= HERMITICITY_TOL)
+    )
+    psd = lowest >= -PSD_TOL
+    bounded = (-TRACE_TOL <= tr) & (tr <= 1.0 + TRACE_TOL)
+    valid = hermitian & psd & bounded & (np.abs(tr - 1.0) <= UNIT_TRACE_TOL)
+    bad = np.flatnonzero(~valid)
+    if not bad.size:
+        return
+    k = bad[0]
+    if not hermitian[k]:
+        raise ValueError("matrix is not Hermitian")
+    if not psd[k]:
+        raise ValueError(f"matrix is not positive semidefinite: min eig {float(lowest[k])}")
+    if not bounded[k]:
+        raise ValueError(f"trace {float(tr[k])} outside [0, 1]")
+    raise ValueError(f"trace {float(tr[k])} differs from 1")
+
+
 def effective_time(window: InteractionWindow, t):
     """Accumulated coupling time of a window at laboratory time t.
 
@@ -234,6 +271,21 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     half = (d00 + d11) / 2.0
     r = math.hypot((d00 - d11) / 2.0, abs(a10 - b10))
     return 0.5 * (abs(half + r) + abs(half - r))
+
+
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """trace_distance of every pair of states in the stacks a[..., 2, 2] and
+    b[..., 2, 2], by the same closed form.
+
+    Nothing is checked here: validate the states first
+    (``check_density_matrices``).
+    """
+    d00 = a[..., 0, 0].real - b[..., 0, 0].real
+    d11 = a[..., 1, 1].real - b[..., 1, 1].real
+    d10 = a[..., 1, 0] - b[..., 1, 0]
+    half = (d00 + d11) / 2.0
+    r = np.hypot((d00 - d11) / 2.0, np.hypot(d10.real, d10.imag))
+    return 0.5 * (np.abs(half + r) + np.abs(half - r))
 
 
 def pure_density(pol: PolarizationState) -> DensityMatrix:

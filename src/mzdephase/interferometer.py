@@ -16,12 +16,10 @@ import numpy as np
 
 from .channels import _dephased_state, single_path_kappa, single_path_state
 from .core import (
-    PSD_TOL,
-    TRACE_TOL,
-    UNIT_TRACE_TOL,
     DensityMatrix,
     InterferometerConfig,
     PolarizationState,
+    check_density_matrices,
     effective_time,
     kappa_of_delay,
 )
@@ -29,6 +27,18 @@ from .errors import ImpossibleOutcome
 
 # below this conditioning probability a port is considered analytically dark
 DARK_PORT_TOL = 1e-14
+
+# every location a state is read at: its stage, before ("inside") or after
+# ("outside") the output beam splitter, and the inside path or output port it
+# is conditioned on, None for the average over both
+LOCATION_STAGES = {
+    "path0": ("inside", 0),
+    "path1": ("inside", 1),
+    "joint_inside": ("inside", None),
+    "path0_out": ("outside", 0),
+    "path1_out": ("outside", 1),
+    "joint_out": ("outside", None),
+}
 
 
 def _inside_durations(cfg: InterferometerConfig) -> tuple[float, float]:
@@ -266,6 +276,62 @@ def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix
     return _dephased_state(cfg.pol, (k0 + k1) / 2.0)
 
 
+def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
+    """(transfer, weight_h, weight_v, prob) of the closed-form state at a
+    (stage, conditioning) location, the transfer an array over times.
+
+    The state is [[weight_h |c_h|^2, c_h c_v^* transfer], [conjugate,
+    weight_v |c_v|^2]] / prob.  Weights and prob are one except on an output
+    port, where they are its interference weights and its probability; a
+    dark port raises ImpossibleOutcome.
+    """
+    if stage == "inside":
+        theta = cfg.pol.theta
+        k0 = single_path_kappa(cfg.window0, cfg.dist, theta, times)
+        k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
+        transfer = (k0 + k1) / 2.0 if conditioning is None else (k0, k1)[conditioning]
+        return transfer, 1.0, 1.0, 1.0
+    if conditioning is None:
+        k0, k1 = _shifted_kappas(cfg, effective_time(cfg.window_out, times))
+        return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
+    kh, kv = interference_kappas(cfg)
+    prob = _bright_port(_port_probabilities(cfg, kh, kv), conditioning)
+    return (
+        coherence_transfer(cfg, conditioning, times),
+        _port_weight(kh, conditioning),
+        _port_weight(kv, conditioning),
+        prob,
+    )
+
+
+def _closed_form_states(
+    cfg: InterferometerConfig, stage: str, conditioning, times: np.ndarray
+) -> np.ndarray:
+    """The closed-form states rho[time, a, b] at a (stage, conditioning)
+    location, at every one of ``times``.  Conditional states are scaled by
+    the reciprocal port probability, as conditional_state_outside scales
+    them."""
+    transfer, weight_h, weight_v, prob = _closed_form(cfg, stage, conditioning, times)
+    pol = cfg.pol
+    scale = 1.0 / prob
+    return _states(
+        weight_h * abs(pol.c_h) ** 2 * scale,
+        weight_v * abs(pol.c_v) ** 2 * scale,
+        pol.c_h * pol.c_v.conjugate() * transfer * scale,
+    )
+
+
+def _states(pop_h: float, pop_v: float, coherence: np.ndarray) -> np.ndarray:
+    """The stack rho[..., a, b] of [[pop_h, coherence], [coherence^*, pop_v]],
+    one matrix per entry of ``coherence``."""
+    rho = np.empty(np.shape(coherence) + (2, 2), dtype=complex)
+    rho[..., 0, 0] = pop_h
+    rho[..., 0, 1] = coherence
+    rho[..., 1, 0] = np.conj(coherence)
+    rho[..., 1, 1] = pop_v
+    return rho
+
+
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
     """Coherence factor of the |+> / |-> pair at a location, at every time.
 
@@ -282,42 +348,17 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
     locations at times outside [0, window_out.t_start].  A dark output port
     raises ImpossibleOutcome.
     """
-    times = np.asarray(times, dtype=float)
-    pair = replace(cfg, pol=PolarizationState.plus())
-    theta = pair.pol.theta
-    pop_h, pop_v = abs(pair.pol.c_h) ** 2, abs(pair.pol.c_v) ** 2
-    prob = 1.0
-    if location in ("path0", "path1", "joint_inside"):
-        if times.size:
-            _check_inside_time(cfg, times.min())
-            _check_inside_time(cfg, times.max())
-        k0 = single_path_kappa(cfg.window0, cfg.dist, theta, times)
-        k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
-        transfer = {"path0": k0, "path1": k1, "joint_inside": (k0 + k1) / 2.0}[location]
-    elif location == "joint_out":
-        k0, k1 = _shifted_kappas(pair, effective_time(cfg.window_out, times))
-        transfer = (k0 + k1) / 2.0
-    elif location in ("path0_out", "path1_out"):
-        jp = int(location[4])
-        kh, kv = interference_kappas(pair)
-        prob = _bright_port(_port_probabilities(pair, kh, kv), jp)
-        transfer = coherence_transfer(pair, jp, times)
-        pop_h = _port_weight(kh, jp) * pop_h / prob
-        pop_v = _port_weight(kv, jp) * pop_v / prob
-    else:
+    if location not in LOCATION_STAGES:
         raise ValueError(f"unknown location {location!r}")
+    stage, conditioning = LOCATION_STAGES[location]
+    times = np.asarray(times, dtype=float)
+    if stage == "inside" and times.size:
+        _check_inside_time(cfg, times.min())
+        _check_inside_time(cfg, times.max())
+    pair = replace(cfg, pol=PolarizationState.plus())
+    transfer, weight_h, weight_v, prob = _closed_form(pair, stage, conditioning, times)
+    pop_h = weight_h * abs(pair.pol.c_h) ** 2 / prob
+    pop_v = weight_v * abs(pair.pol.c_v) ** 2 / prob
     coherence = pair.pol.c_h * np.conj(pair.pol.c_v) * transfer / prob
-    _check_pair_states(pop_h, pop_v, np.abs(coherence))
+    check_density_matrices(_states(pop_h, pop_v, coherence))
     return 2.0 * coherence
-
-
-def _check_pair_states(pop_h: float, pop_v: float, coherence) -> None:
-    """Raise ValueError where DensityMatrix would reject the state with these
-    populations and off-diagonal moduli."""
-    tr = pop_h + pop_v
-    if tr > 1.0 + TRACE_TOL or abs(tr - 1.0) > UNIT_TRACE_TOL:
-        raise ValueError(f"trace {tr} differs from 1")
-    spread = np.hypot((pop_h - pop_v) / 2.0, coherence)
-    lowest = float(np.min(tr / 2.0 - spread, initial=np.inf))
-    if not lowest >= -PSD_TOL:
-        raise ValueError(f"matrix is not positive semidefinite: min eig {lowest}")

@@ -19,7 +19,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import DensityMatrix, FrequencyDistribution, InterferometerConfig, effective_time
+from .core import check_density_matrices, trace_distances
 from .errors import ImpossibleOutcome
+from .interferometer import DARK_PORT_TOL, LOCATION_STAGES, _closed_form_states, path_probabilities
 
 DEFAULT_N_FREQ = 2001
 DEFAULT_HALF_WIDTH = 8.0  # in units of sigma
@@ -111,52 +113,28 @@ def alias_free_delay(cfg: InterferometerConfig, grid: FrequencyGrid) -> float:
     return 2.0 * math.pi / step - ALIAS_MARGIN / cfg.dist.sigma
 
 
-def _amplitudes_inside(
-    cfg: InterferometerConfig, grid: FrequencyGrid, t
-) -> np.ndarray:
-    """Amplitude array psi[polarization, frequency, inside path] at time t.
+def _phase(x: np.ndarray) -> np.ndarray:
+    """exp(i x) of a real array, with cos(x) and sin(x) written into the real
+    and imaginary parts of a complex array."""
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
-    An array of times adds a leading time axis: psi[time, polarization,
-    frequency, path].
-    """
-    t = np.asarray(t, dtype=float)
-    times = t.reshape(-1)
+
+def _amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray) -> np.ndarray:
+    """Path-major amplitude array psi[time, inside path, polarization,
+    frequency] at every one of ``times``: each polarization block of a path
+    is contiguous, as the reduction over frequency reads it."""
     om = grid.omegas
     amp = np.sqrt(grid.weights)
     c = (cfg.pol.c_h * np.exp(1j * cfg.pol.theta), cfg.pol.c_v)
-    # stored as [time, path, polarization, frequency], so that each
-    # polarization block of a path is contiguous for the reduction
     psi = np.empty((len(times), 2, 2, len(om)), dtype=complex)
     for j, window in enumerate((cfg.window0, cfg.window1)):
         coupling = effective_time(window, times)[:, None]
         for lam, n_lam in enumerate((window.n_h, window.n_v)):
-            psi[:, j, lam] = (
-                c[lam] * amp * np.exp(1j * n_lam * om * coupling) / np.sqrt(2.0)
-            )
-    return np.moveaxis(psi, 1, -1).reshape(t.shape + (2, len(om), 2))
-
-
-def _through_output(
-    cfg: InterferometerConfig,
-    grid: FrequencyGrid,
-    psi: np.ndarray,
-    index: np.ndarray,
-    times: np.ndarray,
-) -> np.ndarray:
-    """psi[time, output port, polarization, frequency] at ``times``: the
-    inside amplitudes psi[index, path, polarization, frequency] after the
-    output beam splitter and the output coupling."""
-    mixed = np.stack(
-        [
-            (psi[:, 0] + psi[:, 1]) / np.sqrt(2.0),
-            (psi[:, 0] - psi[:, 1]) / np.sqrt(2.0),
-        ],
-        axis=1,
-    )[index]
-    coupling = effective_time(cfg.window_out, times)[:, None]
-    for lam, n_lam in enumerate((cfg.window_out.n_h, cfg.window_out.n_v)):
-        mixed[:, :, lam] *= np.exp(1j * n_lam * grid.omegas * coupling)[:, None]
-    return mixed
+            psi[:, j, lam] = c[lam] * amp * _phase(n_lam * om * coupling) / np.sqrt(2.0)
+    return psi
 
 
 def _path_blocks(
@@ -169,38 +147,48 @@ def _path_blocks(
     array.  Both arm windows close before the output coupling opens, so the
     inside amplitudes at t are those at min(t, output start).  Each distinct
     one is built once per chunk, and kept for the next chunk if it needs the
-    same ones.
+    same ones: inside as its blocks, outside already through the output beam
+    splitter, so that a chunk only adds the output coupling of its times.
     """
     if stage not in ("inside", "outside"):
         raise ValueError(f"unknown stage {stage!r}")
-    arm_times = np.minimum(times, cfg.window_out.t_start)
+    out = cfg.window_out
+    arm_times = np.minimum(times, out.t_start)
     per_chunk = max(1, CHUNK_ELEMENTS // (4 * len(grid.omegas)))
     blocks = np.empty((len(times), 2, 2, 2), dtype=complex)
-    built = inside = None
+    built = None
     for lo in range(0, len(times), per_chunk):
         chunk = slice(lo, lo + per_chunk)
         distinct, index = np.unique(arm_times[chunk], return_inverse=True)
         if built is None or not np.array_equal(distinct, built):
             built = distinct
-            inside = np.moveaxis(_amplitudes_inside(cfg, grid, distinct), -1, 1)
+            psi = _amplitudes(cfg, grid, distinct)
+            if stage == "inside":
+                inside = psi @ psi.conj().swapaxes(-1, -2)
+            else:
+                mixed = np.stack([psi[:, 0] + psi[:, 1], psi[:, 0] - psi[:, 1]], axis=1)
+                mixed /= np.sqrt(2.0)
         if stage == "inside":
-            psi = inside[index]
-        else:
-            psi = _through_output(cfg, grid, inside, index, times[chunk])
+            blocks[chunk] = inside[index]
+            continue
+        psi = mixed[index]
+        coupling = effective_time(out, times[chunk])[:, None]
+        for lam, n_lam in enumerate((out.n_h, out.n_v)):
+            psi[:, :, lam] *= _phase(n_lam * grid.omegas * coupling)[:, None]
         blocks[chunk] = psi @ psi.conj().swapaxes(-1, -2)
     return blocks
 
 
-def _state(blocks: np.ndarray, conditioning) -> DensityMatrix:
-    """Trace out the path (sum both blocks) or project on one path and
-    normalize."""
-    rho = blocks[0] + blocks[1] if conditioning is None else blocks[conditioning]
-    norm = float(np.real(np.trace(rho)))
-    if norm < _CONDITION_TOL:
-        raise ImpossibleOutcome(
-            f"conditioning weight {norm!r} is zero within tolerance"
-        )
-    return DensityMatrix(rho / norm)
+def _conditioned(blocks: np.ndarray, conditionings) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized states rho[time, k, a, b] under each of the
+    ``conditionings`` (None traces out the path, an integer projects on that
+    one), and the weight of each."""
+    rho = np.stack([blocks.sum(axis=1) if c is None else blocks[:, c] for c in conditionings], 1)
+    return rho, rho[..., 0, 0].real + rho[..., 1, 1].real
+
+
+def _impossible(norm) -> ImpossibleOutcome:
+    return ImpossibleOutcome(f"conditioning weight {float(norm)!r} is zero within tolerance")
 
 
 def _port_weights(blocks: np.ndarray) -> np.ndarray:
@@ -226,7 +214,11 @@ def oracle_state(
         None averages over the path degree of freedom; an integer projects on
         that (inside path or output port) and normalizes.
     """
-    return _state(_path_blocks(cfg, grid, np.array([t]), stage)[0], conditioning)
+    rho, norm = _conditioned(_path_blocks(cfg, grid, np.array([t]), stage), [conditioning])
+    rho, norm = rho[0, 0], norm[0, 0]
+    if norm < _CONDITION_TOL:
+        raise _impossible(norm)
+    return DensityMatrix(rho / norm)
 
 
 def oracle_port_probabilities(
@@ -242,34 +234,11 @@ class OracleDeviation(NamedTuple):
     probability_deviation: float
 
 
-_LOCATION_TABLE = {
-    "path0": ("inside", 0),
-    "path1": ("inside", 1),
-    "joint_inside": ("inside", None),
-    "path0_out": ("outside", 0),
-    "path1_out": ("outside", 1),
-    "joint_out": ("outside", None),
-}
-
-
-def _reference(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> DensityMatrix:
-    """The closed-form state of one cell."""
-    from . import interferometer as itf
-
-    if stage == "inside":
-        if conditioning is None:
-            return itf.joint_state_inside(cfg, t)
-        return itf.path_state_inside(cfg, conditioning, t)
-    if conditioning is None:
-        return itf.averaged_state_outside(cfg, t)
-    return itf.conditional_state_outside(cfg, conditioning, t)
-
-
 def oracle_compare(
     cfg: InterferometerConfig,
     grid: FrequencyGrid,
     times: Sequence[float],
-    locations: Sequence[str] = tuple(_LOCATION_TABLE),
+    locations: Sequence[str] = tuple(LOCATION_STAGES),
 ) -> OracleDeviation:
     """Maximum disagreement between the closed forms and the brute force.
 
@@ -281,14 +250,16 @@ def oracle_compare(
     there).  Each stage evolves its times in chunks of at most
     ``CHUNK_ELEMENTS`` amplitudes per array, and reads every location of a
     time from the same blocks.
-    """
-    from .core import trace_distance
-    from .interferometer import DARK_PORT_TOL, path_probabilities
 
+    A stage's states are validated and compared as one batch.  The first
+    cell, in (time, location) order and simulated before closed form, that
+    DensityMatrix would reject raises its ValueError; a simulated
+    conditioning weight of zero raises ImpossibleOutcome.
+    """
     p_analytic = path_probabilities(cfg)
     conditionings = {"inside": [], "outside": []}
     for location in locations:
-        stage, conditioning = _LOCATION_TABLE[location]
+        stage, conditioning = LOCATION_STAGES[location]
         dark = (
             stage == "outside"
             and conditioning is not None
@@ -306,16 +277,22 @@ def oracle_compare(
     worst_state = 0.0
     worst_prob = 0.0
     for stage, conds in conditionings.items():
-        if not conds:
-            continue
         todo = stage_times[stage]
+        if not conds or not len(todo):
+            continue
         blocks = _path_blocks(cfg, grid, todo, stage)
-        for t, at_t in zip(todo, blocks):
-            t = float(t)
-            for conditioning in conds:
-                simulated = _state(at_t, conditioning)
-                reference = _reference(cfg, stage, conditioning, t)
-                worst_state = max(worst_state, trace_distance(reference, simulated))
-        if stage == "outside" and len(todo):
+        rho, norm = _conditioned(blocks, conds)
+        impossible = norm < _CONDITION_TOL
+        simulated = rho / np.where(impossible, 1.0, norm)[..., None, None]
+        reference = np.stack([_closed_form_states(cfg, stage, c, todo) for c in conds], 1)
+        # cells in (time, location) order, the simulated state first
+        cells = np.stack([simulated, reference], axis=2).reshape(-1, 2, 2)
+        first = np.flatnonzero(impossible)
+        if first.size:
+            check_density_matrices(cells[: 2 * first[0]])
+            raise _impossible(norm.flat[first[0]])
+        check_density_matrices(cells)
+        worst_state = max(worst_state, float(np.max(trace_distances(reference, simulated))))
+        if stage == "outside":
             worst_prob = float(np.max(np.abs(_port_weights(blocks) - p_analytic)))
     return OracleDeviation(worst_state, worst_prob)

@@ -486,3 +486,124 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["estimate", "--config", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the parser and the console entry point
+# ---------------------------------------------------------------------------
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    from mzdephase import cli
+
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["estimate", "--config", "preset:dtau10"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    out = capsys.readouterr().out
+    assert out.count("peak_total_interaction_time") == 2
+
+
+def _exit_and_output(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    captured = capsys.readouterr()
+    return caught.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["oracle-check", "--help"], 0),
+    ([], 2),
+    (["sweep"], 2),
+    (["oracle-check", "--config", "preset:dtau10", "--n-freq", "many"], 2),
+])
+def test_help_and_usage_errors_are_unchanged_on_every_call(argv, code, capsys):
+    from mzdephase.cli import build_parser
+
+    with pytest.raises(SystemExit) as caught:
+        build_parser().parse_args(argv)
+    fresh = capsys.readouterr()
+    assert caught.value.code == code
+    for _ in range(2):
+        assert _exit_and_output(argv, capsys) == (code, fresh.out, fresh.err)
+
+
+def _pipe_without_reader():
+    """The write end of a pipe whose reader is gone before anything is written."""
+    import os
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+def _run_python(args, **kwargs):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    import os
+    import subprocess
+
+    write_end = _pipe_without_reader()
+    try:
+        proc = _run_python(
+            ["-m", "mzdephase.cli", "divisibility",
+             "--config", "preset:dtau10", "--grid", "60:3000:1"],
+            stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_broken_out_pipe_propagates_and_leaves_stdout_alone():
+    import os
+
+    # the console entry point with --out a pipe without reader: the error is
+    # not taken for a closed standard output, which keeps working
+    script = (
+        "from mzdephase import cli\n"
+        "try:\n"
+        "    cli.console()\n"
+        "except BrokenPipeError:\n"
+        "    print('stdout still open')\n"
+    )
+    write_end = _pipe_without_reader()
+    try:
+        proc = _run_python(
+            ["-c", script, "sweep", "--config", "preset:dtau10",
+             "--grid", "60:3000:1", "--out", f"/dev/fd/{write_end}"],
+            pass_fds=(write_end,), capture_output=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"stdout still open\n", b"")
+
+
+def test_main_lets_a_broken_pipe_through():
+    import os
+
+    # main is the in-process API: it neither swallows the error nor touches
+    # the process's standard output
+    write_end = _pipe_without_reader()
+    try:
+        with pytest.raises(BrokenPipeError):
+            main(["sweep", "--config", "preset:dtau10", "--grid", "60:3000:1",
+                  "--out", f"/dev/fd/{write_end}"])
+    finally:
+        os.close(write_end)

@@ -15,10 +15,12 @@ from mzdephase.core import (
     InteractionWindow,
     InterferometerConfig,
     PolarizationState,
+    check_density_matrices,
     effective_time,
     kappa_of_delay,
     pure_density,
     trace_distance,
+    trace_distances,
 )
 
 DIST = FrequencyDistribution(mu=400.0, sigma=1.0)
@@ -325,6 +327,71 @@ def test_density_matrix_checks_agree_with_eigvalsh(case):
     assert closed_form_verdict(m, unit) == eigvalsh_verdict(m, unit)
 
 
+def array_message(matrices):
+    try:
+        check_density_matrices(matrices)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def scalar_message(m, require_unit_trace):
+    try:
+        DensityMatrix(m, require_unit_trace=require_unit_trace)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_rejection(got, want):
+    """Both accept, or both reject for the same reason. The smallest
+    eigenvalue a PSD message prints may differ in its last digit, because
+    numpy's hypot and math.hypot may round differently."""
+    if want is None or got is None or "semidefinite" not in want:
+        assert got == want
+    else:
+        prefix = "matrix is not positive semidefinite: min eig "
+        assert got.startswith(prefix) and want.startswith(prefix)
+        g, w = float(got.removeprefix(prefix)), float(want.removeprefix(prefix))
+        assert g == pytest.approx(w, rel=1e-15, abs=1e-300, nan_ok=True)
+
+
+@st.composite
+def matrices_with_non_finite_entries(draw):
+    """A matrix near the tolerances with one real or imaginary part replaced
+    by NaN or an infinity."""
+    m, unit = draw(matrices_near_the_tolerances())
+    m = np.array(m, dtype=complex)
+    i, j = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if draw(st.booleans()):
+        m[i, j] = complex(bad, m[i, j].imag)
+    else:
+        m[i, j] = complex(m[i, j].real, bad)
+    return m.tolist(), unit
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(matrices_near_the_tolerances(), matrices_with_non_finite_entries()))
+@example(([[0.5, 0.5 + 0.2e-12], [0.5 + 1.05e-12, 0.5]], True))
+def test_array_check_rejects_exactly_what_density_matrix_rejects(case):
+    m, _ = case
+    assert_same_rejection(array_message([m]), scalar_message(m, True))
+
+
+def test_array_check_names_the_first_rejected_matrix():
+    good = [[0.5, 0.5], [0.5, 0.5]]
+    not_psd = [[0.5, 0.6], [0.6, 0.5]]
+    not_hermitian = [[0.5, 0.1j], [0.1j, 0.5]]
+    stack = np.array([[good, not_psd], [not_hermitian, good]])
+    assert array_message(stack) == scalar_message(not_psd, True)
+    assert array_message(stack[1:]) == "matrix is not Hermitian"
+    assert array_message(stack[:, :1]) == "matrix is not Hermitian"
+    assert array_message(np.empty((0, 2, 2))) is None
+    half = [[0.25, 0.0], [0.0, 0.25]]
+    assert array_message([good, half]) == "trace 0.5 differs from 1"
+
+
 @st.composite
 def unit_trace_states(draw):
     """A state (1 + r.sigma)/2 with the Bloch vector r in the unit ball."""
@@ -340,6 +407,15 @@ def unit_trace_states(draw):
 def test_trace_distance_matches_eigvalsh(a, b):
     want = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)))
     assert abs(trace_distance(a, b) - want) <= 1e-15
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(unit_trace_states(), unit_trace_states()), min_size=1, max_size=5))
+def test_trace_distances_match_the_scalar_closed_form(pairs):
+    a = np.array([p.matrix for p, _ in pairs])
+    b = np.array([q.matrix for _, q in pairs])
+    want = [trace_distance(p, q) for p, q in pairs]
+    np.testing.assert_allclose(trace_distances(a, b), want, rtol=1e-15, atol=1e-300)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from mzdephase.core import (
     InteractionWindow,
     InterferometerConfig,
     PolarizationState,
+    check_density_matrices,
     effective_time,
     kappa_of_delay,
     pure_density,
@@ -17,7 +18,7 @@ from mzdephase.core import (
 from mzdephase.errors import ImpossibleOutcome
 from mzdephase.interferometer import (
     OutputFunctions,
-    _check_pair_states,
+    _states,
     averaged_state_outside,
     coherence_factors,
     conditional_state_outside,
@@ -251,14 +252,15 @@ def test_pair_state_check_rejects_what_density_matrix_rejects():
             accepted = True
         except (ValueError, np.linalg.LinAlgError):
             accepted = False
+        # the pair states coherence_factors checks, with these populations
+        states = _states(a, b, np.array([0.0, r]))
         if accepted:
-            _check_pair_states(a, b, np.array([0.0, r]))
+            check_density_matrices(states)
         else:
             with pytest.raises(ValueError):
-                _check_pair_states(a, b, np.array([0.0, r]))
-    # stricter than DensityMatrix, whose comparisons let a NaN through
+                check_density_matrices(states)
     with pytest.raises(ValueError):
-        _check_pair_states(0.5, 0.5, np.array([0.0, np.nan]))
+        check_density_matrices(_states(0.5, 0.5, np.array([0.0, np.nan])))
 
 
 def test_dissipative_like_population_at_exit():

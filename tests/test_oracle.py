@@ -56,11 +56,11 @@ def test_port_weights_sum_to_one(grid, baseline):
 
 
 def test_inside_conditioning_probability_is_half(grid, baseline):
-    from mzdephase.oracle import _amplitudes_inside
+    from mzdephase.oracle import _amplitudes
 
-    psi = _amplitudes_inside(baseline, grid, 30.0)
+    psi = _amplitudes(baseline, grid, np.array([30.0]))[0]
     for j in (0, 1):
-        weight = np.sum(np.abs(psi[:, :, j]) ** 2)
+        weight = np.sum(np.abs(psi[j]) ** 2)
         assert weight == pytest.approx(0.5, abs=1e-12)
 
 
@@ -236,13 +236,13 @@ def test_fused_compare_skips_dark_port(grid):
 
 
 def test_amplitudes_of_a_time_array_match_each_time(grid, baseline):
-    from mzdephase.oracle import _amplitudes_inside
+    from mzdephase.oracle import _amplitudes
 
     times = np.array([0.0, 12.5, 50.0, 60.0, 400.0])
-    batch = _amplitudes_inside(baseline, grid, times)
-    assert batch.shape == (len(times), 2, len(grid.omegas), 2)
+    batch = _amplitudes(baseline, grid, times)
+    assert batch.shape == (len(times), 2, 2, len(grid.omegas))
     for t, psi in zip(times, batch):
-        np.testing.assert_array_equal(psi, _amplitudes_inside(baseline, grid, t))
+        np.testing.assert_array_equal(psi, _amplitudes(baseline, grid, np.array([t]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +267,112 @@ def test_max_component_delay_examples(baseline):
     got = max_component_delay(baseline, [0.0, 60.0, 1060.0])
     lead = 1.553 * 60.0 - 1.544 * 50.0
     np.testing.assert_allclose(got, [0.0, lead, lead + 0.009 * 1000.0], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# phases and batched validation
+# ---------------------------------------------------------------------------
+
+def test_phase_matches_complex_exp_within_one_ulp():
+    from mzdephase.oracle import _phase
+
+    rng = np.random.default_rng(58)
+    x = rng.uniform(-1.0, 1.0, 100_000) * 10.0 ** rng.uniform(0.0, 9.0, 100_000)
+    got, want = _phase(x), np.exp(1j * x)
+    for part in ("real", "imag"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert np.all(np.abs(g - w) <= np.spacing(np.abs(w)))
+
+
+def _per_cell_inside_error(cfg, blocks, times):
+    """The error the first failing inside cell raises when the cells are
+    evaluated one by one, time after time, in the default location order
+    (path0, path1, joint_inside), the simulated state before the closed form."""
+    from mzdephase import interferometer as itf
+    from mzdephase.core import DensityMatrix
+
+    closed = (
+        lambda t: itf.path_state_inside(cfg, 0, t),
+        lambda t: itf.path_state_inside(cfg, 1, t),
+        lambda t: itf.joint_state_inside(cfg, t),
+    )
+    try:
+        for t, at_t in zip(times, blocks):
+            for c, reference in zip((0, 1, None), closed):
+                rho = at_t[0] + at_t[1] if c is None else at_t[c]
+                norm = float(np.real(np.trace(rho)))
+                if norm < 1e-14:
+                    raise ImpossibleOutcome(
+                        f"conditioning weight {norm!r} is zero within tolerance"
+                    )
+                DensityMatrix(rho / norm)
+                reference(float(t))
+    except (ImpossibleOutcome, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spoil", [
+    {1: (0, "empty")},
+    {1: (0, "empty"), 2: (1, "skew")},
+    {1: (1, "skew"), 2: (0, "empty")},
+    {0: (1, "not_psd")},
+    {3: (0, "empty"), 1: (1, "not_psd")},
+    {2: (0, "empty"), 3: (1, "empty")},
+])
+def test_batched_errors_name_the_first_failing_cell(baseline, grid, monkeypatch, spoil):
+    from mzdephase import oracle
+
+    times = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
+    blocks = oracle._path_blocks(baseline, grid, times, "inside")
+    for k, (path, how) in spoil.items():
+        if how == "empty":
+            blocks[k, path] = 0.0
+        elif how == "skew":
+            blocks[k, path, 0, 1] += 1e-3
+        else:
+            blocks[k, path, 0, 1] += 1.0
+            blocks[k, path, 1, 0] += 1.0
+    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: blocks)
+    want = _per_cell_inside_error(baseline, blocks, times)
+    assert want is not None
+    with pytest.raises(want[0]) as caught:
+        oracle_compare(baseline, grid, times)
+    assert str(caught.value) == want[1]
+
+
+def test_compare_names_the_impossible_conditioning_weight(baseline, grid, monkeypatch):
+    from mzdephase import oracle
+
+    times = np.array([100.0, 200.0])
+    blocks = oracle._path_blocks(baseline, grid, times, "outside")
+    blocks[1, 1] = 0.0
+    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: blocks)
+    with pytest.raises(ImpossibleOutcome, match=r"^conditioning weight 0\.0 is zero within tolerance$"):
+        oracle_compare(baseline, grid, times, ["path1_out"])
+
+
+@pytest.mark.parametrize("spoil_simulated, message", [
+    (True, "matrix is not Hermitian"),
+    (False, "matrix is not positive semidefinite"),
+])
+def test_batched_check_reads_the_simulated_state_first(
+    baseline, grid, monkeypatch, spoil_simulated, message
+):
+    from mzdephase import oracle
+
+    times = np.array([0.0, 10.0])
+    blocks = oracle._path_blocks(baseline, grid, times, "inside")
+    if spoil_simulated:
+        blocks[1, 0, 0, 1] += 1e-3
+    closed = oracle._closed_form_states
+
+    def spoiled(cfg, stage, conditioning, at):
+        rho = closed(cfg, stage, conditioning, at)
+        rho[1, 0, 1] = rho[1, 1, 0] = 1.0
+        return rho
+
+    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: blocks)
+    monkeypatch.setattr(oracle, "_closed_form_states", spoiled)
+    with pytest.raises(ValueError, match=message):
+        oracle_compare(baseline, grid, times)
