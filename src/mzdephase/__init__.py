@@ -37,14 +37,12 @@ from .errors import (
     ZeroCoherenceFactor,
 )
 from .interferometer import (
-    OutputFunctions,
     averaged_state_outside,
     coherence_factors,
     coherence_transfer,
     conditional_state_outside,
     interference_kappas,
     joint_state_inside,
-    lambda_function,
     path_probabilities,
     path_state_inside,
 )
@@ -91,14 +89,12 @@ __all__ = [
     "MzDephaseError",
     "PeakNotFound",
     "ZeroCoherenceFactor",
-    "OutputFunctions",
     "averaged_state_outside",
     "coherence_factors",
     "coherence_transfer",
     "conditional_state_outside",
     "interference_kappas",
     "joint_state_inside",
-    "lambda_function",
     "path_probabilities",
     "path_state_inside",
     "QuantumOperation",

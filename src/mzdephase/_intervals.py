@@ -1,5 +1,12 @@
-"""Internal helper to merge flagged grid steps into maximal intervals."""
+"""Internal helpers: the rise tolerance of the memory-effect detectors, and
+the merge of flagged grid steps into maximal intervals."""
 from __future__ import annotations
+
+# a rise between grid points must exceed this to count: of the trace
+# distance for information backflow, and of |f| relative to the port
+# probability for a non-CP-divisible step (the two differ by that factor);
+# separates genuine recoherence from floating-point ripple on flat tails
+RISE_TOL = 1e-9
 
 
 def merge_rising_steps(grid, rising) -> list[tuple[float, float]]:

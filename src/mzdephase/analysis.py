@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._intervals import merge_rising_steps
+from ._intervals import RISE_TOL, merge_rising_steps
 from .core import (
     DensityMatrix,
     InterferometerConfig,
@@ -28,10 +28,6 @@ from .interferometer import (
 )
 
 LOCATIONS = tuple(LOCATION_STAGES)
-
-# a trace-distance rise must exceed this to count as information backflow;
-# separates genuine recoherence from floating-point ripple on flat tails
-RISE_TOL = 1e-9
 
 # estimator regime gate: residual interference weights must stay below this
 INTERFERENCE_TOL = 1e-6

@@ -37,13 +37,5 @@ def single_path_state(
     Pure dephasing: the populations stay at their initial values while the
     coherence is multiplied by the decoherence factor.
     """
-    return _dephased_state(pol, single_path_kappa(window, dist, pol.theta, t))
-
-
-def _dephased_state(pol: PolarizationState, factor) -> DensityMatrix:
-    """The input state with its populations kept and its coherence
-    multiplied by a decoherence factor."""
-    coh = pol.c_h * pol.c_v.conjugate() * factor
-    return DensityMatrix(
-        [[abs(pol.c_h) ** 2, coh], [coh.conjugate(), abs(pol.c_v) ** 2]]
-    )
+    coh = pol.c_h * pol.c_v.conjugate() * single_path_kappa(window, dist, pol.theta, t)
+    return DensityMatrix([[abs(pol.c_h) ** 2, coh], [coh.conjugate(), abs(pol.c_v) ** 2]])

@@ -313,12 +313,14 @@ def cmd_divisibility(cfg: InterferometerConfig, grid: np.ndarray) -> int:
     intervals; any disagreement is an internal consistency failure."""
     step = float(np.max(np.diff(grid)))
     agree = True
+    probs = path_probabilities(cfg)
     for jp, location in ((0, "path0_out"), (1, "path1_out")):
-        if path_probabilities(cfg)[jp] < DARK_PORT_TOL:
+        if probs[jp] < DARK_PORT_TOL:
             print(f"port {jp}: dark port, no conditional dynamics")
             continue
         scan = maps.divisibility_scan(cfg, jp, grid)
-        series = analysis.trace_distance_series(cfg, location, grid)
+        c = coherence_factors(cfg, location, grid)
+        series = analysis.TraceDistanceSeries(grid, np.abs(c), location)
         backflow = analysis.backflow_intervals(series)
         print(f"port {jp}: {len(scan)} non-CP-divisible interval(s)")
         for lo, hi in scan:

@@ -9,12 +9,11 @@ factor; the brute-force cross-check lives in the oracle module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import replace
 
 import numpy as np
 
-from .channels import _dephased_state, single_path_kappa, single_path_state
+from .channels import single_path_kappa
 from .core import (
     DensityMatrix,
     InterferometerConfig,
@@ -41,10 +40,6 @@ LOCATION_STAGES = {
 }
 
 
-def _inside_durations(cfg: InterferometerConfig) -> tuple[float, float]:
-    return cfg.window0.duration, cfg.window1.duration
-
-
 def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     """Real interference weights (kappa_H, kappa_V) at the output beam splitter.
 
@@ -53,7 +48,7 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     difference of each polarization component times a cosine at the mean
     frequency, with prefactor 2.  Time-independent; returned as Python floats.
     """
-    t0, t1 = _inside_durations(cfg)
+    t0, t1 = cfg.window0.duration, cfg.window1.duration
     mu, sigma = cfg.dist.mu, cfg.dist.sigma
     out = []
     for n0, n1 in (
@@ -69,7 +64,7 @@ def _cross_delays(cfg: InterferometerConfig) -> tuple[float, float]:
     """Inside delays between the H component of one path and the V component
     of the other; the outside coupling shifts both and their cancellation
     produces the recoherence peak."""
-    t0, t1 = _inside_durations(cfg)
+    t0, t1 = cfg.window0.duration, cfg.window1.duration
     a1 = cfg.window0.n_h * t0 - cfg.window1.n_v * t1
     a2 = cfg.window1.n_h * t1 - cfg.window0.n_v * t0
     return a1, a2
@@ -83,16 +78,6 @@ def _lambda_of_total_time(cfg: InterferometerConfig, total):
     return kappa_of_delay(cfg.dist, theta, a1 + shift) + kappa_of_delay(
         cfg.dist, theta, a2 + shift
     )
-
-
-def lambda_function(cfg: InterferometerConfig, t):
-    """Cross-term coherence transfer for the conditional output states.
-
-    Sum of two decoherence factors whose delays pair the H component of one
-    inside path with the V component of the other, both shifted by the
-    accumulated outside delay.  Accepts scalar or array t.
-    """
-    return _lambda_of_total_time(cfg, effective_time(cfg.window_out, t))
 
 
 def _shifted_kappas(cfg: InterferometerConfig, total):
@@ -123,58 +108,6 @@ def _port_weight(kappa: float, jp: int) -> float:
     return (2.0 + (-1) ** jp * kappa) / 4.0
 
 
-@dataclass(frozen=True)
-class OutputFunctions:
-    """Closed-form ingredients of the output-side dynamics for one config.
-
-    kappa_h / kappa_v are the time-independent interference weights; lambda_at
-    evaluates the cross-term transfer; f0 / f1 give the conditional coherence
-    transfer factor of each output port.  All callables accept scalar or
-    array laboratory times.
-    """
-
-    kappa_h: float
-    kappa_v: float
-    lambda_at: Callable
-    f0: Callable
-    f1: Callable
-    kappa0_at: Callable
-    kappa1_at: Callable
-
-    @classmethod
-    def from_config(cls, cfg: InterferometerConfig) -> "OutputFunctions":
-        kh, kv = interference_kappas(cfg)
-
-        def lam(t, _cfg=cfg):
-            return lambda_function(_cfg, t)
-
-        def k0(t, _cfg=cfg):
-            return _shifted_kappas(_cfg, effective_time(_cfg.window_out, t))[0]
-
-        def k1(t, _cfg=cfg):
-            return _shifted_kappas(_cfg, effective_time(_cfg.window_out, t))[1]
-
-        def f0(t, _cfg=cfg):
-            return coherence_transfer(_cfg, 0, t)
-
-        def f1(t, _cfg=cfg):
-            return coherence_transfer(_cfg, 1, t)
-
-        return cls(kh, kv, lam, f0, f1, k0, k1)
-
-    def f(self, jp: int, t):
-        """Coherence transfer factor of output port jp."""
-        return self.f0(t) if jp == 0 else self.f1(t)
-
-    def h(self, jp: int) -> float:
-        """H-population weight of the unnormalized port-jp state."""
-        return _port_weight(self.kappa_h, jp)
-
-    def v(self, jp: int) -> float:
-        """V-population weight of the unnormalized port-jp state."""
-        return _port_weight(self.kappa_v, jp)
-
-
 def _check_inside_time(cfg: InterferometerConfig, t: float):
     if t < 0 or t > cfg.window_out.t_start:
         raise ValueError(
@@ -189,11 +122,7 @@ def joint_state_inside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
     populations stay put and the coherence carries the mean of the two
     decoherence factors.
     """
-    _check_inside_time(cfg, t)
-    theta = cfg.pol.theta
-    k0 = single_path_kappa(cfg.window0, cfg.dist, theta, t)
-    k1 = single_path_kappa(cfg.window1, cfg.dist, theta, t)
-    return _dephased_state(cfg.pol, (k0 + k1) / 2.0)
+    return _state(cfg, "joint_inside", t)
 
 
 def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMatrix:
@@ -202,9 +131,7 @@ def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMat
     Each path is taken with probability exactly 1/2, and conditioning gives
     back the plain single-path dephasing channel of that arm.
     """
-    _check_inside_time(cfg, t)
-    window = cfg.window0 if j == 0 else cfg.window1
-    return single_path_state(cfg.pol, window, cfg.dist, t)
+    return _state(cfg, ("path0", "path1")[j], t)
 
 
 def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
@@ -250,19 +177,7 @@ def conditional_state_outside(
     time-independent because only dephasing acts after the output beam
     splitter.
     """
-    kh, kv = interference_kappas(cfg)
-    pol = cfg.pol
-    coh = pol.c_h * pol.c_v.conjugate() * coherence_transfer(cfg, jp, t)
-    m = [
-        [_port_weight(kh, jp) * abs(pol.c_h) ** 2, coh],
-        [coh.conjugate(), _port_weight(kv, jp) * abs(pol.c_v) ** 2],
-    ]
-    if not normalized:
-        return DensityMatrix(m, require_unit_trace=False)
-    # reciprocal scaling, as numpy divides a complex array by a float: the
-    # populations that sweep prints to 17 digits keep those bits
-    scale = 1.0 / _bright_port(_port_probabilities(cfg, kh, kv), jp)
-    return DensityMatrix([[x * scale for x in row] for row in m])
+    return _state(cfg, ("path0_out", "path1_out")[jp], t, normalized)
 
 
 def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
@@ -272,36 +187,51 @@ def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix
     interference term: the coherence is the mean of the two path decoherence
     factors, each with the outside delay added to its full inside delay.
     """
-    k0, k1 = _shifted_kappas(cfg, effective_time(cfg.window_out, t))
-    return _dephased_state(cfg.pol, (k0 + k1) / 2.0)
+    return _state(cfg, "joint_out", t)
 
 
-def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
+def _closed_form(
+    cfg: InterferometerConfig, stage: str, conditioning, times, normalized: bool = True
+):
     """(transfer, weight_h, weight_v, prob) of the closed-form state at a
-    (stage, conditioning) location, the transfer an array over times.
+    (stage, conditioning) location, the transfer a scalar or an array as
+    ``times`` is.
 
     The state is [[weight_h |c_h|^2, c_h c_v^* transfer], [conjugate,
     weight_v |c_v|^2]] / prob.  Weights and prob are one except on an output
-    port, where they are its interference weights and its probability; a
-    dark port raises ImpossibleOutcome.
+    port, where they are its interference weights and, when ``normalized``,
+    its probability; a dark port then raises ImpossibleOutcome.
     """
     if stage == "inside":
         theta = cfg.pol.theta
+        if conditioning is not None:
+            window = (cfg.window0, cfg.window1)[conditioning]
+            return single_path_kappa(window, cfg.dist, theta, times), 1.0, 1.0, 1.0
         k0 = single_path_kappa(cfg.window0, cfg.dist, theta, times)
         k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
-        transfer = (k0 + k1) / 2.0 if conditioning is None else (k0, k1)[conditioning]
-        return transfer, 1.0, 1.0, 1.0
+        return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
     if conditioning is None:
         k0, k1 = _shifted_kappas(cfg, effective_time(cfg.window_out, times))
         return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
     kh, kv = interference_kappas(cfg)
-    prob = _bright_port(_port_probabilities(cfg, kh, kv), conditioning)
-    return (
-        coherence_transfer(cfg, conditioning, times),
-        _port_weight(kh, conditioning),
-        _port_weight(kv, conditioning),
-        prob,
-    )
+    transfer = coherence_transfer(cfg, conditioning, times)
+    prob = _bright_port(_port_probabilities(cfg, kh, kv), conditioning) if normalized else 1.0
+    return transfer, _port_weight(kh, conditioning), _port_weight(kv, conditioning), prob
+
+
+def _state(cfg: InterferometerConfig, location: str, t: float, normalized=True) -> DensityMatrix:
+    """The closed-form state at a location at one time: a one-element view of
+    _closed_form, scaled by the reciprocal probability as numpy divides a
+    complex array by a float, so sweep's 17-digit populations keep the bits
+    of _closed_form_states.  Inside, t must lie in [0, window_out.t_start]."""
+    stage, conditioning = LOCATION_STAGES[location]
+    if stage == "inside":
+        _check_inside_time(cfg, t)
+    transfer, w_h, w_v, prob = _closed_form(cfg, stage, conditioning, t, normalized)
+    pol, scale = cfg.pol, 1.0 / prob
+    coh = pol.c_h * pol.c_v.conjugate() * transfer
+    m = [[w_h * abs(pol.c_h) ** 2, coh], [coh.conjugate(), w_v * abs(pol.c_v) ** 2]]
+    return DensityMatrix([[x * scale for x in row] for row in m], require_unit_trace=normalized)
 
 
 def _closed_form_states(
@@ -356,9 +286,6 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
         _check_inside_time(cfg, times.min())
         _check_inside_time(cfg, times.max())
     pair = replace(cfg, pol=PolarizationState.plus())
-    transfer, weight_h, weight_v, prob = _closed_form(pair, stage, conditioning, times)
-    pop_h = weight_h * abs(pair.pol.c_h) ** 2 / prob
-    pop_v = weight_v * abs(pair.pol.c_v) ** 2 / prob
-    coherence = pair.pol.c_h * np.conj(pair.pol.c_v) * transfer / prob
-    check_density_matrices(_states(pop_h, pop_v, coherence))
-    return 2.0 * coherence
+    states = _closed_form_states(pair, stage, conditioning, times)
+    check_density_matrices(states)
+    return 2.0 * states[..., 0, 1]

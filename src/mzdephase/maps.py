@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._intervals import merge_rising_steps
+from ._intervals import RISE_TOL, merge_rising_steps
 from .core import InterferometerConfig
 from .errors import ZeroCoherenceFactor
 from .interferometer import (
     DARK_PORT_TOL,
-    OutputFunctions,
+    _port_weight,
     coherence_transfer,
+    interference_kappas,
     path_probabilities,
 )
 
@@ -31,9 +32,6 @@ ZERO_F_TOL = 1e-14
 # default eigenvalue tolerance for Choi-based complete-positivity checks
 CP_TOL = 1e-10
 
-# threshold on a |f| rise between grid points, relative to the port
-# probability; matches the trace-distance rise tolerance used in analysis
-DIVISIBILITY_RISE_TOL = 1e-9
 
 def _choi_from_weighted_kraus(weights, operators) -> np.ndarray:
     """Choi matrix sum_i w_i (A_i (x) 1)|Omega><Omega|(A_i (x) 1)^dag.
@@ -149,10 +147,13 @@ def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOp
     Applied to the initial polarization projector the two diagonal operators
     reproduce the unnormalized conditional output state.
     """
-    of = OutputFunctions.from_config(cfg)
+    kh, kv = interference_kappas(cfg)
     try:
         return conditional_operation(
-            of.h(jp), of.v(jp), complex(of.f(jp, t)), cfg.pol.theta
+            _port_weight(kh, jp),
+            _port_weight(kv, jp),
+            complex(coherence_transfer(cfg, jp, t)),
+            cfg.pol.theta,
         )
     except ZeroCoherenceFactor as exc:
         raise ZeroCoherenceFactor(f"port {jp}, t={t}: {exc}") from None
@@ -229,7 +230,7 @@ def divisibility_scan(
     cfg: InterferometerConfig,
     jp: int,
     grid,
-    rise_tol: float = DIVISIBILITY_RISE_TOL,
+    rise_tol: float = RISE_TOL,
 ) -> list[tuple[float, float]]:
     """Maximal grid intervals on which the port-jp dynamics is not CP-divisible.
 

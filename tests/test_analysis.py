@@ -17,7 +17,7 @@ from mzdephase.core import (
     PolarizationState,
 )
 from mzdephase.errors import EstimatorOutOfRegime, ImpossibleOutcome, PeakNotFound
-from mzdephase.interferometer import OutputFunctions, path_probabilities
+from mzdephase.interferometer import coherence_transfer, path_probabilities
 
 PEAK_TOTAL_TIME = (1.544 * 60.0 - 1.553 * 50.0) / 0.009  # 1665.55...
 
@@ -61,10 +61,9 @@ def test_pathwise_series_equals_kappa_modulus_and_is_monotone(baseline):
 
 def test_output_series_equals_f_over_probability(baseline):
     grid = np.linspace(60.0, 2800.0, 500)
-    of = OutputFunctions.from_config(baseline)
     for jp, location in ((0, "path0_out"), (1, "path1_out")):
         series = trace_distance_series(baseline, location, grid)
-        want = np.abs(of.f(jp, grid)) / path_probabilities(baseline)[jp]
+        want = np.abs(coherence_transfer(baseline, jp, grid)) / path_probabilities(baseline)[jp]
         np.testing.assert_allclose(series.values, want, atol=1e-12)
 
 

@@ -17,14 +17,15 @@ from mzdephase.core import (
 )
 from mzdephase.errors import ImpossibleOutcome
 from mzdephase.interferometer import (
-    OutputFunctions,
+    _lambda_of_total_time,
+    _shifted_kappas,
     _states,
     averaged_state_outside,
     coherence_factors,
     conditional_state_outside,
+    coherence_transfer,
     interference_kappas,
     joint_state_inside,
-    lambda_function,
     path_probabilities,
     path_state_inside,
 )
@@ -62,10 +63,13 @@ def test_joint_inside_baseline_coherence_at_exit(baseline):
 
 
 def test_joint_inside_rejects_times_past_output_start(baseline):
-    with pytest.raises(ValueError):
-        joint_state_inside(baseline, 60.5)
-    with pytest.raises(ValueError):
-        joint_state_inside(baseline, -1.0)
+    for t in (60.5, -1.0):
+        want = rf"^t={t} outside the inside region \[0, 60\.0\]$"
+        with pytest.raises(ValueError, match=want):
+            joint_state_inside(baseline, t)
+        for j in (0, 1):
+            with pytest.raises(ValueError, match=want):
+                path_state_inside(baseline, j, t)
     for location in ("path0", "path1", "joint_inside"):
         for times in ([0.0, 60.0, 60.5], [-1.0, 0.0]):
             with pytest.raises(ValueError, match="outside the inside region"):
@@ -122,30 +126,36 @@ def test_interference_kappas_small_offset_frozen():
 
 def test_lambda_collapses_for_symmetric_arms():
     cfg = symmetric_config(stop=40.0)
-    lam = lambda_function(cfg, 40.0)  # output delay still zero
+    # output delay still zero
+    lam = _lambda_of_total_time(cfg, effective_time(cfg.window_out, 40.0))
     want = 2.0 * kappa_of_delay(DIST, 0.0, cfg.window0.delta_n * 40.0)
     assert lam == pytest.approx(want, abs=1e-10)
 
 
 def test_lambda_baseline_dead_at_exit_and_revived_at_peak(baseline):
-    assert abs(lambda_function(baseline, 60.0)) < 1e-40
+    def lam(t):
+        return _lambda_of_total_time(baseline, effective_time(baseline.window_out, t))
+
+    assert abs(lam(60.0)) < 1e-40
     t_peak = 60.0 + (1.544 * 60.0 - 1.553 * 50.0) / 0.009
-    assert abs(lambda_function(baseline, t_peak)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(lam(t_peak)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_output_functions_invariants():
     rng = np.random.default_rng(32)
     for _ in range(15):
         cfg = random_config(rng)
-        of = OutputFunctions.from_config(cfg)
-        assert abs(of.kappa_h) <= 2.0 + 1e-12
-        assert abs(of.kappa_v) <= 2.0 + 1e-12
+        kh, kv = interference_kappas(cfg)
+        assert abs(kh) <= 2.0 + 1e-12
+        assert abs(kv) <= 2.0 + 1e-12
         ts = cfg.window_out.t_start + rng.uniform(0.0, 300.0, size=20)
-        lam = of.lambda_at(ts)
+        total = effective_time(cfg.window_out, ts)
+        lam = _lambda_of_total_time(cfg, total)
         assert np.all(np.abs(lam) <= 2.0 + 1e-12)
+        k0, k1 = _shifted_kappas(cfg, total)
         for jp in (0, 1):
-            lhs = 4.0 * of.f(jp, ts)
-            rhs = of.kappa0_at(ts) + of.kappa1_at(ts) + (-1) ** jp * lam
+            lhs = 4.0 * coherence_transfer(cfg, jp, ts)
+            rhs = k0 + k1 + (-1) ** jp * lam
             np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -193,6 +203,17 @@ def test_dark_port_conditioning_raises():
         conditional_state_outside(symmetric_config(), 1, 70.0)
     with pytest.raises(ImpossibleOutcome):
         coherence_factors(preset("dtau0"), "path1_out", np.linspace(60.0, 200.0, 10))
+    cfg = preset("dtau0")
+    with pytest.raises(
+        ImpossibleOutcome,
+        match=r"^output port 1 has probability 0\.0; cannot condition on it$",
+    ):
+        conditional_state_outside(cfg, 1, 80.0)
+    # the unnormalized state of the dark port still constructs, with trace 0
+    dark = conditional_state_outside(cfg, 1, 80.0, normalized=False)
+    assert isinstance(dark, DensityMatrix)
+    assert dark.trace == 0.0 and not dark.unit_trace
+    assert abs(dark.coherence) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +228,10 @@ AGREEMENT_CONFIGS = {name: preset(name) for name in PRESETS} | {
 
 @pytest.mark.parametrize("cfg", AGREEMENT_CONFIGS.values(), ids=AGREEMENT_CONFIGS.keys())
 def test_coherence_factors_match_state_based_series(cfg):
-    # the state-based series builds two DensityMatrix per point and takes the
-    # eigenvalues of their difference; the layer only differs by rounding
+    # both sides read one closed-form table (_closed_form): this checks the
+    # scalar DensityMatrix / trace_distance kernels, one pair of states per
+    # point, against the array ones (check_density_matrices, |coherence|);
+    # the independent reference is the oracle (test_oracle)
     start = cfg.window_out.t_start
     grids = {
         "inside": np.linspace(0.0, start, 151),

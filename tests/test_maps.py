@@ -12,7 +12,12 @@ from mzdephase.core import (
     pure_density,
 )
 from mzdephase.errors import ZeroCoherenceFactor
-from mzdephase.interferometer import OutputFunctions, conditional_state_outside
+from mzdephase.interferometer import (
+    _port_weight,
+    coherence_transfer,
+    conditional_state_outside,
+    interference_kappas,
+)
 from mzdephase.maps import (
     QuantumOperation,
     TraceCharacter,
@@ -106,9 +111,9 @@ def test_unit_weights_give_trace_preserving_map():
 
 
 def test_completeness_deficiency_is_population_weights(baseline):
-    of = OutputFunctions.from_config(baseline)
+    kh, kv = interference_kappas(baseline)
     op = kraus_conditional(baseline, 0, 500.0)
-    want = np.eye(2) - np.diag([of.h(0), of.v(0)])
+    want = np.eye(2) - np.diag([_port_weight(kh, 0), _port_weight(kv, 0)])
     np.testing.assert_allclose(op.completeness_deficiency, want, atol=1e-14)
 
 
@@ -133,9 +138,8 @@ def test_reconstruction_identity_random_configs_any_phase():
     while done < 20:
         cfg = random_config(rng)
         t = cfg.window_out.t_start + rng.uniform(0.0, 300.0)
-        of = OutputFunctions.from_config(cfg)
         jp = int(rng.integers(0, 2))
-        if abs(of.f(jp, t)) < 1e-12:
+        if abs(coherence_transfer(cfg, jp, t)) < 1e-12:
             continue
         op = kraus_conditional(cfg, jp, t)
         want = conditional_state_outside(cfg, jp, t, normalized=False).matrix
@@ -193,11 +197,10 @@ def test_composition_law(baseline):
     # ratio f(t2)/f(t1) amplifies it past any fixed tolerance.
     rng = np.random.default_rng(44)
     rho0 = pure_density(baseline.pol).matrix
-    of = OutputFunctions.from_config(baseline)
     checked = 0
     while checked < 25:
         t1, t2 = np.sort(rng.uniform(60.0, 2500.0, size=2))
-        if abs(of.f(0, t1)) < 1e-4:
+        if abs(coherence_transfer(baseline, 0, t1)) < 1e-4:
             continue
         lhs = propagator(baseline, 0, t1, t2).apply(
             kraus_conditional(baseline, 0, t1).apply(rho0)
@@ -209,11 +212,11 @@ def test_composition_law(baseline):
 
 def test_propagator_ignores_interference_weights(baseline):
     # the propagator is a function of the coherence transfer factors alone
-    of = OutputFunctions.from_config(baseline)
     t1, t2 = 200.0, 900.0
     via_config = propagator(baseline, 0, t1, t2)
     via_factors = propagator_from_coherence_factors(
-        complex(of.f(0, t1)), complex(of.f(0, t2))
+        complex(coherence_transfer(baseline, 0, t1)),
+        complex(coherence_transfer(baseline, 0, t2)),
     )
     assert np.array_equal(via_config.choi, via_factors.choi)
     for a, b in zip(via_config.operators, via_factors.operators):
@@ -227,9 +230,8 @@ def test_equivalence_of_coherence_growth_and_trace_distance_growth():
     for name in ("dtau10", "dtau1p5"):
         cfg = preset(name)
         grid = np.linspace(60.0, 2200.0, 800)
-        of = OutputFunctions.from_config(cfg)
         for jp, location in ((0, "path0_out"), (1, "path1_out")):
-            fmod = np.abs(of.f(jp, grid))
+            fmod = np.abs(coherence_transfer(cfg, jp, grid))
             series = trace_distance_series(cfg, location, grid)
             df = np.diff(fmod)
             dd = np.diff(series.values)

@@ -1,12 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import preset, random_config
+from conftest import PRESETS, preset, random_config
 
-from mzdephase.core import FrequencyDistribution, pure_density, trace_distance
+from mzdephase.core import (
+    FrequencyDistribution,
+    PolarizationState,
+    pure_density,
+    trace_distance,
+)
 from mzdephase.errors import ImpossibleOutcome
-from mzdephase.interferometer import conditional_state_outside
+from mzdephase.interferometer import (
+    LOCATION_STAGES,
+    coherence_factors,
+    conditional_state_outside,
+)
 from mzdephase.oracle import (
     FrequencyGrid,
+    alias_free_delay,
+    max_component_delay,
     oracle_compare,
     oracle_port_probabilities,
     oracle_state,
@@ -70,6 +83,39 @@ def test_conditional_states_match_closed_form(grid, baseline):
         simulated = oracle_state(baseline, grid, t, "outside", 0)
         reference = conditional_state_outside(baseline, 0, t)
         assert trace_distance(reference, simulated) < 1e-6
+
+
+_RNG = np.random.default_rng(77)
+LAYER_CONFIGS = {name: preset(name) for name in PRESETS} | {
+    f"random{k}": random_config(_RNG) for k in range(5)
+}
+
+
+@pytest.mark.parametrize("cfg", LAYER_CONFIGS.values(), ids=LAYER_CONFIGS.keys())
+def test_coherence_factors_match_oracle_trace_distance(cfg):
+    # the oracle evolves the |+> and |-> inputs directly and shares no code
+    # with the closed-form table under coherence_factors
+    grid = FrequencyGrid.build(cfg.dist, n=2001)
+    start = cfg.window_out.t_start
+    stage_times = {
+        "inside": np.linspace(0.0, start, 9),
+        "outside": np.linspace(start, start + 3000.0, 13),
+    }
+    pair = [replace(cfg, pol=s()) for s in (PolarizationState.plus, PolarizationState.minus)]
+    for location, (stage, conditioning) in LOCATION_STAGES.items():
+        times = stage_times[stage]
+        assert np.all(max_component_delay(cfg, times) <= alias_free_delay(cfg, grid))
+        try:
+            got = np.abs(coherence_factors(cfg, location, times))
+        except ImpossibleOutcome:
+            with pytest.raises(ImpossibleOutcome):
+                oracle_state(pair[0], grid, times[0], stage, conditioning)
+            continue
+        want = [
+            trace_distance(*(oracle_state(c, grid, t, stage, conditioning) for c in pair))
+            for t in times
+        ]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=location)
 
 
 def test_dark_port_conditioning_raises(grid):
