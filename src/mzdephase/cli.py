@@ -165,6 +165,8 @@ def build_config(data: dict) -> tuple[InterferometerConfig, dict]:
     if not isinstance(run, dict):
         problems.append("run: expected an object")
         run = {}
+    for key in sorted(set(run) - {"grid", "locations", "n_freq"}):
+        problems.append(f"run.{key}: unknown field")
 
     cfg = None
     if dist and pol and all(windows.get(s) for s in _WINDOW_SECTIONS):
@@ -196,29 +198,30 @@ def load_config(path) -> tuple[InterferometerConfig, dict]:
     return build_config(data)
 
 
-def parse_grid(spec: str, min_points: int = 1) -> np.ndarray:
+def parse_grid(spec: str, min_points: int = 1, field: str = "grid") -> np.ndarray:
     """Parse START:STOP:STEP into an inclusive, deterministic time grid of at
-    least ``min_points`` and at most ``MAX_GRID_POINTS`` times."""
+    least ``min_points`` and at most ``MAX_GRID_POINTS`` times.  Problems are
+    reported under ``field``."""
     parts = spec.split(":") if isinstance(spec, str) else []
     if len(parts) != 3:
-        raise ConfigError([f"grid: expected START:STOP:STEP, got {spec!r}"])
+        raise ConfigError([f"{field}: expected START:STOP:STEP, got {spec!r}"])
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise ConfigError([f"grid: non-numeric component in {spec!r}"])
+        raise ConfigError([f"{field}: non-numeric component in {spec!r}"])
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError([f"grid: components must be finite in {spec!r}"])
+        raise ConfigError([f"{field}: components must be finite in {spec!r}"])
     if step <= 0 or stop < start:
-        raise ConfigError([f"grid: need stop >= start and step > 0 in {spec!r}"])
+        raise ConfigError([f"{field}: need stop >= start and step > 0 in {spec!r}"])
     steps = (stop - start) / step + 1e-9
     if not steps < MAX_GRID_POINTS:
         raise ConfigError(
-            [f"grid: {spec!r} has more than {MAX_GRID_POINTS} points"]
+            [f"{field}: {spec!r} has more than {MAX_GRID_POINTS} points"]
         )
     count = int(math.floor(steps)) + 1
     if count < min_points:
         raise ConfigError(
-            [f"grid: {spec!r} has {count} point(s), at least {min_points} needed"]
+            [f"{field}: {spec!r} has {count} point(s), at least {min_points} needed"]
         )
     return start + step * np.arange(count)
 
@@ -440,26 +443,28 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg, run = load_config(args.config)
-        grid_spec = args.grid or run.get("grid")
+        # the flag, else run.grid; problems name the field the spec came from
+        field, grid_spec = ("grid", args.grid) if args.grid else ("run.grid", run.get("grid"))
         if args.command == "sweep":
-            if not grid_spec:
+            if grid_spec is None:
                 raise ConfigError(["grid: required for sweep (flag --grid or run.grid)"])
             locations = _sweep_locations(args.locations, run)
-            return cmd_sweep(cfg, parse_grid(grid_spec, min_points=2), locations, args.out)
+            return cmd_sweep(cfg, parse_grid(grid_spec, 2, field), locations, args.out)
         if args.command == "estimate":
             scan = None
-            if grid_spec:
-                grid = parse_grid(grid_spec)
+            if grid_spec is not None:
+                grid = parse_grid(grid_spec, field=field)
                 scan = (float(grid[0]), float(grid[-1]))
             return cmd_estimate(cfg, scan)
         if args.command == "divisibility":
-            if not grid_spec:
+            if grid_spec is None:
                 raise ConfigError(["grid: required for divisibility"])
-            return cmd_divisibility(cfg, parse_grid(grid_spec, min_points=2))
+            return cmd_divisibility(cfg, parse_grid(grid_spec, 2, field))
         if args.command == "oracle-check":
             n = _n_freq(args.n_freq, run)
-            times = list(parse_grid(grid_spec)) if grid_spec else _default_times(cfg)
-            return cmd_oracle_check(cfg, n, times)
+            if grid_spec is None:
+                return cmd_oracle_check(cfg, n, _default_times(cfg))
+            return cmd_oracle_check(cfg, n, list(parse_grid(grid_spec, field=field)))
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         for problem in exc.problems:

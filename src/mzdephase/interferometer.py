@@ -90,12 +90,20 @@ def _shifted_kappas(cfg: InterferometerConfig, total):
     )
 
 
+def _check_index(kind: str, j) -> None:
+    """Raise ValueError unless j names inside path or output port 0 or 1."""
+    if j not in (0, 1):
+        raise ValueError(f"{kind} index {j!r} is neither 0 nor 1")
+
+
 def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
     """Conditional coherence transfer factor f_jp of output port jp.
 
     A quarter of the two shifted path factors plus (port 0) or minus (port 1)
-    the cross-term transfer.  Accepts scalar or array laboratory times.
+    the cross-term transfer.  Accepts scalar or array laboratory times.  A
+    port index other than 0 or 1 raises ValueError.
     """
+    _check_index("port", jp)
     total = effective_time(cfg.window_out, t)
     k0, k1 = _shifted_kappas(cfg, total)
     lam = _lambda_of_total_time(cfg, total)
@@ -122,7 +130,7 @@ def joint_state_inside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
     populations stay put and the coherence carries the mean of the two
     decoherence factors.
     """
-    return _state(cfg, "joint_inside", t)
+    return _state(cfg, "inside", None, t)
 
 
 def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMatrix:
@@ -131,7 +139,7 @@ def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMat
     Each path is taken with probability exactly 1/2, and conditioning gives
     back the plain single-path dephasing channel of that arm.
     """
-    return _state(cfg, ("path0", "path1")[j], t)
+    return _state(cfg, "inside", j, t)
 
 
 def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
@@ -177,7 +185,7 @@ def conditional_state_outside(
     time-independent because only dephasing acts after the output beam
     splitter.
     """
-    return _state(cfg, ("path0_out", "path1_out")[jp], t, normalized)
+    return _state(cfg, "outside", jp, t, normalized)
 
 
 def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
@@ -187,7 +195,7 @@ def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix
     interference term: the coherence is the mean of the two path decoherence
     factors, each with the outside delay added to its full inside delay.
     """
-    return _state(cfg, "joint_out", t)
+    return _state(cfg, "outside", None, t)
 
 
 def _closed_form(
@@ -200,11 +208,13 @@ def _closed_form(
     The state is [[weight_h |c_h|^2, c_h c_v^* transfer], [conjugate,
     weight_v |c_v|^2]] / prob.  Weights and prob are one except on an output
     port, where they are its interference weights and, when ``normalized``,
-    its probability; a dark port then raises ImpossibleOutcome.
+    its probability; a dark port then raises ImpossibleOutcome.  A path or
+    port index other than 0 or 1 raises ValueError.
     """
     if stage == "inside":
         theta = cfg.pol.theta
         if conditioning is not None:
+            _check_index("path", conditioning)
             window = (cfg.window0, cfg.window1)[conditioning]
             return single_path_kappa(window, cfg.dist, theta, times), 1.0, 1.0, 1.0
         k0 = single_path_kappa(cfg.window0, cfg.dist, theta, times)
@@ -219,12 +229,14 @@ def _closed_form(
     return transfer, _port_weight(kh, conditioning), _port_weight(kv, conditioning), prob
 
 
-def _state(cfg: InterferometerConfig, location: str, t: float, normalized=True) -> DensityMatrix:
-    """The closed-form state at a location at one time: a one-element view of
-    _closed_form, scaled by the reciprocal probability as numpy divides a
-    complex array by a float, so sweep's 17-digit populations keep the bits
-    of _closed_form_states.  Inside, t must lie in [0, window_out.t_start]."""
-    stage, conditioning = LOCATION_STAGES[location]
+def _state(
+    cfg: InterferometerConfig, stage: str, conditioning, t: float, normalized=True
+) -> DensityMatrix:
+    """The closed-form state at a (stage, conditioning) location at one time:
+    a one-element view of _closed_form, scaled by the reciprocal probability
+    as numpy divides a complex array by a float, so sweep's 17-digit
+    populations keep the bits of _closed_form_states.  Inside, t must lie in
+    [0, window_out.t_start]."""
     if stage == "inside":
         _check_inside_time(cfg, t)
     transfer, w_h, w_v, prob = _closed_form(cfg, stage, conditioning, t, normalized)

@@ -1,16 +1,20 @@
 """Kraus representations, intermediate propagators and complete-positivity
 analysis of the conditional output dynamics.
 
-The conditional evolution on each output port is a completely positive,
-trace-non-increasing operation.  Its two diagonal Kraus operators are built
-from the interference weights and the coherence transfer factor f.  The
-propagator between two times depends on f alone; it is completely positive
-exactly when |f| has not increased, which ties CP-divisibility to the trace
-distance between the maximally coherent input pair.
+Every operation here is one diagonal map rho -> [[h rho_HH, g rho_HV],
+[g^* rho_VH, v rho_VV]].  The conditional evolution on an output port takes
+h and v from its interference weights and g from the coherence transfer
+factor f; it is completely positive and trace-non-increasing.  The
+propagator between two times has h = v = 1 and g = f(t2)/f(t1); it is
+completely positive exactly when |f| has not increased, which ties
+CP-divisibility to the trace distance between the maximally coherent input
+pair.
 """
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,36 +24,23 @@ from .core import InterferometerConfig
 from .errors import ZeroCoherenceFactor
 from .interferometer import (
     DARK_PORT_TOL,
-    _port_weight,
+    _closed_form,
     coherence_transfer,
-    interference_kappas,
     path_probabilities,
 )
 
-# |f| below this is treated as an exact zero: the Kraus phase is undefined
+# |f| below this is treated as an exact zero: the Kraus phase is undefined;
+# a Kraus weight below it in modulus is dropped as roundoff
 ZERO_F_TOL = 1e-14
 
 # default eigenvalue tolerance for Choi-based complete-positivity checks
 CP_TOL = 1e-10
 
 
-def _choi_from_weighted_kraus(weights, operators) -> np.ndarray:
-    """Choi matrix sum_i w_i (A_i (x) 1)|Omega><Omega|(A_i (x) 1)^dag.
-
-    Negative weights are admitted so that algebraically continued (non-CP)
-    maps still have a well-defined Hermitian Choi matrix.  With
-    |Omega> = |HH> + |VV>, (A (x) 1)|Omega> is A flattened row by row.
-    """
-    choi = np.zeros((4, 4), dtype=complex)
-    for w, op in zip(weights, operators):
-        vec = op.reshape(4)
-        choi += w * np.outer(vec, vec.conj())
-    return choi
-
-
 @dataclass(frozen=True, eq=False)
 class QuantumOperation:
-    """A qubit operation given by weighted Kraus terms rho -> sum_i w_i A_i rho A_i^dag.
+    """A qubit operation given by its Choi matrix, and by the weighted Kraus
+    terms rho -> sum_i w_i A_i rho A_i^dag it was built from, if any.
 
     For physical operations every weight is positive and ``kraus`` exposes the
     conventional operators sqrt(w_i) A_i.  Algebraically continued maps carry a
@@ -63,15 +54,20 @@ class QuantumOperation:
 
     @classmethod
     def from_kraus(cls, kraus_ops) -> "QuantumOperation":
-        ops = tuple(np.asarray(k, dtype=complex) for k in kraus_ops)
-        weights = tuple(1.0 for _ in ops)
-        return cls(weights, ops, _choi_from_weighted_kraus(weights, ops))
+        ops = tuple(kraus_ops)
+        return cls.from_weighted_kraus((1.0,) * len(ops), ops)
 
     @classmethod
     def from_weighted_kraus(cls, weights, operators) -> "QuantumOperation":
+        """Choi matrix sum_i w_i (A_i (x) 1)|Omega><Omega|(A_i (x) 1)^dag: with
+        |Omega> = |HH> + |VV>, (A (x) 1)|Omega> is A flattened row by row."""
         ops = tuple(np.asarray(k, dtype=complex) for k in operators)
         ws = tuple(float(w) for w in weights)
-        return cls(ws, ops, _choi_from_weighted_kraus(ws, ops))
+        choi = np.zeros((4, 4), dtype=complex)
+        for w, op in zip(ws, ops):
+            vec = op.reshape(4)
+            choi += w * np.outer(vec, vec.conj())
+        return cls(ws, ops, choi)
 
     @classmethod
     def from_choi(cls, choi) -> "QuantumOperation":
@@ -87,27 +83,36 @@ class QuantumOperation:
 
     @property
     def completeness_deficiency(self) -> np.ndarray:
-        """Hermitian matrix 1 - sum_i K_i^dag K_i (zero for trace preservation)."""
-        if self.operators:
-            acc = np.zeros((2, 2), dtype=complex)
-            for w, op in zip(self.weights, self.operators):
-                acc += w * (op.conj().T @ op)
-        else:
-            # partial trace of the Choi matrix over the output factor
-            c = self.choi.reshape(2, 2, 2, 2)
-            acc = np.einsum("aiaj->ij", c).conj()
-        return np.eye(2) - acc
+        """Hermitian matrix 1 - sum_i K_i^dag K_i (zero for trace preservation):
+        one minus the partial trace of the Choi matrix over the output."""
+        c = self.choi.reshape(2, 2, 2, 2)
+        return np.eye(2) - np.einsum("aiaj->ij", c).conj()
 
     def apply(self, rho) -> np.ndarray:
         """Apply the operation to a 2x2 matrix."""
-        rho = np.asarray(rho, dtype=complex)
-        if self.operators:
-            out = np.zeros((2, 2), dtype=complex)
-            for w, op in zip(self.weights, self.operators):
-                out += w * (op @ rho @ op.conj().T)
-            return out
         c = self.choi.reshape(2, 2, 2, 2)
-        return np.einsum("aibj,ij->ab", c, rho)
+        return np.einsum("aibj,ij->ab", c, np.asarray(rho, dtype=complex))
+
+
+def _diagonal_operation(h: float, v: float, g: complex) -> QuantumOperation:
+    """The diagonal map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH, v rho_VV]]
+    for h, v > 0.
+
+    It is the weighted pair diag(+-sqrt(h) g/|g|, sqrt(v)) with weights
+    (1 +- |g|/sqrt(h v))/2.  A weight within ZERO_F_TOL of zero drops its
+    term; a negative one (|g|^2 > h v) leaves a map that is not CP.
+    """
+    gabs = abs(g)
+    phase = g / gabs if gabs else 1.0
+    ratio = gabs / math.sqrt(h * v)
+    sqrt_h, sqrt_v = math.sqrt(h), math.sqrt(v)
+    weights, operators = [], []
+    for sign in (1.0, -1.0):
+        weight = (1.0 + sign * ratio) / 2.0
+        if not abs(weight) < ZERO_F_TOL:  # a NaN weight stays, and shows in the Choi matrix
+            weights.append(weight)
+            operators.append(((sign * sqrt_h * phase, 0.0), (0.0, sqrt_v)))
+    return QuantumOperation.from_weighted_kraus(weights, operators)
 
 
 def conditional_operation(
@@ -116,10 +121,10 @@ def conditional_operation(
     """Conditional-evolution operation for given population weights h, v and
     coherence transfer factor f.
 
-    Two diagonal Kraus operators; applied to the initial polarization
-    projector the operation scales the populations by h and v and multiplies
-    the coherence by f.  The phase of f is taken relative to the initial
-    relative phase theta so that this holds for any input phase convention.
+    Applied to the initial polarization projector the operation scales the
+    populations by h and v and multiplies the coherence by f.  The phase of f
+    is taken relative to the initial relative phase theta so that this holds
+    for any input phase convention.  It is CP exactly when |f|^2 <= h v.
     """
     f = complex(f)
     fabs = abs(f)
@@ -130,15 +135,7 @@ def conditional_operation(
             f"population weights ({h!r}, {v!r}) vanish: dark port, any nonzero "
             "f is roundoff"
         )
-    hv = np.sqrt(h * v)
-    phase = f * np.exp(-1j * theta) / fabs
-    kraus = []
-    for sign in (1.0, -1.0):
-        weight = np.sqrt((hv + sign * fabs) / (2.0 * hv))
-        kraus.append(
-            weight * np.array([[sign * np.sqrt(h) * phase, 0.0], [0.0, np.sqrt(v)]])
-        )
-    return QuantumOperation.from_kraus(kraus)
+    return _diagonal_operation(h, v, f * cmath.exp(-1j * theta))
 
 
 def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOperation:
@@ -147,14 +144,9 @@ def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOp
     Applied to the initial polarization projector the two diagonal operators
     reproduce the unnormalized conditional output state.
     """
-    kh, kv = interference_kappas(cfg)
+    transfer, h, v, _ = _closed_form(cfg, "outside", jp, t, normalized=False)
     try:
-        return conditional_operation(
-            _port_weight(kh, jp),
-            _port_weight(kv, jp),
-            complex(coherence_transfer(cfg, jp, t)),
-            cfg.pol.theta,
-        )
+        return conditional_operation(h, v, complex(transfer), cfg.pol.theta)
     except ZeroCoherenceFactor as exc:
         raise ZeroCoherenceFactor(f"port {jp}, t={t}: {exc}") from None
 
@@ -185,20 +177,7 @@ def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperat
     When |f2| grows beyond |f1| the minus branch weight turns negative and the
     map is materialized through its (non-PSD) Choi matrix for inspection.
     """
-    ratio = abs(f2) / abs(f1)
-    if ratio == 0.0:
-        phase = 1.0 + 0.0j
-    else:
-        phase = (f2 / f1) * (abs(f1) / abs(f2))
-    weights = []
-    operators = []
-    for sign in (1.0, -1.0):
-        w = (1.0 + sign * ratio) / 2.0
-        if w == 0.0:
-            continue
-        weights.append(w)
-        operators.append(np.array([[sign * phase, 0.0], [0.0, 1.0]]))
-    return QuantumOperation.from_weighted_kraus(weights, operators)
+    return _diagonal_operation(1.0, 1.0, f2 / f1)
 
 
 def is_completely_positive(op: QuantumOperation, tol: float = CP_TOL) -> bool:
@@ -243,9 +222,9 @@ def divisibility_scan(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
+    fabs = np.abs(coherence_transfer(cfg, jp, grid))
     prob = path_probabilities(cfg)[jp]
     if prob < DARK_PORT_TOL:
         return []
-    fabs = np.abs(coherence_transfer(cfg, jp, grid))
     rising = np.diff(fabs) > rise_tol * prob
     return merge_rising_steps(grid, rising)

@@ -431,6 +431,25 @@ def test_oracle_check_rejects_invalid_run_n_freq(tmp_path, value, capsys):
     assert "run.n_freq" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "estimate", "divisibility", "oracle-check"])
+def test_unknown_run_field_exits_2(tmp_path, command, capsys):
+    doc = dict(BASELINE, run={"n_frq": 5, "grid": "60:100:1"})
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: run.n_frq: unknown field\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["sweep", "estimate", "divisibility", "oracle-check"])
+@pytest.mark.parametrize("value", [5, 0, ["60", "100", "1"], "60:100"])
+def test_bad_run_grid_names_run_grid(tmp_path, command, value, capsys):
+    doc = dict(BASELINE, run={"grid": value})
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: run.grid: ")
+    assert captured.out == ""
+
+
 def test_oracle_check_warns_when_quadrature_aliases(capsys):
     code = main([
         "oracle-check", "--config", "preset:dtau10",

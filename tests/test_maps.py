@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import preset, random_config
@@ -17,6 +19,7 @@ from mzdephase.interferometer import (
     coherence_transfer,
     conditional_state_outside,
     interference_kappas,
+    path_state_inside,
 )
 from mzdephase.maps import (
     QuantumOperation,
@@ -82,13 +85,16 @@ def test_choi_matches_the_kron_formula(terms):
 def test_choi_application_matches_kraus_application():
     rng = np.random.default_rng(41)
     for _ in range(10):
-        k = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        op = QuantumOperation.from_kraus([k / 2.0])
+        weights = rng.uniform(-1.0, 1.0, size=2)
+        ops = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        op = QuantumOperation.from_weighted_kraus(weights, ops / 2.0)
         as_choi = QuantumOperation.from_choi(op.choi)
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = raw @ raw.conj().T
         rho /= np.trace(rho).real
-        np.testing.assert_allclose(as_choi.apply(rho), op.apply(rho), atol=1e-13)
+        want = sum(w * (a @ rho @ a.conj().T) for w, a in zip(weights, ops / 2.0))
+        np.testing.assert_allclose(op.apply(rho), want, atol=1e-13)
+        np.testing.assert_allclose(as_choi.apply(rho), want, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +157,83 @@ def test_zero_coherence_factor_raises():
     cfg = preset("dtau0")  # equal arms: port 1 is dark and f1 vanishes
     with pytest.raises(ZeroCoherenceFactor):
         kraus_conditional(cfg, 1, 80.0)
+
+
+def test_zero_birefringence_ports_have_finite_cp_kraus_forms():
+    # n_h == n_v everywhere makes |f| equal sqrt(h v) on both ports, so the
+    # minus-branch weight is zero up to rounding, of either sign
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        base = random_config(rng)
+        flat = [InteractionWindow(w.n_v, w.n_v, w.t_start, w.t_stop)
+                for w in (base.window0, base.window1, base.window_out)]
+        cfg = InterferometerConfig(base.dist, *flat, base.pol)
+        t = cfg.window_out.t_start + 5.0
+        rho0 = pure_density(cfg.pol).matrix
+        for jp in (0, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                op = kraus_conditional(cfg, jp, t)
+            assert op.kraus is not None
+            assert np.all(np.isfinite(op.kraus))
+            assert is_completely_positive(op)
+            want = conditional_state_outside(cfg, jp, t, normalized=False).matrix
+            np.testing.assert_allclose(op.apply(rho0), want, rtol=0, atol=1e-12)
+
+
+def test_coherence_beyond_the_weights_gives_a_finite_non_cp_map():
+    op = conditional_operation(0.5, 0.5, 0.6)
+    assert np.all(np.isfinite(op.choi))
+    assert op.kraus is None
+    assert not is_completely_positive(op)
+
+
+_WEIGHT = st.floats(1e-3, 1.0)
+_COHERENCE = st.builds(
+    lambda r, phi: r * np.exp(1j * phi), st.floats(1e-3, 1.5), st.floats(-np.pi, np.pi)
+)
+
+
+def _assert_diagonal_choi_spectrum(op, h, v, g):
+    radius = np.hypot((h - v) / 2.0, abs(g))
+    want = np.sort([0.0, 0.0, (h + v) / 2.0 - radius, (h + v) / 2.0 + radius])
+    np.testing.assert_allclose(np.linalg.eigvalsh(op.choi), want, rtol=0, atol=1e-12)
+    if abs(abs(g) ** 2 - h * v) > 1e-9:
+        assert is_completely_positive(op) == (abs(g) ** 2 <= h * v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WEIGHT, _WEIGHT, _COHERENCE, st.floats(0.0, 2 * np.pi))
+def test_conditional_operation_choi_spectrum(h, v, f, theta):
+    op = conditional_operation(h, v, f, theta)
+    _assert_diagonal_choi_spectrum(op, h, v, f * np.exp(-1j * theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COHERENCE, _COHERENCE)
+def test_propagator_choi_spectrum(f1, f2):
+    op = propagator_from_coherence_factors(f1, f2)
+    _assert_diagonal_choi_spectrum(op, 1.0, 1.0, f2 / f1)
+
+
+# ---------------------------------------------------------------------------
+# path and port indices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("index", [2, -1])
+@pytest.mark.parametrize("call", [
+    lambda cfg, j: path_state_inside(cfg, j, 30.0),
+    lambda cfg, j: conditional_state_outside(cfg, j, 500.0),
+    lambda cfg, j: conditional_state_outside(cfg, j, 500.0, normalized=False),
+    lambda cfg, j: coherence_transfer(cfg, j, 500.0),
+    lambda cfg, j: kraus_conditional(cfg, j, 500.0),
+    lambda cfg, j: propagator(cfg, j, 100.0, 300.0),
+    lambda cfg, j: divisibility_scan(cfg, j, [100.0, 200.0, 300.0]),
+], ids=["path_state_inside", "conditional_state_outside", "unnormalized",
+        "coherence_transfer", "kraus_conditional", "propagator", "divisibility_scan"])
+def test_index_other_than_0_or_1_is_rejected(baseline, call, index):
+    with pytest.raises(ValueError, match=f"index {index} is neither 0 nor 1"):
+        call(baseline, index)
 
 
 # ---------------------------------------------------------------------------
