@@ -444,7 +444,9 @@ def main(argv=None) -> int:
     try:
         cfg, run = load_config(args.config)
         # the flag, else run.grid; problems name the field the spec came from
-        field, grid_spec = ("grid", args.grid) if args.grid else ("run.grid", run.get("grid"))
+        field, grid_spec = (
+            ("grid", args.grid) if args.grid is not None else ("run.grid", run.get("grid"))
+        )
         if args.command == "sweep":
             if grid_spec is None:
                 raise ConfigError(["grid: required for sweep (flag --grid or run.grid)"])

@@ -148,9 +148,11 @@ class DensityMatrix:
         ):
             raise ValueError("matrix is not Hermitian")
         # smallest eigenvalue of the Hermitian matrix read from the lower
-        # triangle, as LAPACK's eigvalsh reads it
+        # triangle, as LAPACK's eigvalsh reads it; abs of a complex is the C
+        # library's hypot, as np.hypot in check_density_matrices (math.hypot
+        # may round differently)
         tr = a.real + d.real
-        lowest = tr / 2.0 - math.hypot((a.real - d.real) / 2.0, abs(c))
+        lowest = tr / 2.0 - abs(complex((a.real - d.real) / 2.0, abs(c)))
         if not lowest >= -PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite: min eig {lowest}")
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:

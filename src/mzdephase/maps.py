@@ -94,6 +94,13 @@ class QuantumOperation:
         return np.einsum("aibj,ij->ab", c, np.asarray(rho, dtype=complex))
 
 
+def _check_finite(**arguments) -> None:
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in arguments.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _diagonal_operation(h: float, v: float, g: complex) -> QuantumOperation:
     """The diagonal map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH, v rho_VV]]
     for h, v > 0.
@@ -124,8 +131,10 @@ def conditional_operation(
     Applied to the initial polarization projector the operation scales the
     populations by h and v and multiplies the coherence by f.  The phase of f
     is taken relative to the initial relative phase theta so that this holds
-    for any input phase convention.  It is CP exactly when |f|^2 <= h v.
+    for any input phase convention.  It is CP exactly when |f|^2 <= h v.  A
+    NaN or infinite argument raises ValueError naming it.
     """
+    _check_finite(h=h, v=v, f=f, theta=theta)
     f = complex(f)
     fabs = abs(f)
     if fabs < ZERO_F_TOL:
@@ -175,8 +184,10 @@ def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperat
     """Propagator defined by the coherence transfer factors at the two ends.
 
     When |f2| grows beyond |f1| the minus branch weight turns negative and the
-    map is materialized through its (non-PSD) Choi matrix for inspection.
+    map is materialized through its (non-PSD) Choi matrix for inspection.  A
+    NaN or infinite factor raises ValueError naming it.
     """
+    _check_finite(f1=f1, f2=f2)
     return _diagonal_operation(1.0, 1.0, f2 / f1)
 
 

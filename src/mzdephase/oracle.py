@@ -4,11 +4,12 @@ evolution of the full polarization x frequency x path state.
 The frequency integral is discretized on a uniform grid with trapezoid
 weights.  The evolution applies the beam-splitter Hadamards and the diagonal
 coupling phases explicitly, then traces out (or conditions on) frequency and
-path.  Amplitudes are built for a whole chunk of times at once; every state,
-conditional state and port weight at a time is read from the same
-unnormalized per-path polarization blocks.  Nothing here uses the closed-form
-interferometer expressions; only the comparison harness does, to quantify
-their agreement.
+path.  Since every coupling is diagonal in polarization, the frequency sum of
+a path or port is one Fourier sum of its H-V coherence, taken for a whole
+chunk of times at once; every state, conditional state and port weight at a
+time is read from the same unnormalized per-path polarization blocks.
+Nothing here uses the closed-form interferometer expressions; only the
+comparison harness does, to quantify their agreement.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ DEFAULT_HALF_WIDTH = 8.0  # in units of sigma
 # the alias period of the trapezoid rule; the alias then weighs exp(-50)
 ALIAS_MARGIN = 10.0
 
-# complex elements of one amplitude array psi[time, ...] per chunk of times:
-# 512 KiB, one time at n_freq=8001 and about forty at n_freq=201
+# complex phases exp(i x omega) per chunk of times: 512 KiB, two times inside
+# and four outside at n_freq=8001, 81 and 163 at n_freq=201
 CHUNK_ELEMENTS = 2 ** 15
 
 _CONDITION_TOL = 1e-14
@@ -122,19 +123,32 @@ def _phase(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _initial_amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid) -> np.ndarray:
+    """Amplitudes a[polarization, frequency] of either inside path right after
+    the input beam splitter, before any coupling."""
+    c = np.array([cfg.pol.c_h * np.exp(1j * cfg.pol.theta), cfg.pol.c_v])
+    return c[:, None] * np.sqrt(grid.weights / 2.0)
+
+
 def _amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray) -> np.ndarray:
     """Path-major amplitude array psi[time, inside path, polarization,
     frequency] at every one of ``times``: each polarization block of a path
-    is contiguous, as the reduction over frequency reads it."""
+    is contiguous."""
     om = grid.omegas
-    amp = np.sqrt(grid.weights)
-    c = (cfg.pol.c_h * np.exp(1j * cfg.pol.theta), cfg.pol.c_v)
+    start = _initial_amplitudes(cfg, grid)
     psi = np.empty((len(times), 2, 2, len(om)), dtype=complex)
     for j, window in enumerate((cfg.window0, cfg.window1)):
         coupling = effective_time(window, times)[:, None]
         for lam, n_lam in enumerate((window.n_h, window.n_v)):
-            psi[:, j, lam] = c[lam] * amp * _phase(n_lam * om * coupling) / np.sqrt(2.0)
+            psi[:, j, lam] = start[lam] * _phase(n_lam * om * coupling)
     return psi
+
+
+def _times_per_chunk(n_freq: int, stage: str) -> int:
+    """Times evolved per chunk: each adds n_freq phases per inside path, or
+    n_freq shared by both output ports, and a chunk holds at most
+    ``CHUNK_ELEMENTS`` phases."""
+    return max(1, CHUNK_ELEMENTS // ((2 if stage == "inside" else 1) * n_freq))
 
 
 def _path_blocks(
@@ -143,39 +157,41 @@ def _path_blocks(
     """Unnormalized polarization blocks rho[time, path, a, b], summed over
     frequency, of each inside path or output port at every one of ``times``.
 
-    Times are evolved in chunks of at most ``CHUNK_ELEMENTS`` amplitudes per
-    array.  Both arm windows close before the output coupling opens, so the
-    inside amplitudes at t are those at min(t, output start).  Each distinct
-    one is built once per chunk, and kept for the next chunk if it needs the
-    same ones: inside as its blocks, outside already through the output beam
-    splitter, so that a chunk only adds the output coupling of its times.
+    Every coupling is diagonal in polarization, so a block's populations,
+    sum_w |psi|^2, do not change with time and are summed once.  Its H-V
+    coherence is one Fourier sum sum_w g[w] exp(i x omega_w).  Inside, path j
+    starts from amplitudes with no phase yet, and x = (n_h - n_v) times its
+    window's coupling time.  Outside, both arm windows close before the
+    output coupling opens: each port starts from the amplitudes at the output
+    start mixed by the beam splitter, and x = (n_h - n_v) times the output
+    coupling time, the same for both ports.  The sums run over chunks of
+    times, each one phase array through one matrix product.
     """
-    if stage not in ("inside", "outside"):
+    if stage == "inside":
+        psi = np.stack([_initial_amplitudes(cfg, grid)] * 2)
+        windows = (cfg.window0, cfg.window1)
+        delays = np.stack([w.delta_n * effective_time(w, times) for w in windows], axis=1)
+    elif stage == "outside":
+        out = cfg.window_out
+        psi = _amplitudes(cfg, grid, np.array([out.t_start]))[0]
+        psi = np.stack([psi[0] + psi[1], psi[0] - psi[1]]) / np.sqrt(2.0)
+        delays = out.delta_n * effective_time(out, times)[:, None]
+    else:
         raise ValueError(f"unknown stage {stage!r}")
-    out = cfg.window_out
-    arm_times = np.minimum(times, out.t_start)
-    per_chunk = max(1, CHUNK_ELEMENTS // (4 * len(grid.omegas)))
-    blocks = np.empty((len(times), 2, 2, 2), dtype=complex)
-    built = None
+    n = len(grid.omegas)
+    # g[delay, w, block]: one column of delays per inside path, or one column
+    # shared by both output ports
+    g = (psi[:, 0] * psi[:, 1].conj()).reshape(delays.shape[1], -1, n).swapaxes(1, 2)
+    coherence = np.empty((len(times), 2), dtype=complex)
+    per_chunk = _times_per_chunk(n, stage)
     for lo in range(0, len(times), per_chunk):
-        chunk = slice(lo, lo + per_chunk)
-        distinct, index = np.unique(arm_times[chunk], return_inverse=True)
-        if built is None or not np.array_equal(distinct, built):
-            built = distinct
-            psi = _amplitudes(cfg, grid, distinct)
-            if stage == "inside":
-                inside = psi @ psi.conj().swapaxes(-1, -2)
-            else:
-                mixed = np.stack([psi[:, 0] + psi[:, 1], psi[:, 0] - psi[:, 1]], axis=1)
-                mixed /= np.sqrt(2.0)
-        if stage == "inside":
-            blocks[chunk] = inside[index]
-            continue
-        psi = mixed[index]
-        coupling = effective_time(out, times[chunk])[:, None]
-        for lam, n_lam in enumerate((out.n_h, out.n_v)):
-            psi[:, :, lam] *= _phase(n_lam * grid.omegas * coupling)[:, None]
-        blocks[chunk] = psi @ psi.conj().swapaxes(-1, -2)
+        x = delays[lo : lo + per_chunk].T
+        sums = _phase(x[:, :, None] * grid.omegas) @ g
+        coherence[lo : lo + per_chunk] = sums.swapaxes(0, 1).reshape(-1, 2)
+    blocks = np.empty((len(times), 2, 2, 2), dtype=complex)
+    blocks[:, :, [0, 1], [0, 1]] = np.sum(psi.real**2 + psi.imag**2, axis=-1)
+    blocks[:, :, 0, 1] = coherence
+    blocks[:, :, 1, 0] = coherence.conj()
     return blocks
 
 
@@ -210,6 +226,8 @@ def oracle_state(
     ----------
     stage : "inside" or "outside"
         Whether the state is taken before or after the output beam splitter.
+        Outside, both arms count as closed, as in the closed forms, also at
+        times before the output coupling starts.
     conditioning : None, 0 or 1
         None averages over the path degree of freedom; an integer projects on
         that (inside path or output port) and normalizes.
@@ -247,9 +265,9 @@ def oracle_compare(
     oracle port weights.  Inside locations only use times up to the start of
     the output coupling, outside locations only times from it on.  Conditional
     cells on an analytically dark port are skipped (both sides are undefined
-    there).  Each stage evolves its times in chunks of at most
-    ``CHUNK_ELEMENTS`` amplitudes per array, and reads every location of a
-    time from the same blocks.
+    there).  Each stage sums its times in chunks of at most
+    ``CHUNK_ELEMENTS`` phases, and reads every location of a time from the
+    same blocks.
 
     A stage's states are validated and compared as one batch.  The first
     cell, in (time, location) order and simulated before closed form, that

@@ -226,6 +226,17 @@ def test_oversized_grid_exits_2(command, spec, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["sweep", "estimate", "divisibility", "oracle-check"])
+def test_empty_grid_flag_exits_2(tmp_path, command, capsys):
+    # an empty --grid is a malformed spec, not a missing flag: it neither
+    # falls back to run.grid nor, for estimate, to the automatic range
+    doc = dict(BASELINE, run={"grid": "60:100:1"})
+    assert main([command, "--config", write_config(tmp_path, doc), "--grid", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: grid: expected START:STOP:STEP, got ''\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, run, field", [
     ("", {}, "--locations"),
     ("path0_out,", {}, "--locations"),

@@ -31,7 +31,10 @@ def quadrature_kappa(dist, theta, x, n=2001, half=8.0):
     om = np.linspace(dist.mu - half * dist.sigma, dist.mu + half * dist.sigma, n)
     pdf = np.exp(-0.5 * ((om - dist.mu) / dist.sigma) ** 2)
     pdf /= np.sqrt(2 * np.pi) * dist.sigma
-    return np.exp(1j * theta) * np.trapezoid(pdf * np.exp(1j * om * x), om)
+    values = pdf * np.exp(1j * om * x)
+    # the trapezoid rule written out: np.trapezoid needs numpy >= 2.0
+    integral = (om[1] - om[0]) * (values.sum() - 0.5 * (values[0] + values[-1]))
+    return np.exp(1j * theta) * integral
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +377,12 @@ def matrices_with_non_finite_entries(draw):
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(matrices_near_the_tolerances(), matrices_with_non_finite_entries()))
 @example(([[0.5, 0.5 + 0.2e-12], [0.5 + 1.05e-12, 0.5]], True))
+# the smallest eigenvalue cancels to -1.9e-12, so a one-ulp difference between
+# two hypot implementations would show in its fifth digit
+@example((
+    [[0.41438630438862695, 0.27396691810856244], [0.27396691810856244, 0.1811301952353624]],
+    False,
+))
 def test_array_check_rejects_exactly_what_density_matrix_rejects(case):
     m, _ = case
     assert_same_rejection(array_message([m]), scalar_message(m, True))

@@ -188,6 +188,31 @@ def test_coherence_beyond_the_weights_gives_a_finite_non_cp_map():
     assert not is_completely_positive(op)
 
 
+_ARGUMENTS = {
+    conditional_operation: {"h": 0.5, "v": 0.5, "f": 0.3 + 0.1j, "theta": 0.2},
+    propagator_from_coherence_factors: {"f1": 0.8 + 0.1j, "f2": 0.3j},
+}
+_NON_FINITE = [
+    pytest.param(make, name, bad, id=f"{make.__name__}-{name}-{bad}")
+    for make, arguments in _ARGUMENTS.items()
+    for name, good in arguments.items()
+    for bad in [np.inf, -np.inf, np.nan]
+    + ([complex(np.nan, 1.0), complex(0.2, np.inf)] if isinstance(good, complex) else [])
+]
+
+
+@pytest.mark.parametrize("make, name, bad", _NON_FINITE)
+def test_non_finite_arguments_are_named_before_a_choi_matrix_is_built(
+    make, name, bad, monkeypatch
+):
+    def no_choi(*args):
+        raise AssertionError("a Choi matrix was built")
+
+    monkeypatch.setattr(QuantumOperation, "from_weighted_kraus", no_choi)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        make(**_ARGUMENTS[make] | {name: bad})
+
+
 _WEIGHT = st.floats(1e-3, 1.0)
 _COHERENCE = st.builds(
     lambda r, phi: r * np.exp(1j * phi), st.floats(1e-3, 1.5), st.floats(-np.pi, np.pi)

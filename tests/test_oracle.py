@@ -6,7 +6,10 @@ from conftest import PRESETS, preset, random_config
 
 from mzdephase.core import (
     FrequencyDistribution,
+    InteractionWindow,
+    InterferometerConfig,
     PolarizationState,
+    effective_time,
     pure_density,
     trace_distance,
 )
@@ -263,10 +266,9 @@ def test_fused_compare_matches_per_cell_random_configs():
 
 @pytest.mark.parametrize("n", [51, 8001])
 def test_fused_compare_spans_several_chunks(baseline, n):
-    from mzdephase.oracle import CHUNK_ELEMENTS
+    from mzdephase.oracle import _times_per_chunk
 
-    per_chunk = max(1, CHUNK_ELEMENTS // (4 * n))
-    count = per_chunk + 3
+    count = max(_times_per_chunk(n, stage) for stage in ("inside", "outside")) + 3
     start = baseline.window_out.t_start
     times = [*np.linspace(0.0, start, count), *np.linspace(start, 2000.0, count)]
     _assert_fused_matches_per_cell(baseline, FrequencyGrid.build(baseline.dist, n=n), times)
@@ -289,6 +291,69 @@ def test_amplitudes_of_a_time_array_match_each_time(grid, baseline):
     assert batch.shape == (len(times), 2, 2, len(grid.omegas))
     for t, psi in zip(times, batch):
         np.testing.assert_array_equal(psi, _amplitudes(baseline, grid, np.array([t]))[0])
+
+
+def _reference_blocks(cfg, grid, times, stage):
+    """Blocks of each time straight from its amplitudes: psi psi^H inside;
+    outside, the closed arms mixed by the beam splitter and each polarization
+    multiplied by its own output phase before psi psi^H."""
+    from mzdephase.oracle import _amplitudes
+
+    out = cfg.window_out
+    blocks = []
+    for t in times:
+        if stage == "inside":
+            psi = _amplitudes(cfg, grid, np.array([t]))[0]
+        else:
+            arms = _amplitudes(cfg, grid, np.array([out.t_start]))[0]
+            psi = np.stack([arms[0] + arms[1], arms[0] - arms[1]]) / np.sqrt(2.0)
+            tau = effective_time(out, t)
+            psi = psi * np.exp(1j * np.outer([out.n_h, out.n_v], grid.omegas) * tau)
+        blocks.append(psi @ psi.conj().swapaxes(-1, -2))
+    return np.array(blocks)
+
+
+def _zero_outside_birefringence():
+    cfg = preset("dtau2p5")
+    out = cfg.window_out
+    return replace(cfg, window_out=InteractionWindow(out.n_v, out.n_v, out.t_start, out.t_stop))
+
+
+_RNG_BLOCKS = np.random.default_rng(79)
+BLOCK_CONFIGS = {name: preset(name) for name in PRESETS} | {
+    f"random{k}": random_config(_RNG_BLOCKS) for k in range(4)
+} | {
+    # different indices, windows and starts on the two arms, a finite output
+    # window, and a complex input with a relative phase
+    "unequal_arms": InterferometerConfig(
+        DIST,
+        InteractionWindow(1.561, 1.549, 5.0, 45.0),
+        InteractionWindow(1.540, 1.552, 12.0, 70.0),
+        InteractionWindow(1.547, 1.556, 75.0, 900.0),
+        PolarizationState(0.6, 0.8j, 1.1),
+    ),
+    "zero_outside_birefringence": _zero_outside_birefringence(),
+}
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CONFIGS.values(), ids=BLOCK_CONFIGS.keys())
+def test_path_blocks_match_per_time_amplitudes(cfg):
+    # one Fourier sum per path or port against psi psi^H of every time; dtau0
+    # has a dark output port, the random configs a nonzero theta
+    from mzdephase.oracle import _path_blocks
+
+    grid = FrequencyGrid.build(cfg.dist, n=801)
+    start = cfg.window_out.t_start
+    stage_times = {
+        "inside": np.linspace(0.0, start, 11),
+        "outside": np.linspace(start, start + 4000.0, 41),
+    }
+    for stage, times in stage_times.items():
+        times = times[max_component_delay(cfg, times) <= alias_free_delay(cfg, grid)]
+        assert len(times) > 5
+        got = _path_blocks(cfg, grid, times, stage)
+        want = _reference_blocks(cfg, grid, times, stage)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=stage)
 
 
 # ---------------------------------------------------------------------------
