@@ -60,19 +60,16 @@ class TraceDistanceSeries:
 
 
 def _state_at(cfg: InterferometerConfig, location: str, t: float) -> DensityMatrix:
-    if location == "path0":
-        return path_state_inside(cfg, 0, t)
-    if location == "path1":
-        return path_state_inside(cfg, 1, t)
-    if location == "joint_inside":
-        return joint_state_inside(cfg, t)
-    if location == "path0_out":
-        return conditional_state_outside(cfg, 0, t)
-    if location == "path1_out":
-        return conditional_state_outside(cfg, 1, t)
-    if location == "joint_out":
+    if location not in LOCATION_STAGES:
+        raise ValueError(f"unknown location {location!r}")
+    stage, index = LOCATION_STAGES[location]
+    if stage == "inside":
+        if index is None:
+            return joint_state_inside(cfg, t)
+        return path_state_inside(cfg, index, t)
+    if index is None:
         return averaged_state_outside(cfg, t)
-    raise ValueError(f"unknown location {location!r}")
+    return conditional_state_outside(cfg, index, t)
 
 
 def trace_distance_series(
@@ -95,23 +92,21 @@ def trace_distance_series(
     return TraceDistanceSeries(grid, values, location)
 
 
-def backflow_intervals(
-    series: TraceDistanceSeries, rise_tol: float = RISE_TOL
-) -> list[tuple[float, float]]:
+def backflow_intervals(series: TraceDistanceSeries) -> list[tuple[float, float]]:
     """Maximal grid intervals on which the trace distance rises.
 
     A step counts when the increase between consecutive grid points exceeds
-    ``rise_tol``; adjacent rising steps are merged.
+    ``RISE_TOL``; adjacent rising steps are merged.
     """
-    rising = np.diff(series.values) > rise_tol
+    rising = np.diff(series.values) > RISE_TOL
     return merge_rising_steps(series.times, rising)
 
 
-def blp_measure(series: TraceDistanceSeries, rise_tol: float = RISE_TOL) -> float:
+def blp_measure(series: TraceDistanceSeries) -> float:
     """Total information backflow: the sum of trace-distance increments that
-    exceed the rise tolerance.  Zero iff no backflow above tolerance."""
+    exceed ``RISE_TOL``.  Zero iff no backflow above tolerance."""
     inc = np.diff(series.values)
-    return float(inc[inc > rise_tol].sum())
+    return float(inc[inc > RISE_TOL].sum())
 
 
 def _lambda_envelope(cfg: InterferometerConfig, total: np.ndarray) -> np.ndarray:
@@ -125,9 +120,7 @@ def _lambda_envelope(cfg: InterferometerConfig, total: np.ndarray) -> np.ndarray
 
 
 def lambda_peak(
-    cfg: InterferometerConfig,
-    scan_range: tuple[float, float],
-    floor_tol: float = PEAK_FLOOR_TOL,
+    cfg: InterferometerConfig, scan_range: tuple[float, float]
 ) -> tuple[float, float]:
     """Locate the global maximum of the cross-term transfer modulus.
 
@@ -135,7 +128,7 @@ def lambda_peak(
     time at the maximum of |Lambda|.  A coarse scan of the smooth two-term
     envelope brackets the candidates; |Lambda| itself is then refined locally
     at oscillation-resolving resolution.  Raises PeakNotFound when the signal
-    stays below ``floor_tol`` over the whole range; warns when a second,
+    stays below ``PEAK_FLOOR_TOL`` over the whole range; warns when a second,
     well-separated candidate comes within 1% of the global maximum.
     """
     t_lo, t_hi = scan_range
@@ -147,7 +140,7 @@ def lambda_peak(
 
     if dn_out == 0.0 or hi == lo:
         peak = float(np.abs(_lambda_of_total_time(cfg, np.array([lo]))[0]))
-        if peak < floor_tol:
+        if peak < PEAK_FLOOR_TOL:
             raise PeakNotFound("cross-term transfer below floor over the scan range")
         return lo, peak
 
@@ -181,7 +174,7 @@ def lambda_peak(
 
     best.sort(reverse=True)
     peak_value, t_max = best[0]
-    if peak_value < floor_tol:
+    if peak_value < PEAK_FLOOR_TOL:
         raise PeakNotFound("cross-term transfer below floor over the scan range")
 
     for value, where in best[1:]:

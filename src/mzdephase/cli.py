@@ -40,13 +40,18 @@ from .interferometer import (
 ORACLE_CHECK_THRESHOLD = 1e-5
 ORACLE_PROB_THRESHOLD = 1e-8
 
-# largest number of times a grid may hold
+# largest number of points a time grid or a frequency grid may hold
 MAX_GRID_POINTS = 1_000_000
 
-_WINDOW_SECTIONS = ("arm0", "arm1", "output")
 _SQ2 = 1.0 / math.sqrt(2.0)
-_DEFAULT_POLARIZATION = {
-    "ch_re": _SQ2, "ch_im": 0.0, "cv_re": _SQ2, "cv_im": 0.0, "theta": 0.0,
+# every numeric config field by section, in the order checked, with its
+# default, or None when it is required
+_SCHEMA = {
+    "distribution": {"mu_over_sigma": None},
+    "arm0": {"n_h": None, "n_v": None, "t_start": 0.0, "t_stop": None},
+    "arm1": {"n_h": None, "n_v": None, "t_start": 0.0, "t_stop": None},
+    "output": {"n_h": None, "n_v": None, "t_start": None, "t_stop": math.inf},
+    "polarization": {"ch_re": _SQ2, "ch_im": 0.0, "cv_re": _SQ2, "cv_im": 0.0, "theta": 0.0},
 }
 
 
@@ -55,56 +60,38 @@ def preset_path(name: str):
     return files("mzdephase").joinpath("presets", f"{name}.json")
 
 
-def _take_number(section, data, key, problems, *, default=None, required=True):
-    if key not in data:
-        if required and default is None:
-            problems.append(f"{section}.{key}: missing required field")
-            return None
-        return default
-    value = data[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        problems.append(f"{section}.{key}: expected a number, got {value!r}")
-        return None
-    if not math.isfinite(value):
-        problems.append(f"{section}.{key}: must be finite")
-        return None
-    return float(value)
-
-
-def _build_window(section: str, data, problems, *, output: bool) -> InteractionWindow | None:
-    if not isinstance(data, dict):
-        problems.append(f"{section}: expected an object")
-        return None
-    known = {"n_h", "n_v", "t_start", "t_stop"}
-    for key in sorted(set(data) - known):
-        problems.append(f"{section}.{key}: unknown field")
-    n_h = _take_number(section, data, "n_h", problems)
-    n_v = _take_number(section, data, "n_v", problems)
-    t_start = _take_number(
-        section, data, "t_start", problems,
-        default=None if output else 0.0, required=output,
-    )
-    if output and data.get("t_stop", None) is None:
-        t_stop = math.inf
-    else:
-        t_stop = _take_number(section, data, "t_stop", problems)
-    if None in (n_h, n_v, t_start, t_stop):
-        return None
-    for key, value in (("n_h", n_h), ("n_v", n_v)):
-        if value <= 0:
-            problems.append(f"{section}.{key}: refractive index must be positive")
-            return None
-    if t_start < 0:
-        problems.append(f"{section}.t_start: negative times are not allowed")
-        return None
-    if not output and not math.isfinite(t_stop):
-        problems.append(f"{section}.t_stop: inside windows must close")
-        return None
-    try:
-        return InteractionWindow(n_h, n_v, t_start, t_stop)
-    except ValueError as exc:
-        problems.append(f"{section}: {exc}")
-        return None
+def _section(data: dict, name: str, problems: list[str]) -> dict[str, float]:
+    """The numbers of section ``name`` as floats, an absent field at its
+    default.  Each problem is reported under its field path and leaves its
+    field out; a missing or malformed section leaves out every field.  Only
+    ``polarization`` may be absent."""
+    fields = _SCHEMA[name]
+    if name not in data and name != "polarization":
+        problems.append(f"{name}: missing required section")
+        return {}
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        problems.append(f"{name}: expected an object")
+        return {}
+    for key in sorted(set(section) - set(fields)):
+        problems.append(f"{name}.{key}: unknown field")
+    values = {}
+    for key, default in fields.items():
+        value = section.get(key)
+        # null stands for the default only where that is inf: the output's
+        # t_stop, for a coupling that runs freely once started
+        if key not in section or (value is None and default == math.inf):
+            if default is None:
+                problems.append(f"{name}.{key}: missing required field")
+            else:
+                values[key] = default
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            problems.append(f"{name}.{key}: expected a number, got {value!r}")
+        elif not abs(value) <= sys.float_info.max:  # inf, nan, or an int beyond any float
+            problems.append(f"{name}.{key}: must be finite")
+        else:
+            values[key] = float(value)
+    return values
 
 
 def build_config(data: dict) -> tuple[InterferometerConfig, dict]:
@@ -112,45 +99,30 @@ def build_config(data: dict) -> tuple[InterferometerConfig, dict]:
     problems: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected an object"])
-    known = {"distribution", *_WINDOW_SECTIONS, "polarization", "run"}
-    for key in sorted(set(data) - known):
+    for key in sorted(set(data) - {*_SCHEMA, "run"}):
         problems.append(f"{key}: unknown section")
 
-    dist = None
-    if "distribution" not in data:
-        problems.append("distribution: missing required section")
-    elif not isinstance(data["distribution"], dict):
-        problems.append("distribution: expected an object")
-    else:
-        section = data["distribution"]
-        for key in sorted(set(section) - {"mu_over_sigma"}):
-            problems.append(f"distribution.{key}: unknown field")
-        ratio = _take_number("distribution", section, "mu_over_sigma", problems)
-        if ratio is not None:
-            dist = FrequencyDistribution(mu=ratio, sigma=1.0)
+    ratio = _section(data, "distribution", problems).get("mu_over_sigma")
+    dist = None if ratio is None else FrequencyDistribution(mu=ratio, sigma=1.0)
 
     windows = {}
-    for section in _WINDOW_SECTIONS:
-        if section not in data:
-            problems.append(f"{section}: missing required section")
+    for name in ("arm0", "arm1", "output"):
+        values = _section(data, name, problems)
+        if len(values) < len(_SCHEMA[name]):
             continue
-        windows[section] = _build_window(
-            section, data[section], problems, output=section == "output"
-        )
+        nonpositive = next((key for key in ("n_h", "n_v") if values[key] <= 0), None)
+        if nonpositive:
+            problems.append(f"{name}.{nonpositive}: refractive index must be positive")
+        elif values["t_start"] < 0:
+            problems.append(f"{name}.t_start: negative times are not allowed")
+        else:
+            try:
+                windows[name] = InteractionWindow(**values)
+            except ValueError as exc:
+                problems.append(f"{name}: {exc}")
 
-    pol_data = dict(_DEFAULT_POLARIZATION)
-    raw_pol = data.get("polarization", {})
-    if not isinstance(raw_pol, dict):
-        problems.append("polarization: expected an object")
-        raw_pol = {}
-    for key in sorted(set(raw_pol) - set(_DEFAULT_POLARIZATION)):
-        problems.append(f"polarization.{key}: unknown field")
-    for key in _DEFAULT_POLARIZATION:
-        value = _take_number(
-            "polarization", raw_pol, key, problems, default=pol_data[key]
-        )
-        if value is not None:
-            pol_data[key] = value
+    # a field with a problem keeps its default, so the state is still checked
+    pol_data = {**_SCHEMA["polarization"], **_section(data, "polarization", problems)}
     pol = None
     try:
         pol = PolarizationState(
@@ -169,7 +141,7 @@ def build_config(data: dict) -> tuple[InterferometerConfig, dict]:
         problems.append(f"run.{key}: unknown field")
 
     cfg = None
-    if dist and pol and all(windows.get(s) for s in _WINDOW_SECTIONS):
+    if dist and pol and len(windows) == 3:
         try:
             cfg = InterferometerConfig(
                 dist, windows["arm0"], windows["arm1"], windows["output"], pol
@@ -193,7 +165,7 @@ def load_config(path) -> tuple[InterferometerConfig, dict]:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer with too many digits
         raise ConfigError([f"{path}: invalid JSON: {exc}"])
     return build_config(data)
 
@@ -368,12 +340,16 @@ def cmd_oracle_check(cfg: InterferometerConfig, n: int, times) -> int:
 
 
 def _n_freq(flag, run: dict) -> int:
-    """Frequency grid size: the flag, else run.n_freq, else the default."""
+    """Frequency grid size: the flag, else run.n_freq, else the default,
+    from 3 to MAX_GRID_POINTS, checked before any grid is allocated."""
     field, value = "--n-freq", flag
     if value is None:
         field, value = "run.n_freq", run.get("n_freq", oracle.DEFAULT_N_FREQ)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 3:
-        raise ConfigError([f"{field}: expected an integer >= 3, got {value!r}"])
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if not integer or not 3 <= value <= MAX_GRID_POINTS:
+        raise ConfigError(
+            [f"{field}: expected an integer from 3 to {MAX_GRID_POINTS}, got {value!r}"]
+        )
     return value
 
 

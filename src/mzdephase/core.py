@@ -47,7 +47,10 @@ class PolarizationState:
     theta: float = 0.0
 
     def __post_init__(self):
-        norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
+        try:
+            norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
+        except OverflowError:  # an amplitude beyond the float range
+            norm = math.inf
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"|c_h|^2 + |c_v|^2 = {norm!r}, expected 1")
 

@@ -173,11 +173,10 @@ def propagator(
         raise ValueError(f"t2={t2} must not precede t1={t1}")
     f1 = complex(coherence_transfer(cfg, jp, t1))
     f2 = complex(coherence_transfer(cfg, jp, t2))
-    if abs(f1) < ZERO_F_TOL:
-        raise ZeroCoherenceFactor(
-            f"|f(t1)|={abs(f1)!r}: propagator undefined from t1={t1} on port {jp}"
-        )
-    return propagator_from_coherence_factors(f1, f2)
+    try:
+        return propagator_from_coherence_factors(f1, f2)
+    except ZeroCoherenceFactor as exc:
+        raise ZeroCoherenceFactor(f"port {jp}, t1={t1}: {exc}") from None
 
 
 def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperation:
@@ -185,9 +184,12 @@ def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperat
 
     When |f2| grows beyond |f1| the minus branch weight turns negative and the
     map is materialized through its (non-PSD) Choi matrix for inspection.  A
-    NaN or infinite factor raises ValueError naming it.
+    NaN or infinite factor raises ValueError naming it, and |f1| below
+    ZERO_F_TOL raises ZeroCoherenceFactor.
     """
     _check_finite(f1=f1, f2=f2)
+    if abs(f1) < ZERO_F_TOL:
+        raise ZeroCoherenceFactor(f"|f1|={abs(f1)!r}: propagator undefined")
     return _diagonal_operation(1.0, 1.0, f2 / f1)
 
 
@@ -216,16 +218,11 @@ def trace_character(op: QuantumOperation, tol: float = CP_TOL) -> TraceCharacter
     return TraceCharacter.INVALID
 
 
-def divisibility_scan(
-    cfg: InterferometerConfig,
-    jp: int,
-    grid,
-    rise_tol: float = RISE_TOL,
-) -> list[tuple[float, float]]:
+def divisibility_scan(cfg: InterferometerConfig, jp: int, grid) -> list[tuple[float, float]]:
     """Maximal grid intervals on which the port-jp dynamics is not CP-divisible.
 
     A step is flagged when |f| grows between consecutive grid points by more
-    than ``rise_tol`` times the port probability (the same threshold the
+    than ``RISE_TOL`` times the port probability (the same threshold the
     trace-distance backflow detector uses, since the two differ exactly by
     that constant factor).  Returns the merged intervals in time order.  A
     dark port carries no conditional dynamics and yields an empty list.
@@ -237,5 +234,5 @@ def divisibility_scan(
     prob = path_probabilities(cfg)[jp]
     if prob < DARK_PORT_TOL:
         return []
-    rising = np.diff(fabs) > rise_tol * prob
+    rising = np.diff(fabs) > RISE_TOL * prob
     return merge_rising_steps(grid, rising)

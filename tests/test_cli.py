@@ -1,15 +1,19 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from conftest import PRESETS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzdephase import analysis
 from mzdephase.analysis import trace_distance_series
 from mzdephase.cli import (
     MAX_GRID_POINTS,
     _default_times,
+    _n_freq,
     build_config,
     load_config,
     main,
@@ -104,6 +108,226 @@ def test_polarization_defaults_to_balanced_superposition():
     cfg, _ = build_config(doc)
     assert abs(cfg.pol.c_h) == pytest.approx(np.sqrt(0.5))
     assert cfg.pol.theta == 0.0
+
+
+# every numeric field, all of them present in BASELINE
+FIELDS = [(section, field) for section, fields in BASELINE.items() for field in fields]
+MISSING = object()
+
+
+def mutated(doc, path, value):
+    """A copy of doc with the section or field at path set to value, or
+    removed when value is MISSING; a path into a non-object is skipped."""
+    doc = json.loads(json.dumps(doc))
+    container = doc
+    for key in path[:-1]:
+        container = container.get(key) if isinstance(container, dict) else None
+    if isinstance(container, dict):
+        if value is MISSING:
+            container.pop(path[-1], None)
+        else:
+            container[path[-1]] = value
+    return doc
+
+
+# single-fault documents and the exact problems they report, in order
+GOLDEN_PROBLEMS = [
+    (("distribution",), MISSING, ["distribution: missing required section"]),
+    (("distribution",), None, ["distribution: expected an object"]),
+    (("distribution",), [], ["distribution: expected an object"]),
+    (("arm0",), MISSING, ["arm0: missing required section"]),
+    (("arm0",), None, ["arm0: expected an object"]),
+    (("arm0",), [], ["arm0: expected an object"]),
+    (("arm1",), MISSING, ["arm1: missing required section"]),
+    (("arm1",), None, ["arm1: expected an object"]),
+    (("arm1",), [], ["arm1: expected an object"]),
+    (("output",), MISSING, ["output: missing required section"]),
+    (("output",), None, ["output: expected an object"]),
+    (("output",), [], ["output: expected an object"]),
+    (("polarization",), None, ["polarization: expected an object"]),
+    (("polarization",), [], ["polarization: expected an object"]),
+    (("distribution", "mu_over_sigma"), MISSING,
+     ["distribution.mu_over_sigma: missing required field"]),
+    (("distribution", "mu_over_sigma"), None,
+     ["distribution.mu_over_sigma: expected a number, got None"]),
+    (("distribution", "mu_over_sigma"), True,
+     ["distribution.mu_over_sigma: expected a number, got True"]),
+    (("distribution", "mu_over_sigma"), "x",
+     ["distribution.mu_over_sigma: expected a number, got 'x'"]),
+    (("distribution", "mu_over_sigma"), math.inf, ["distribution.mu_over_sigma: must be finite"]),
+    (("arm0", "n_h"), MISSING, ["arm0.n_h: missing required field"]),
+    (("arm0", "n_h"), None, ["arm0.n_h: expected a number, got None"]),
+    (("arm0", "n_h"), True, ["arm0.n_h: expected a number, got True"]),
+    (("arm0", "n_h"), "x", ["arm0.n_h: expected a number, got 'x'"]),
+    (("arm0", "n_h"), math.inf, ["arm0.n_h: must be finite"]),
+    (("arm0", "n_v"), MISSING, ["arm0.n_v: missing required field"]),
+    (("arm0", "n_v"), None, ["arm0.n_v: expected a number, got None"]),
+    (("arm0", "n_v"), True, ["arm0.n_v: expected a number, got True"]),
+    (("arm0", "n_v"), "x", ["arm0.n_v: expected a number, got 'x'"]),
+    (("arm0", "n_v"), math.inf, ["arm0.n_v: must be finite"]),
+    (("arm0", "t_start"), None, ["arm0.t_start: expected a number, got None"]),
+    (("arm0", "t_start"), True, ["arm0.t_start: expected a number, got True"]),
+    (("arm0", "t_start"), "x", ["arm0.t_start: expected a number, got 'x'"]),
+    (("arm0", "t_start"), math.inf, ["arm0.t_start: must be finite"]),
+    (("arm0", "t_stop"), MISSING, ["arm0.t_stop: missing required field"]),
+    (("arm0", "t_stop"), None, ["arm0.t_stop: expected a number, got None"]),
+    (("arm0", "t_stop"), True, ["arm0.t_stop: expected a number, got True"]),
+    (("arm0", "t_stop"), "x", ["arm0.t_stop: expected a number, got 'x'"]),
+    (("arm0", "t_stop"), math.inf, ["arm0.t_stop: must be finite"]),
+    (("arm1", "n_h"), MISSING, ["arm1.n_h: missing required field"]),
+    (("arm1", "n_h"), None, ["arm1.n_h: expected a number, got None"]),
+    (("arm1", "n_h"), True, ["arm1.n_h: expected a number, got True"]),
+    (("arm1", "n_h"), "x", ["arm1.n_h: expected a number, got 'x'"]),
+    (("arm1", "n_h"), math.inf, ["arm1.n_h: must be finite"]),
+    (("arm1", "n_v"), MISSING, ["arm1.n_v: missing required field"]),
+    (("arm1", "n_v"), None, ["arm1.n_v: expected a number, got None"]),
+    (("arm1", "n_v"), True, ["arm1.n_v: expected a number, got True"]),
+    (("arm1", "n_v"), "x", ["arm1.n_v: expected a number, got 'x'"]),
+    (("arm1", "n_v"), math.inf, ["arm1.n_v: must be finite"]),
+    (("arm1", "t_start"), None, ["arm1.t_start: expected a number, got None"]),
+    (("arm1", "t_start"), True, ["arm1.t_start: expected a number, got True"]),
+    (("arm1", "t_start"), "x", ["arm1.t_start: expected a number, got 'x'"]),
+    (("arm1", "t_start"), math.inf, ["arm1.t_start: must be finite"]),
+    (("arm1", "t_stop"), MISSING, ["arm1.t_stop: missing required field"]),
+    (("arm1", "t_stop"), None, ["arm1.t_stop: expected a number, got None"]),
+    (("arm1", "t_stop"), True, ["arm1.t_stop: expected a number, got True"]),
+    (("arm1", "t_stop"), "x", ["arm1.t_stop: expected a number, got 'x'"]),
+    (("arm1", "t_stop"), math.inf, ["arm1.t_stop: must be finite"]),
+    (("output", "n_h"), MISSING, ["output.n_h: missing required field"]),
+    (("output", "n_h"), None, ["output.n_h: expected a number, got None"]),
+    (("output", "n_h"), True, ["output.n_h: expected a number, got True"]),
+    (("output", "n_h"), "x", ["output.n_h: expected a number, got 'x'"]),
+    (("output", "n_h"), math.inf, ["output.n_h: must be finite"]),
+    (("output", "n_v"), MISSING, ["output.n_v: missing required field"]),
+    (("output", "n_v"), None, ["output.n_v: expected a number, got None"]),
+    (("output", "n_v"), True, ["output.n_v: expected a number, got True"]),
+    (("output", "n_v"), "x", ["output.n_v: expected a number, got 'x'"]),
+    (("output", "n_v"), math.inf, ["output.n_v: must be finite"]),
+    (("output", "t_start"), MISSING, ["output.t_start: missing required field"]),
+    (("output", "t_start"), None, ["output.t_start: expected a number, got None"]),
+    (("output", "t_start"), True, ["output.t_start: expected a number, got True"]),
+    (("output", "t_start"), "x", ["output.t_start: expected a number, got 'x'"]),
+    (("output", "t_start"), math.inf, ["output.t_start: must be finite"]),
+    (("output", "t_stop"), True, ["output.t_stop: expected a number, got True"]),
+    (("output", "t_stop"), "x", ["output.t_stop: expected a number, got 'x'"]),
+    (("output", "t_stop"), math.inf, ["output.t_stop: must be finite"]),
+    (("polarization", "ch_re"), None, ["polarization.ch_re: expected a number, got None"]),
+    (("polarization", "ch_re"), True, ["polarization.ch_re: expected a number, got True"]),
+    (("polarization", "ch_re"), "x", ["polarization.ch_re: expected a number, got 'x'"]),
+    (("polarization", "ch_re"), math.inf, ["polarization.ch_re: must be finite"]),
+    (("polarization", "ch_im"), None, ["polarization.ch_im: expected a number, got None"]),
+    (("polarization", "ch_im"), True, ["polarization.ch_im: expected a number, got True"]),
+    (("polarization", "ch_im"), "x", ["polarization.ch_im: expected a number, got 'x'"]),
+    (("polarization", "ch_im"), math.inf, ["polarization.ch_im: must be finite"]),
+    (("polarization", "cv_re"), None, ["polarization.cv_re: expected a number, got None"]),
+    (("polarization", "cv_re"), True, ["polarization.cv_re: expected a number, got True"]),
+    (("polarization", "cv_re"), "x", ["polarization.cv_re: expected a number, got 'x'"]),
+    (("polarization", "cv_re"), math.inf, ["polarization.cv_re: must be finite"]),
+    (("polarization", "cv_im"), None, ["polarization.cv_im: expected a number, got None"]),
+    (("polarization", "cv_im"), True, ["polarization.cv_im: expected a number, got True"]),
+    (("polarization", "cv_im"), "x", ["polarization.cv_im: expected a number, got 'x'"]),
+    (("polarization", "cv_im"), math.inf, ["polarization.cv_im: must be finite"]),
+    (("polarization", "theta"), None, ["polarization.theta: expected a number, got None"]),
+    (("polarization", "theta"), True, ["polarization.theta: expected a number, got True"]),
+    (("polarization", "theta"), "x", ["polarization.theta: expected a number, got 'x'"]),
+    (("polarization", "theta"), math.inf, ["polarization.theta: must be finite"]),
+    (("arm0", "n_h"), 0.0, ["arm0.n_h: refractive index must be positive"]),
+    (("output", "n_v"), -1.0, ["output.n_v: refractive index must be positive"]),
+    (("arm1", "t_start"), -1.0, ["arm1.t_start: negative times are not allowed"]),
+    (("arm0", "t_start"), 55.0, ["arm0: t_start 55.0 must not exceed t_stop 50.0"]),
+    (("output", "t_stop"), 59.0, ["output: t_start 60.0 must not exceed t_stop 59.0"]),
+    (("output", "t_start"), 55.0,
+     ["output.t_start: output coupling starts at 55.0, before the inside couplings end at 60.0"]),
+    (("polarization", "ch_re"), 0.5,
+     ["polarization: |c_h|^2 + |c_v|^2 = 0.7500000000000001, expected 1"]),
+]
+
+
+@pytest.mark.parametrize("path, value, problems", GOLDEN_PROBLEMS)
+def test_single_fault_documents_report_the_golden_problems(path, value, problems):
+    with pytest.raises(ConfigError) as err:
+        build_config(mutated(BASELINE, path, value))
+    assert err.value.problems == problems
+
+
+@pytest.mark.parametrize("changes, problems", [
+    # a malformed polarization still lets the output window be checked
+    ([(("polarization",), []), (("output", "t_start"), 55.0)], [
+        "polarization: expected an object",
+        "output.t_start: output coupling starts at 55.0, before the inside couplings end at 60.0",
+    ]),
+    # a bad amplitude keeps its default, so the state is still checked
+    ([(("polarization", "ch_re"), "x"), (("polarization", "cv_re"), 0.5)], [
+        "polarization.ch_re: expected a number, got 'x'",
+        "polarization: |c_h|^2 + |c_v|^2 = 0.7499999999999999, expected 1",
+    ]),
+    # a window with a bad number is not checked further; the first bound wins
+    ([(("arm0", "n_h"), -1.0), (("arm0", "t_start"), "x")],
+     ["arm0.t_start: expected a number, got 'x'"]),
+    ([(("arm0", "n_h"), -1.0), (("arm0", "n_v"), 0.0), (("arm0", "t_start"), -1.0)],
+     ["arm0.n_h: refractive index must be positive"]),
+    ([(("arm0", "zz"), 1), (("arm0", "aa"), 1), (("bogus",), {}), (("run",), {"bad": 1}),
+      (("output", "n_h"), None)], [
+        "bogus: unknown section",
+        "arm0.aa: unknown field",
+        "arm0.zz: unknown field",
+        "output.n_h: expected a number, got None",
+        "run.bad: unknown field",
+    ]),
+])
+def test_several_faults_report_the_golden_problems_in_order(changes, problems):
+    doc = BASELINE
+    for path, value in changes:
+        doc = mutated(doc, path, value)
+    with pytest.raises(ConfigError) as err:
+        build_config(doc)
+    assert err.value.problems == problems
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+@pytest.mark.parametrize("section, field", FIELDS)
+def test_integer_beyond_the_float_range_is_not_finite(section, field, value):
+    with pytest.raises(ConfigError) as err:
+        build_config(mutated(BASELINE, (section, field), value))
+    assert err.value.problems == [f"{section}.{field}: must be finite"]
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_huge_integer_in_a_config_file_exits_2(tmp_path, digits, capsys):
+    # 5000 digits exceed the integer-string limit of Python 3.11+, where the
+    # JSON reader itself refuses the number
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BASELINE).replace("1.553", "1" + "0" * digits, 1))
+    assert main(["estimate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    if digits == 400:
+        assert captured.err == "config error: arm0.n_h: must be finite\n"
+
+
+_TARGETS = [(section,) for section in (*BASELINE, "run")] + FIELDS
+_VALUES = st.one_of(
+    st.just(MISSING), st.none(), st.booleans(), st.text(max_size=3), st.integers(),
+    st.sampled_from([10**400, -(10**400)]), st.floats(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.lists(st.tuples(st.sampled_from(_TARGETS), _VALUES), min_size=1, max_size=4),
+)
+def test_mutated_presets_give_a_config_or_a_config_error(name, changes):
+    doc = json.loads(preset_path(name).read_text())
+    for path, value in changes:
+        doc = mutated(doc, path, value)
+    try:
+        build_config(doc)
+    except ConfigError as exc:
+        assert exc.problems and all(isinstance(p, str) for p in exc.problems)
 
 
 def test_parse_grid():
@@ -423,23 +647,44 @@ def test_oracle_check_honours_run_n_freq(tmp_path, capsys):
     assert "verdict: PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["2", "0", "-5"])
-def test_oracle_check_rejects_small_n_freq_flag(value, capsys):
+def _refuse_to_build_a_grid(monkeypatch):
+    from mzdephase import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frequency grid was built")
+
+    monkeypatch.setattr(oracle.FrequencyGrid, "build", refuse)
+
+
+@pytest.mark.parametrize("value", ["2", "0", "-5", str(MAX_GRID_POINTS + 1), str(10**400)])
+def test_oracle_check_rejects_out_of_range_n_freq_flag(value, monkeypatch, capsys):
+    _refuse_to_build_a_grid(monkeypatch)
     code = main([
         "oracle-check", "--config", "preset:dtau10", "--grid", "0:120:60",
         "--n-freq", value,
     ])
     assert code == 2
     captured = capsys.readouterr()
-    assert "--n-freq" in captured.err
+    assert captured.err == (
+        f"config error: --n-freq: expected an integer from 3 to {MAX_GRID_POINTS}, "
+        f"got {value}\n"
+    )
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", [2, 0, 201.0, "201", True, None])
-def test_oracle_check_rejects_invalid_run_n_freq(tmp_path, value, capsys):
+@pytest.mark.parametrize(
+    "value", [2, 0, 201.0, "201", True, None, MAX_GRID_POINTS + 1, 10**400]
+)
+def test_oracle_check_rejects_invalid_run_n_freq(tmp_path, value, monkeypatch, capsys):
+    _refuse_to_build_a_grid(monkeypatch)
     doc = dict(BASELINE, run={"n_freq": value, "grid": "0:120:60"})
     assert main(["oracle-check", "--config", write_config(tmp_path, doc)]) == 2
     assert "run.n_freq" in capsys.readouterr().err
+
+
+def test_n_freq_accepts_the_grid_cap():
+    assert _n_freq(None, {"n_freq": MAX_GRID_POINTS}) == MAX_GRID_POINTS
+    assert _n_freq(3, {}) == 3
 
 
 @pytest.mark.parametrize("command", ["sweep", "estimate", "divisibility", "oracle-check"])
@@ -513,9 +758,10 @@ def test_missing_config_file_exits_2(capsys):
 
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["estimate", "--config", str(path)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    for content in (b"{not json", b"\xff\xfe{}"):  # bad syntax, bad UTF-8
+        path.write_bytes(content)
+        assert main(["estimate", "--config", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,10 @@ def test_distribution_requires_positive_sigma():
 
 
 def test_polarization_must_be_normalized():
-    with pytest.raises(ValueError):
-        PolarizationState(0.9, 0.1)
+    # an amplitude beyond the float range is refused in the same way
+    for c_h in (0.9, 1e200, complex(1e308, 1e308)):
+        with pytest.raises(ValueError, match="expected 1"):
+            PolarizationState(c_h, 0.1)
 
 
 def test_window_ordering_enforced():

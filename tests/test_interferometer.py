@@ -250,8 +250,9 @@ def test_coherence_factors_match_state_based_series(cfg):
 
 
 def test_coherence_factors_reject_unknown_location(baseline):
-    with pytest.raises(ValueError, match="unknown location"):
-        coherence_factors(baseline, "nowhere", [60.0])
+    for evaluate in (coherence_factors, trace_distance_series):
+        with pytest.raises(ValueError, match="unknown location"):
+            evaluate(baseline, "nowhere", [60.0])
 
 
 def test_pair_state_check_rejects_what_density_matrix_rejects():

@@ -157,6 +157,15 @@ def test_zero_coherence_factor_raises():
     cfg = preset("dtau0")  # equal arms: port 1 is dark and f1 vanishes
     with pytest.raises(ZeroCoherenceFactor):
         kraus_conditional(cfg, 1, 80.0)
+    # |f| decays below the gate long after the recoherence peak
+    with pytest.raises(ZeroCoherenceFactor, match=r"^port 0, t1=100000.0: \|f1\|=0.0"):
+        propagator(preset("dtau10"), 0, 1e5, 2e5)
+
+
+@pytest.mark.parametrize("f1", [0.0, 1e-300])
+def test_propagator_from_a_vanishing_factor_raises(f1):
+    with pytest.raises(ZeroCoherenceFactor, match="propagator undefined"):
+        propagator_from_coherence_factors(f1, 0.5)
 
 
 def test_zero_birefringence_ports_have_finite_cp_kraus_forms():
