@@ -30,7 +30,6 @@ from .errors import (
     PeakNotFound,
 )
 from .interferometer import (
-    DARK_PORT_TOL,
     LOCATION_STAGES,
     coherence_factors,
     conditional_state_outside,
@@ -244,9 +243,13 @@ def cmd_sweep(cfg: InterferometerConfig, grid: np.ndarray, locations, out) -> in
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return 0
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # a directory, or a path in a missing one
+        raise ConfigError([f"--out: {exc}"])
+    with fh:  # a write error, such as a closed pipe, propagates
+        fh.write(text)
     return 0
 
 
@@ -288,13 +291,13 @@ def cmd_divisibility(cfg: InterferometerConfig, grid: np.ndarray) -> int:
     intervals; any disagreement is an internal consistency failure."""
     step = float(np.max(np.diff(grid)))
     agree = True
-    probs = path_probabilities(cfg)
     for jp, location in ((0, "path0_out"), (1, "path1_out")):
-        if probs[jp] < DARK_PORT_TOL:
+        try:
+            c = coherence_factors(cfg, location, grid)
+        except ImpossibleOutcome:
             print(f"port {jp}: dark port, no conditional dynamics")
             continue
         scan = maps.divisibility_scan(cfg, jp, grid)
-        c = coherence_factors(cfg, location, grid)
         series = analysis.TraceDistanceSeries(grid, np.abs(c), location)
         backflow = analysis.backflow_intervals(series)
         print(f"port {jp}: {len(scan)} non-CP-divisible interval(s)")

@@ -4,12 +4,13 @@ analysis of the conditional output dynamics.
 Every operation here is one diagonal map rho -> [[h rho_HH, g rho_HV],
 [g^* rho_VH, v rho_VV]].  The conditional evolution on an output port takes
 h and v from its interference weights and g from the coherence transfer
-factor f; it is completely positive and trace-non-increasing.  The
-propagator between two times has h = v = 1 and g = f(t2)/f(t1); it is
-completely positive exactly when |f| has not increased, which ties
-CP-divisibility to the trace distance between the maximally coherent input
-pair.
-"""
+factor f; it is CP and trace-non-increasing.  The propagator between two
+times has h = v = 1 and g = f(t2)/f(t1); it is CP exactly when |f| has not
+increased, and |f| divided by (h + v) / 2 is the trace distance of the
+maximally coherent input pair.  Whether a port can be conditioned on is the
+port probability's verdict, made in the interferometer module; whether it
+carries H-V coherence for a map to act on is decided here once, by
+_port_terms."""
 from __future__ import annotations
 
 import cmath
@@ -22,15 +23,10 @@ import numpy as np
 from ._intervals import RISE_TOL, merge_rising_steps
 from .core import InterferometerConfig
 from .errors import ZeroCoherenceFactor
-from .interferometer import (
-    DARK_PORT_TOL,
-    _closed_form,
-    coherence_transfer,
-    path_probabilities,
-)
+from .interferometer import _closed_form, coherence_transfer
 
-# |f| below this is treated as an exact zero: the Kraus phase is undefined;
-# a Kraus weight below it in modulus is dropped as roundoff
+# an exact zero below this: |f| (its phase is undefined), an interference
+# weight (the port has no H-V coherence) and a Kraus weight (roundoff)
 ZERO_F_TOL = 1e-14
 
 # default eigenvalue tolerance for Choi-based complete-positivity checks
@@ -132,19 +128,26 @@ def conditional_operation(
     populations by h and v and multiplies the coherence by f.  The phase of f
     is taken relative to the initial relative phase theta so that this holds
     for any input phase convention.  It is CP exactly when |f|^2 <= h v.  A
-    NaN or infinite argument raises ValueError naming it.
+    NaN or infinite argument raises ValueError naming it, as does h or v <= 0.
     """
     _check_finite(h=h, v=v, f=f, theta=theta)
+    if not (h > 0 and v > 0):
+        raise ValueError(f"population weights ({h!r}, {v!r}) must be positive")
     f = complex(f)
     fabs = abs(f)
     if fabs < ZERO_F_TOL:
         raise ZeroCoherenceFactor(f"|f|={fabs!r}: Kraus phase undefined")
-    if min(h, v) < ZERO_F_TOL:
-        raise ZeroCoherenceFactor(
-            f"population weights ({h!r}, {v!r}) vanish: dark port, any nonzero "
-            "f is roundoff"
-        )
     return _diagonal_operation(h, v, f * cmath.exp(-1j * theta))
+
+
+def _port_terms(cfg: InterferometerConfig, jp: int, times):
+    """(f, h, v) of port jp: its coherence transfer at ``times`` and its
+    interference weights.  A weight below ZERO_F_TOL leaves the port no H-V
+    coherence, f only roundoff, and raises ZeroCoherenceFactor."""
+    f, h, v, _ = _closed_form(cfg, "outside", jp, times, normalized=False)
+    if min(h, v) < ZERO_F_TOL:
+        raise ZeroCoherenceFactor(f"port {jp} has no H-V coherence: weights ({h!r}, {v!r})")
+    return f, h, v
 
 
 def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOperation:
@@ -153,9 +156,9 @@ def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOp
     Applied to the initial polarization projector the two diagonal operators
     reproduce the unnormalized conditional output state.
     """
-    transfer, h, v, _ = _closed_form(cfg, "outside", jp, t, normalized=False)
+    f, h, v = _port_terms(cfg, jp, t)
     try:
-        return conditional_operation(h, v, complex(transfer), cfg.pol.theta)
+        return conditional_operation(h, v, complex(f), cfg.pol.theta)
     except ZeroCoherenceFactor as exc:
         raise ZeroCoherenceFactor(f"port {jp}, t={t}: {exc}") from None
 
@@ -166,12 +169,12 @@ def propagator(
     """Intermediate propagator of port jp from t1 to t2.
 
     Built from the ratio of coherence transfer factors alone; the interference
-    population weights drop out.  Completely positive (and then trace
-    preserving) exactly when |f(t2)| <= |f(t1)|.
+    weights drop out of the map and only gate the port.  Completely positive
+    (and then trace preserving) exactly when |f(t2)| <= |f(t1)|.
     """
     if t2 < t1:
         raise ValueError(f"t2={t2} must not precede t1={t1}")
-    f1 = complex(coherence_transfer(cfg, jp, t1))
+    f1 = complex(_port_terms(cfg, jp, t1)[0])
     f2 = complex(coherence_transfer(cfg, jp, t2))
     try:
         return propagator_from_coherence_factors(f1, f2)
@@ -222,17 +225,17 @@ def divisibility_scan(cfg: InterferometerConfig, jp: int, grid) -> list[tuple[fl
     """Maximal grid intervals on which the port-jp dynamics is not CP-divisible.
 
     A step is flagged when |f| grows between consecutive grid points by more
-    than ``RISE_TOL`` times the port probability (the same threshold the
-    trace-distance backflow detector uses, since the two differ exactly by
-    that constant factor).  Returns the merged intervals in time order.  A
-    dark port carries no conditional dynamics and yields an empty list.
+    than ``RISE_TOL`` times (h + v) / 2, the port probability of the |+> / |->
+    pair that the backflow detector divides |f| by, so both flag the same
+    steps for any input polarization.  Returns the merged intervals in time
+    order; a port without H-V coherence yields none.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
-    fabs = np.abs(coherence_transfer(cfg, jp, grid))
-    prob = path_probabilities(cfg)[jp]
-    if prob < DARK_PORT_TOL:
+    try:
+        f, h, v = _port_terms(cfg, jp, grid)
+    except ZeroCoherenceFactor:
         return []
-    rising = np.diff(fabs) > RISE_TOL * prob
+    rising = np.diff(np.abs(f)) > RISE_TOL * (h + v) / 2.0
     return merge_rising_steps(grid, rising)

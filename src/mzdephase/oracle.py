@@ -22,7 +22,7 @@ import numpy as np
 from .core import DensityMatrix, FrequencyDistribution, InterferometerConfig, effective_time
 from .core import check_density_matrices, trace_distances
 from .errors import ImpossibleOutcome
-from .interferometer import DARK_PORT_TOL, LOCATION_STAGES, _closed_form_states, path_probabilities
+from .interferometer import LOCATION_STAGES, _closed_form_states, path_probabilities
 
 DEFAULT_N_FREQ = 2001
 DEFAULT_HALF_WIDTH = 8.0  # in units of sigma
@@ -263,29 +263,16 @@ def oracle_compare(
     Sweeps the requested (time, location) matrix, comparing states by trace
     distance, and also compares the analytic port probabilities against the
     oracle port weights.  Inside locations only use times up to the start of
-    the output coupling, outside locations only times from it on.  Conditional
-    cells on an analytically dark port are skipped (both sides are undefined
-    there).  Each stage sums its times in chunks of at most
-    ``CHUNK_ELEMENTS`` phases, and reads every location of a time from the
-    same blocks.
+    the output coupling, outside locations only times from it on.  A port the
+    closed forms refuse as dark is skipped.  Each stage sums its times in
+    chunks of at most ``CHUNK_ELEMENTS`` phases, and reads every location of a
+    time from the same blocks.
 
     A stage's states are validated and compared as one batch.  The first
     cell, in (time, location) order and simulated before closed form, that
     DensityMatrix would reject raises its ValueError; a simulated
     conditioning weight of zero raises ImpossibleOutcome.
     """
-    p_analytic = path_probabilities(cfg)
-    conditionings = {"inside": [], "outside": []}
-    for location in locations:
-        stage, conditioning = LOCATION_STAGES[location]
-        dark = (
-            stage == "outside"
-            and conditioning is not None
-            and p_analytic[conditioning] < DARK_PORT_TOL
-        )
-        if not dark:
-            conditionings[stage].append(conditioning)
-
     times = np.asarray(times, dtype=float)
     out_start = cfg.window_out.t_start
     stage_times = {
@@ -294,15 +281,22 @@ def oracle_compare(
     }
     worst_state = 0.0
     worst_prob = 0.0
-    for stage, conds in conditionings.items():
-        todo = stage_times[stage]
-        if not conds or not len(todo):
+    for stage, todo in stage_times.items():
+        references = {}  # closed forms by conditioning; a dark port has none
+        for location in locations:
+            here, c = LOCATION_STAGES[location]
+            if here == stage and len(todo):
+                try:
+                    references[c] = _closed_form_states(cfg, stage, c, todo)
+                except ImpossibleOutcome:
+                    pass
+        if not references:
             continue
         blocks = _path_blocks(cfg, grid, todo, stage)
-        rho, norm = _conditioned(blocks, conds)
+        rho, norm = _conditioned(blocks, list(references))
         impossible = norm < _CONDITION_TOL
         simulated = rho / np.where(impossible, 1.0, norm)[..., None, None]
-        reference = np.stack([_closed_form_states(cfg, stage, c, todo) for c in conds], 1)
+        reference = np.stack(list(references.values()), 1)
         # cells in (time, location) order, the simulated state first
         cells = np.stack([simulated, reference], axis=2).reshape(-1, 2, 2)
         first = np.flatnonzero(impossible)
@@ -312,5 +306,5 @@ def oracle_compare(
         check_density_matrices(cells)
         worst_state = max(worst_state, float(np.max(trace_distances(reference, simulated))))
         if stage == "outside":
-            worst_prob = float(np.max(np.abs(_port_weights(blocks) - p_analytic)))
+            worst_prob = float(np.max(np.abs(_port_weights(blocks) - path_probabilities(cfg))))
     return OracleDeviation(worst_state, worst_prob)

@@ -11,6 +11,16 @@ from mzdephase.core import (
 
 PRESETS = ("dtau10", "dtau2p5", "dtau1p5", "dtau0p5", "dtau0")
 
+# equal H indices in both arms: output port 1 is bright (probability 0.1425)
+# but takes no H light (interference weight h = 0), so it carries no H-V
+# coherence; a pure H input makes it dark
+EQUAL_H = {
+    "distribution": {"mu_over_sigma": 400.0},
+    "arm0": {"n_h": 1.5, "n_v": 1.4, "t_stop": 10.0},
+    "arm1": {"n_h": 1.5, "n_v": 1.45, "t_stop": 10.0},
+    "output": {"n_h": 1.553, "n_v": 1.544, "t_start": 10.0},
+}
+
 
 def preset(name: str) -> InterferometerConfig:
     cfg, _ = load_config(preset_path(name))

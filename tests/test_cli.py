@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from conftest import PRESETS
+from conftest import EQUAL_H, PRESETS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from mzdephase.cli import (
     _default_times,
     _n_freq,
     build_config,
+    cmd_divisibility,
     load_config,
     main,
     parse_grid,
@@ -396,6 +399,19 @@ def test_full_interference_sweep_constant_port(tmp_path, capsys):
         assert cells[dark_col] == ""
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_sweep_out_that_cannot_be_opened_exits_2(tmp_path, where, capsys):
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "x.csv"
+    code = main([
+        "sweep", "--config", "preset:dtau10", "--grid", "60:100:1", "--out", str(out),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --out: ")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_sweep_columns_match_state_based_series(name, tmp_path, capsys):
     cfg, _ = load_config(preset_path(name))
@@ -601,6 +617,35 @@ def test_divisibility_full_interference(capsys):
     out = capsys.readouterr().out
     assert "port 0: 0 non-CP-divisible interval(s)" in out
     assert "dark port" in out
+
+
+_AMPLITUDES = st.one_of(
+    st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]),  # H, V
+    st.builds(
+        lambda a, p, q: (math.cos(a) * math.cos(p), math.cos(a) * math.sin(p),
+                         math.sin(a) * math.cos(q), math.sin(a) * math.sin(q)),
+        st.floats(0.0, math.pi / 2), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([*PRESETS, "equal-H"]), _AMPLITUDES, st.floats(-10.0, 10.0))
+def test_divisibility_report_ignores_the_input_polarization(name, amplitudes, theta):
+    # darkness and the rise threshold are those of the |+> / |-> pair, whose
+    # trace distance the backflow detector reads
+    doc = EQUAL_H if name == "equal-H" else json.loads(preset_path(name).read_text())
+    grid = parse_grid(f"{doc['output']['t_start']}:3000:2")
+
+    def report(polarization):
+        cfg, _ = build_config({**doc, "polarization": polarization})
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cmd_divisibility(cfg, grid)
+        return code, out.getvalue()
+
+    fields = dict(zip(("ch_re", "ch_im", "cv_re", "cv_im"), amplitudes), theta=theta)
+    assert report(fields) == report({})
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import preset, random_config
+from conftest import EQUAL_H, preset, random_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzdephase.cli import build_config, parse_grid
 from mzdephase.core import (
     FrequencyDistribution,
     InteractionWindow,
@@ -160,6 +161,26 @@ def test_zero_coherence_factor_raises():
     # |f| decays below the gate long after the recoherence peak
     with pytest.raises(ZeroCoherenceFactor, match=r"^port 0, t1=100000.0: \|f1\|=0.0"):
         propagator(preset("dtau10"), 0, 1e5, 2e5)
+
+
+@pytest.mark.parametrize("name, spec", [("dtau0", "60:3000:1"), ("equal-H", "10:3000:1")])
+def test_every_map_refuses_a_port_without_coherence(name, spec):
+    # dtau0 port 1 is dark, equal-H port 1 bright without H light; either
+    # way f is roundoff, which no unit step may turn into a propagator
+    cfg = build_config(EQUAL_H)[0] if name == "equal-H" else preset(name)
+    grid = parse_grid(spec)
+    for t in grid:
+        with pytest.raises(ZeroCoherenceFactor, match=r"^port 1 has no H-V coherence"):
+            propagator(cfg, 1, t, t + 1.0)
+    with pytest.raises(ZeroCoherenceFactor, match=r"^port 1 has no H-V coherence"):
+        kraus_conditional(cfg, 1, grid[0])
+    assert divisibility_scan(cfg, 1, grid) == []
+
+
+@pytest.mark.parametrize("h, v", [(0.0, 0.5), (0.5, -0.1)])
+def test_conditional_operation_rejects_a_weight_that_is_not_positive(h, v):
+    with pytest.raises(ValueError, match=r"population weights .* must be positive"):
+        conditional_operation(h, v, 0.1)
 
 
 @pytest.mark.parametrize("f1", [0.0, 1e-300])
