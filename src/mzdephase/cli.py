@@ -445,7 +445,10 @@ def main(argv=None) -> int:
             n = _n_freq(args.n_freq, run)
             if grid_spec is None:
                 return cmd_oracle_check(cfg, n, _default_times(cfg))
-            return cmd_oracle_check(cfg, n, list(parse_grid(grid_spec, field=field)))
+            times = parse_grid(grid_spec, field=field)
+            if times[0] < 0:  # the oracle has no state before t = 0
+                raise ConfigError([f"{field}: times must not be negative in {grid_spec!r}"])
+            return cmd_oracle_check(cfg, n, list(times))
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         for problem in exc.problems:

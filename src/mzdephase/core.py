@@ -197,13 +197,14 @@ class DensityMatrix:
 
 
 def check_density_matrices(m) -> None:
-    """Raise ValueError, with its message, for the first matrix of the stack
-    m[..., 2, 2] (in C order) that DensityMatrix, unit trace required, would
-    reject.
+    """Raise DensityMatrix's ValueError for the first matrix of the stack
+    m[..., 2, 2] (in C order) that DensityMatrix, unit trace required,
+    rejects.
 
-    The checks are DensityMatrix's, in its order and with its tolerances;
-    each one fails on NaN.  ``abs`` of a complex entry is taken as the hypot
-    of its parts, as Python's ``abs`` takes it.
+    One vectorised mask applies DensityMatrix's checks with its tolerances,
+    each failing on NaN; ``abs`` of a complex entry is taken as the hypot of
+    its parts, as Python's ``abs`` takes it.  The matrices the mask rejects
+    are then built as DensityMatrix in order, and the first one raises.
     """
     m = np.asarray(m, dtype=complex).reshape(-1, 2, 2)
     a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
@@ -212,25 +213,17 @@ def check_density_matrices(m) -> None:
         skew = b - c.conj()
         tr = a.real + d.real
         lowest = tr / 2.0 - np.hypot((a.real - d.real) / 2.0, np.hypot(c.real, c.imag))
-    hermitian = (
+    valid = (
         (2.0 * np.abs(a.imag) <= HERMITICITY_TOL)
         & (np.hypot(skew.real, skew.imag) <= HERMITICITY_TOL)
         & (2.0 * np.abs(d.imag) <= HERMITICITY_TOL)
+        & (lowest >= -PSD_TOL)
+        & (-TRACE_TOL <= tr)
+        & (tr <= 1.0 + TRACE_TOL)
+        & (np.abs(tr - 1.0) <= UNIT_TRACE_TOL)
     )
-    psd = lowest >= -PSD_TOL
-    bounded = (-TRACE_TOL <= tr) & (tr <= 1.0 + TRACE_TOL)
-    valid = hermitian & psd & bounded & (np.abs(tr - 1.0) <= UNIT_TRACE_TOL)
-    bad = np.flatnonzero(~valid)
-    if not bad.size:
-        return
-    k = bad[0]
-    if not hermitian[k]:
-        raise ValueError("matrix is not Hermitian")
-    if not psd[k]:
-        raise ValueError(f"matrix is not positive semidefinite: min eig {float(lowest[k])}")
-    if not bounded[k]:
-        raise ValueError(f"trace {float(tr[k])} outside [0, 1]")
-    raise ValueError(f"trace {float(tr[k])} differs from 1")
+    for k in np.flatnonzero(~valid):
+        DensityMatrix(m[k])
 
 
 def effective_time(window: InteractionWindow, t):

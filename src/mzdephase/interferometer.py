@@ -27,6 +27,11 @@ from .errors import ImpossibleOutcome
 # below this conditioning probability a port is considered analytically dark
 DARK_PORT_TOL = 1e-14
 
+# an exact zero below this: an interference weight (the port carries no H-V
+# coherence, its transfer f only roundoff) and, in the maps module, |f| (its
+# phase is undefined)
+ZERO_F_TOL = 1e-14
+
 # every location a state is read at: its stage, before ("inside") or after
 # ("outside") the output beam splitter, and the inside path or output port it
 # is conditioned on, None for the average over both
@@ -160,6 +165,12 @@ def _port_probabilities(
     return p0, 1.0 - p0
 
 
+def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
+    """Whether a port with these interference weights carries no H-V
+    coherence: a weight below ZERO_F_TOL takes no light of its polarization."""
+    return min(weight_h, weight_v) < ZERO_F_TOL
+
+
 def _bright_port(probs: tuple[float, float], jp: int) -> float:
     """The conditioning probability of port jp; a dark port raises."""
     prob = probs[jp]
@@ -208,8 +219,9 @@ def _closed_form(
     The state is [[weight_h |c_h|^2, c_h c_v^* transfer], [conjugate,
     weight_v |c_v|^2]] / prob.  Weights and prob are one except on an output
     port, where they are its interference weights and, when ``normalized``,
-    its probability; a dark port then raises ImpossibleOutcome.  A path or
-    port index other than 0 or 1 raises ValueError.
+    its probability; a dark port then raises ImpossibleOutcome, and a port
+    without H-V coherence (_lacks_coherence) has a transfer of exactly zero.
+    A path or port index other than 0 or 1 raises ValueError.
     """
     if stage == "inside":
         theta = cfg.pol.theta
@@ -225,8 +237,11 @@ def _closed_form(
         return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
     kh, kv = interference_kappas(cfg)
     transfer = coherence_transfer(cfg, conditioning, times)
+    weight_h, weight_v = _port_weight(kh, conditioning), _port_weight(kv, conditioning)
+    if _lacks_coherence(weight_h, weight_v):
+        transfer = np.zeros_like(transfer)  # not its roundoff
     prob = _bright_port(_port_probabilities(cfg, kh, kv), conditioning) if normalized else 1.0
-    return transfer, _port_weight(kh, conditioning), _port_weight(kv, conditioning), prob
+    return transfer, weight_h, weight_v, prob
 
 
 def _state(

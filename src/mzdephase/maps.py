@@ -1,21 +1,23 @@
-"""Kraus representations, intermediate propagators and complete-positivity
+"""Choi matrices, Kraus forms, intermediate propagators and complete-positivity
 analysis of the conditional output dynamics.
 
 Every operation here is one diagonal map rho -> [[h rho_HH, g rho_HV],
-[g^* rho_VH, v rho_VV]].  The conditional evolution on an output port takes
-h and v from its interference weights and g from the coherence transfer
+[g^* rho_VH, v rho_VV]], stored as its Choi matrix, whose only nonzero
+entries are h, g, g^* and v.  The conditional evolution on an output port
+takes h and v from its interference weights and g from the coherence transfer
 factor f; it is CP and trace-non-increasing.  The propagator between two
 times has h = v = 1 and g = f(t2)/f(t1); it is CP exactly when |f| has not
 increased, and |f| divided by (h + v) / 2 is the trace distance of the
-maximally coherent input pair.  Whether a port can be conditioned on is the
-port probability's verdict, made in the interferometer module; whether it
-carries H-V coherence for a map to act on is decided here once, by
-_port_terms."""
+maximally coherent input pair.  Complete positivity is the Choi spectrum's
+verdict, made once by is_completely_positive; a Kraus form is read from the
+same spectrum, and only where that verdict is CP.  Whether a port can be
+conditioned on is the port probability's verdict, and whether it carries H-V
+coherence for a map to act on is its interference weights' verdict; both are
+made in the interferometer module."""
 from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +25,7 @@ import numpy as np
 from ._intervals import RISE_TOL, merge_rising_steps
 from .core import InterferometerConfig
 from .errors import ZeroCoherenceFactor
-from .interferometer import _closed_form, coherence_transfer
-
-# an exact zero below this: |f| (its phase is undefined), an interference
-# weight (the port has no H-V coherence) and a Kraus weight (roundoff)
-ZERO_F_TOL = 1e-14
+from .interferometer import ZERO_F_TOL, _closed_form, _lacks_coherence, coherence_transfer
 
 # default eigenvalue tolerance for Choi-based complete-positivity checks
 CP_TOL = 1e-10
@@ -35,47 +33,37 @@ CP_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class QuantumOperation:
-    """A qubit operation given by its Choi matrix, and by the weighted Kraus
-    terms rho -> sum_i w_i A_i rho A_i^dag it was built from, if any.
+    """A qubit operation given by its Choi matrix sum_ij E(|i><j|) (x) |i><j|,
+    the one thing it stores: entry ((a, i), (b, j)) is <a|E(|i><j|)|b>.
 
-    For physical operations every weight is positive and ``kraus`` exposes the
-    conventional operators sqrt(w_i) A_i.  Algebraically continued maps carry a
-    negative weight; they have no Kraus form (``kraus`` is None) but keep a
-    Hermitian Choi matrix for inspection.
+    Every other view reads this matrix.  ``kraus`` gives the operators of the
+    Choi spectrum where the map is CP and None where it is not; a map that is
+    not CP keeps its Hermitian Choi matrix for inspection.
     """
 
-    weights: tuple
-    operators: tuple
     choi: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "choi", np.asarray(self.choi, dtype=complex))
 
     @classmethod
     def from_kraus(cls, kraus_ops) -> "QuantumOperation":
-        ops = tuple(kraus_ops)
-        return cls.from_weighted_kraus((1.0,) * len(ops), ops)
-
-    @classmethod
-    def from_weighted_kraus(cls, weights, operators) -> "QuantumOperation":
-        """Choi matrix sum_i w_i (A_i (x) 1)|Omega><Omega|(A_i (x) 1)^dag: with
-        |Omega> = |HH> + |VV>, (A (x) 1)|Omega> is A flattened row by row."""
-        ops = tuple(np.asarray(k, dtype=complex) for k in operators)
-        ws = tuple(float(w) for w in weights)
+        """Choi matrix sum_K vec(K) vec(K)^dag, with vec(K) = (K (x) 1)|Omega>
+        for |Omega> = |HH> + |VV>: K flattened row by row."""
         choi = np.zeros((4, 4), dtype=complex)
-        for w, op in zip(ws, ops):
-            vec = op.reshape(4)
-            choi += w * np.outer(vec, vec.conj())
-        return cls(ws, ops, choi)
-
-    @classmethod
-    def from_choi(cls, choi) -> "QuantumOperation":
-        """Wrap a map given directly by its Choi matrix (no Kraus terms kept)."""
-        return cls((), (), np.asarray(choi, dtype=complex))
+        for op in kraus_ops:
+            vec = np.asarray(op, dtype=complex).reshape(4)
+            choi += np.outer(vec, vec.conj())
+        return cls(choi)
 
     @property
     def kraus(self) -> list | None:
-        """Kraus operators sqrt(w_i) A_i, or None if the map is not CP-presented."""
-        if not self.operators or any(w < 0 for w in self.weights):
+        """Kraus operators sqrt(l) V of the Choi eigenpairs (l, vec(V)) with
+        l > CP_TOL, or None exactly when is_completely_positive is False."""
+        if not is_completely_positive(self):
             return None
-        return [np.sqrt(w) * op for w, op in zip(self.weights, self.operators)]
+        eigs, vecs = np.linalg.eigh(self.choi)
+        return [np.sqrt(l) * vecs[:, i].reshape(2, 2) for i, l in enumerate(eigs) if l > CP_TOL]
 
     @property
     def completeness_deficiency(self) -> np.ndarray:
@@ -98,24 +86,15 @@ def _check_finite(**arguments) -> None:
 
 
 def _diagonal_operation(h: float, v: float, g: complex) -> QuantumOperation:
-    """The diagonal map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH, v rho_VV]]
-    for h, v > 0.
+    """The diagonal map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH, v rho_VV]],
+    written as its closed-form Choi matrix: h, g, g^* and v at its corners.
 
-    It is the weighted pair diag(+-sqrt(h) g/|g|, sqrt(v)) with weights
-    (1 +- |g|/sqrt(h v))/2.  A weight within ZERO_F_TOL of zero drops its
-    term; a negative one (|g|^2 > h v) leaves a map that is not CP.
+    For h, v > 0 its spectrum is 0, 0 and (h + v) / 2 +- |((h - v) / 2, g)|,
+    so it is CP exactly when |g|^2 <= h v.
     """
-    gabs = abs(g)
-    phase = g / gabs if gabs else 1.0
-    ratio = gabs / math.sqrt(h * v)
-    sqrt_h, sqrt_v = math.sqrt(h), math.sqrt(v)
-    weights, operators = [], []
-    for sign in (1.0, -1.0):
-        weight = (1.0 + sign * ratio) / 2.0
-        if not abs(weight) < ZERO_F_TOL:  # a NaN weight stays, and shows in the Choi matrix
-            weights.append(weight)
-            operators.append(((sign * sqrt_h * phase, 0.0), (0.0, sqrt_v)))
-    return QuantumOperation.from_weighted_kraus(weights, operators)
+    choi = np.zeros((4, 4), dtype=complex)
+    choi[0, 0], choi[0, 3], choi[3, 0], choi[3, 3] = h, g, g.conjugate(), v
+    return QuantumOperation(choi)
 
 
 def conditional_operation(
@@ -142,19 +121,20 @@ def conditional_operation(
 
 def _port_terms(cfg: InterferometerConfig, jp: int, times):
     """(f, h, v) of port jp: its coherence transfer at ``times`` and its
-    interference weights.  A weight below ZERO_F_TOL leaves the port no H-V
-    coherence, f only roundoff, and raises ZeroCoherenceFactor."""
+    interference weights.  A port that the interferometer module finds
+    without H-V coherence raises ZeroCoherenceFactor."""
     f, h, v, _ = _closed_form(cfg, "outside", jp, times, normalized=False)
-    if min(h, v) < ZERO_F_TOL:
+    if _lacks_coherence(h, v):
         raise ZeroCoherenceFactor(f"port {jp} has no H-V coherence: weights ({h!r}, {v!r})")
     return f, h, v
 
 
 def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOperation:
-    """Kraus form of the (unnormalized) conditional evolution on port jp.
+    """The (unnormalized) conditional evolution on port jp, whose Kraus form
+    is its ``kraus``.
 
-    Applied to the initial polarization projector the two diagonal operators
-    reproduce the unnormalized conditional output state.
+    Applied to the initial polarization projector the operation reproduces
+    the unnormalized conditional output state.
     """
     f, h, v = _port_terms(cfg, jp, t)
     try:
@@ -185,8 +165,8 @@ def propagator(
 def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperation:
     """Propagator defined by the coherence transfer factors at the two ends.
 
-    When |f2| grows beyond |f1| the minus branch weight turns negative and the
-    map is materialized through its (non-PSD) Choi matrix for inspection.  A
+    When |f2| grows beyond |f1| the Choi matrix has a negative eigenvalue and
+    the map is not CP; it is kept for inspection.  A
     NaN or infinite factor raises ValueError naming it, and |f1| below
     ZERO_F_TOL raises ZeroCoherenceFactor.
     """

@@ -399,6 +399,15 @@ def test_full_interference_sweep_constant_port(tmp_path, capsys):
         assert cells[dark_col] == ""
 
 
+def test_sweep_prints_zero_on_a_bright_port_without_coherence(tmp_path, capsys):
+    # equal-H port 1 takes no H light: its trace distance is zero, not roundoff
+    code = main(["sweep", "--config", write_config(tmp_path, EQUAL_H), "--grid", "10:12:1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    column = lines[0].split(",").index("D_path1_out")
+    assert [line.split(",")[column] for line in lines[1:]] == ["0", "0", "0"]
+
+
 @pytest.mark.parametrize("where", ["a directory", "a missing directory"])
 def test_sweep_out_that_cannot_be_opened_exits_2(tmp_path, where, capsys):
     out = tmp_path if where == "a directory" else tmp_path / "missing" / "x.csv"
@@ -748,6 +757,21 @@ def test_bad_run_grid_names_run_grid(tmp_path, command, value, capsys):
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: run.grid: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, run, field", [
+    (["--grid=-100:-50:10"], {}, "grid"),
+    (["--grid=-0.5:60:20"], {}, "grid"),
+    ([], {"grid": "-100:-50:10"}, "run.grid"),
+])
+def test_oracle_check_rejects_negative_times(tmp_path, flag, run, field, capsys):
+    # the oracle compares no state before t = 0, so such a grid checks nothing
+    doc = dict(BASELINE, run=run)
+    argv = ["oracle-check", "--config", write_config(tmp_path, doc), *flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}: times must not be negative")
     assert captured.out == ""
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import PRESETS, preset, random_config
+from conftest import EQUAL_H, PRESETS, preset, random_config
 
 from mzdephase.analysis import LOCATIONS, trace_distance_series
 from mzdephase.channels import single_path_state
+from mzdephase.cli import build_config
 from mzdephase.core import (
     DensityMatrix,
     FrequencyDistribution,
@@ -213,7 +214,17 @@ def test_dark_port_conditioning_raises():
     dark = conditional_state_outside(cfg, 1, 80.0, normalized=False)
     assert isinstance(dark, DensityMatrix)
     assert dark.trace == 0.0 and not dark.unit_trace
-    assert abs(dark.coherence) < 1e-12
+    assert dark.coherence == 0.0
+
+
+def test_a_bright_port_without_h_v_coherence_has_exactly_zero_coherence():
+    # equal-H port 1 takes no H light: its transfer f would be roundoff
+    cfg = build_config(EQUAL_H)[0]
+    times = np.arange(10.0, 3000.0, 1.0)
+    assert np.all(coherence_factors(cfg, "path1_out", times) == 0.0)
+    assert abs(coherence_factors(cfg, "path0_out", times[:1])[0]) > 0.5
+    for normalized in (True, False):
+        assert conditional_state_outside(cfg, 1, 11.0, normalized).coherence == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from conftest import EQUAL_H, preset, random_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzdephase import maps
 from mzdephase.cli import build_config, parse_grid
 from mzdephase.core import (
     FrequencyDistribution,
@@ -23,6 +24,7 @@ from mzdephase.interferometer import (
     path_state_inside,
 )
 from mzdephase.maps import (
+    CP_TOL,
     QuantumOperation,
     TraceCharacter,
     conditional_operation,
@@ -58,8 +60,9 @@ def test_identity_operation():
 
 
 def test_transposition_via_choi_is_not_cp():
-    op = QuantumOperation.from_choi(SWAP)
+    op = QuantumOperation(SWAP)
     assert not is_completely_positive(op)
+    assert op.kraus is None
     # transposition is still trace preserving
     assert trace_character(op) is TraceCharacter.TRACE_PRESERVING
 
@@ -71,31 +74,33 @@ _OPERATOR = st.lists(st.builds(complex, _ENTRY, _ENTRY), min_size=4, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.floats(-1.0, 1.0), _OPERATOR), min_size=1, max_size=3))
-def test_choi_matches_the_kron_formula(terms):
-    weights, operators = zip(*terms)
+@given(st.lists(_OPERATOR, min_size=1, max_size=3))
+def test_choi_matches_the_kron_formula(operators):
     omega = np.array([1.0, 0.0, 0.0, 1.0])
     want = np.zeros((4, 4), dtype=complex)
-    for w, op in terms:
+    for op in operators:
         vec = np.kron(op, np.eye(2)) @ omega
-        want += w * np.outer(vec, vec.conj())
-    got = QuantumOperation.from_weighted_kraus(weights, operators).choi
+        want += np.outer(vec, vec.conj())
+    got = QuantumOperation.from_kraus(operators).choi
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def _kraus_sum(kraus, rho):
+    return sum(k @ rho @ k.conj().T for k in kraus)
 
 
 def test_choi_application_matches_kraus_application():
     rng = np.random.default_rng(41)
     for _ in range(10):
-        weights = rng.uniform(-1.0, 1.0, size=2)
-        ops = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        op = QuantumOperation.from_weighted_kraus(weights, ops / 2.0)
-        as_choi = QuantumOperation.from_choi(op.choi)
+        ops = (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))) / 2.0
+        op = QuantumOperation.from_kraus(ops)
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = raw @ raw.conj().T
         rho /= np.trace(rho).real
-        want = sum(w * (a @ rho @ a.conj().T) for w, a in zip(weights, ops / 2.0))
+        want = _kraus_sum(ops, rho)
         np.testing.assert_allclose(op.apply(rho), want, atol=1e-13)
-        np.testing.assert_allclose(as_choi.apply(rho), want, atol=1e-13)
+        # the Kraus form read back from the Choi spectrum is the same map
+        np.testing.assert_allclose(_kraus_sum(op.kraus, rho), want, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +196,7 @@ def test_propagator_from_a_vanishing_factor_raises(f1):
 
 def test_zero_birefringence_ports_have_finite_cp_kraus_forms():
     # n_h == n_v everywhere makes |f| equal sqrt(h v) on both ports, so the
-    # minus-branch weight is zero up to rounding, of either sign
+    # Choi matrix has rank one: its second eigenvalue is rounding, of either sign
     rng = np.random.default_rng(0)
     for _ in range(200):
         base = random_config(rng)
@@ -238,7 +243,7 @@ def test_non_finite_arguments_are_named_before_a_choi_matrix_is_built(
     def no_choi(*args):
         raise AssertionError("a Choi matrix was built")
 
-    monkeypatch.setattr(QuantumOperation, "from_weighted_kraus", no_choi)
+    monkeypatch.setattr(maps, "_diagonal_operation", no_choi)
     with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         make(**_ARGUMENTS[make] | {name: bad})
 
@@ -271,6 +276,44 @@ def test_propagator_choi_spectrum(f1, f2):
     _assert_diagonal_choi_spectrum(op, 1.0, 1.0, f2 / f1)
 
 
+_RHO = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
+
+
+def _assert_kraus_exactly_where_cp(op):
+    kraus = op.kraus
+    assert (kraus is None) == (not is_completely_positive(op))
+    if kraus is not None:
+        assert np.all(np.isfinite(kraus))
+        np.testing.assert_allclose(_kraus_sum(kraus, _RHO), op.apply(_RHO), rtol=0, atol=CP_TOL)
+
+
+# |g|^2 / (h v) - 1 on both sides of the CP boundary, within and beyond CP_TOL
+_EXCESS = st.floats(-1e-9, 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WEIGHT, _WEIGHT, _EXCESS, st.floats(-np.pi, np.pi), st.floats(0.0, 2 * np.pi))
+def test_conditional_operation_has_a_kraus_form_exactly_where_cp(h, v, excess, phi, theta):
+    gabs = np.sqrt(h * v * (1.0 + excess))
+    _assert_kraus_exactly_where_cp(conditional_operation(h, v, gabs * np.exp(1j * phi), theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COHERENCE, _EXCESS, st.floats(-np.pi, np.pi))
+def test_propagator_has_a_kraus_form_exactly_where_cp(f1, excess, phi):
+    f2 = f1 * np.sqrt(1.0 + excess) * np.exp(1j * phi)
+    _assert_kraus_exactly_where_cp(propagator_from_coherence_factors(f1, f2))
+
+
+def test_a_step_within_cp_tol_of_the_boundary_has_a_kraus_form(baseline):
+    # |f| grows by about 6e-13 over this step: the Choi matrix has a
+    # negative eigenvalue within CP_TOL, so the map counts as CP
+    op = propagator(baseline, 0, 1725.554, 1725.55401)
+    assert -CP_TOL < np.linalg.eigvalsh(op.choi)[0] < 0
+    assert is_completely_positive(op)
+    _assert_kraus_exactly_where_cp(op)
+
+
 # ---------------------------------------------------------------------------
 # path and port indices
 # ---------------------------------------------------------------------------
@@ -297,10 +340,11 @@ def test_index_other_than_0_or_1_is_rejected(baseline, call, index):
 
 def test_propagator_at_equal_times_is_identity(baseline):
     op = propagator(baseline, 0, 100.0, 100.0)
-    assert len(op.operators) == 1
-    np.testing.assert_allclose(op.operators[0], np.eye(2), atol=1e-14)
     rho = pure_density(baseline.pol).matrix
     np.testing.assert_allclose(op.apply(rho), rho, atol=1e-14)
+    # one Kraus operator, the identity up to a global phase: compare the map
+    assert len(op.kraus) == 1
+    np.testing.assert_allclose(_kraus_sum(op.kraus, rho), rho, atol=1e-14)
 
 
 def test_propagator_rejects_reversed_times(baseline):
@@ -357,9 +401,6 @@ def test_propagator_ignores_interference_weights(baseline):
         complex(coherence_transfer(baseline, 0, t2)),
     )
     assert np.array_equal(via_config.choi, via_factors.choi)
-    for a, b in zip(via_config.operators, via_factors.operators):
-        assert np.array_equal(a, b)
-    assert via_config.weights == via_factors.weights
 
 
 def test_equivalence_of_coherence_growth_and_trace_distance_growth():
