@@ -320,7 +320,14 @@ def cmd_oracle_check(cfg: InterferometerConfig, n: int, times) -> int:
     Warns on stderr when the frequency grid aliases at some requested time,
     because the deviation then measures the quadrature, not the closed forms.
     """
-    grid = oracle.FrequencyGrid.build(cfg.dist, n=n)
+    try:
+        grid = oracle.FrequencyGrid.build(cfg.dist, n=n)
+    except ValueError as exc:  # the only unchecked input is a mu too large
+        raise ConfigError([
+            f"distribution.mu_over_sigma: {cfg.dist.mu / cfg.dist.sigma:g} is too large "
+            f"for a uniform grid of n_freq={n} frequencies over mu +- "
+            f"{oracle.DEFAULT_HALF_WIDTH:g} sigma ({exc})"
+        ]) from None
     bound = oracle.alias_free_delay(cfg, grid)
     beyond = np.flatnonzero(oracle.max_component_delay(cfg, times) > bound)
     if len(beyond):

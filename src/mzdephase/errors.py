@@ -10,8 +10,9 @@ class ImpossibleOutcome(MzDephaseError):
 
 
 class ZeroCoherenceFactor(MzDephaseError):
-    """The coherence transfer factor vanishes, so its phase is undefined and no
-    Kraus decomposition can be written down at this instant."""
+    """A map would divide by a vanishing coherence: the port carries no H-V
+    coherence, or the propagator's starting factor f(t1) is zero within
+    tolerance, so the ratio f(t2)/f(t1) is undefined."""
 
 
 class PeakNotFound(MzDephaseError):

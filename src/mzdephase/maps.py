@@ -106,17 +106,14 @@ def conditional_operation(
     Applied to the initial polarization projector the operation scales the
     populations by h and v and multiplies the coherence by f.  The phase of f
     is taken relative to the initial relative phase theta so that this holds
-    for any input phase convention.  It is CP exactly when |f|^2 <= h v.  A
-    NaN or infinite argument raises ValueError naming it, as does h or v <= 0.
+    for any input phase convention.  It is CP exactly when |f|^2 <= h v; f = 0
+    gives the full-dephasing map.  A NaN or infinite argument raises
+    ValueError naming it, as does h or v <= 0.
     """
     _check_finite(h=h, v=v, f=f, theta=theta)
     if not (h > 0 and v > 0):
         raise ValueError(f"population weights ({h!r}, {v!r}) must be positive")
-    f = complex(f)
-    fabs = abs(f)
-    if fabs < ZERO_F_TOL:
-        raise ZeroCoherenceFactor(f"|f|={fabs!r}: Kraus phase undefined")
-    return _diagonal_operation(h, v, f * cmath.exp(-1j * theta))
+    return _diagonal_operation(h, v, complex(f) * cmath.exp(-1j * theta))
 
 
 def _port_terms(cfg: InterferometerConfig, jp: int, times):
@@ -137,10 +134,7 @@ def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOp
     the unnormalized conditional output state.
     """
     f, h, v = _port_terms(cfg, jp, t)
-    try:
-        return conditional_operation(h, v, complex(f), cfg.pol.theta)
-    except ZeroCoherenceFactor as exc:
-        raise ZeroCoherenceFactor(f"port {jp}, t={t}: {exc}") from None
+    return conditional_operation(h, v, complex(f), cfg.pol.theta)
 
 
 def propagator(
@@ -166,14 +160,17 @@ def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperat
     """Propagator defined by the coherence transfer factors at the two ends.
 
     When |f2| grows beyond |f1| the Choi matrix has a negative eigenvalue and
-    the map is not CP; it is kept for inspection.  A
-    NaN or infinite factor raises ValueError naming it, and |f1| below
-    ZERO_F_TOL raises ZeroCoherenceFactor.
+    the map is not CP; it is kept for inspection.  A NaN or infinite factor,
+    or a ratio f2/f1 that overflows, raises ValueError naming it, and |f1|
+    below ZERO_F_TOL raises ZeroCoherenceFactor.
     """
     _check_finite(f1=f1, f2=f2)
     if abs(f1) < ZERO_F_TOL:
         raise ZeroCoherenceFactor(f"|f1|={abs(f1)!r}: propagator undefined")
-    return _diagonal_operation(1.0, 1.0, f2 / f1)
+    ratio = complex(f2) / complex(f1)
+    if not cmath.isfinite(ratio):
+        raise ValueError(f"f2/f1 must be finite, got {f2!r}/{f1!r}")
+    return _diagonal_operation(1.0, 1.0, ratio)
 
 
 def is_completely_positive(op: QuantumOperation, tol: float = CP_TOL) -> bool:

@@ -775,6 +775,19 @@ def test_oracle_check_rejects_negative_times(tmp_path, flag, run, field, capsys)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mu", [1e14, 1e300])
+def test_oracle_check_rejects_a_mu_too_large_for_its_grid(tmp_path, mu, capsys):
+    # the 2001 frequencies over mu +- 8 sigma round onto each other
+    doc = dict(BASELINE, distribution={"mu_over_sigma": mu})
+    assert main(["oracle-check", "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"config error: distribution.mu_over_sigma: {mu:g} is too large for a uniform "
+        "grid of n_freq=2001 frequencies"
+    )
+    assert captured.out == ""
+
+
 def test_oracle_check_warns_when_quadrature_aliases(capsys):
     code = main([
         "oracle-check", "--config", "preset:dtau10",

@@ -251,7 +251,11 @@ def eigvalsh_verdict(m, require_unit_trace):
     """The checks DensityMatrix makes, computed with eigvalsh: the first one
     that fails, or None."""
     m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+    # the modulus of each entry of m - m^dag as the correctly rounded hypot
+    # of its parts: numpy's abs of a complex array may be one ulp high, which
+    # flips the verdict on a defect of exactly HERMITICITY_TOL
+    skew = m - m.conj().T
+    if np.max(np.hypot(skew.real, skew.imag)) > HERMITICITY_TOL:
         return "Hermitian"
     if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
         return "positive semidefinite"
@@ -327,6 +331,9 @@ def matrices_near_the_tolerances(draw):
 # Hermitian within tolerance, but only the lower triangle, which eigvalsh
 # reads, puts the smallest eigenvalue below -PSD_TOL
 @example(([[0.5, 0.5 + 0.2e-12], [0.5 + 1.05e-12, 0.5]], True))
+# an off-diagonal defect whose exact modulus, 1.00000000000000005e-12, rounds
+# to HERMITICITY_TOL, and which numpy's complex abs rounds one ulp above it
+@example(([[1.0, -9.792452874065205e-13 + 2.0267872876086712e-13j], [0j, 0.0]], False))
 def test_density_matrix_checks_agree_with_eigvalsh(case):
     m, unit = case
     assert closed_form_verdict(m, unit) == eigvalsh_verdict(m, unit)

@@ -194,6 +194,26 @@ def test_propagator_from_a_vanishing_factor_raises(f1):
         propagator_from_coherence_factors(f1, 0.5)
 
 
+def test_propagator_from_an_overflowing_ratio_raises(monkeypatch):
+    def no_choi(*args):
+        raise AssertionError("a Choi matrix was built")
+
+    monkeypatch.setattr(maps, "_diagonal_operation", no_choi)
+    for f1, f2 in [(1e-13, 1e300), (1e-13j, 1e300 + 1e300j)]:
+        with pytest.raises(ValueError, match=r"^f2/f1 must be finite, got "):
+            propagator_from_coherence_factors(f1, f2)
+
+
+def test_conditional_operation_at_zero_coherence_is_full_dephasing():
+    op = conditional_operation(0.5, 0.5, 0.0)
+    assert op.kraus is not None
+    assert is_completely_positive(op)
+    rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    got = sum(k @ rho @ k.conj().T for k in op.kraus)
+    np.testing.assert_allclose(got, [[0.25, 0.0], [0.0, 0.25]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(op.apply(rho), got, rtol=0, atol=1e-15)
+
+
 def test_zero_birefringence_ports_have_finite_cp_kraus_forms():
     # n_h == n_v everywhere makes |f| equal sqrt(h v) on both ports, so the
     # Choi matrix has rank one: its second eigenvalue is rounding, of either sign

@@ -54,6 +54,24 @@ def test_grid_validation():
         FrequencyGrid(np.array([1.0, 2.0, 1.5]), np.array([0.3, 0.4, 0.3]))
     with pytest.raises(ValueError):
         FrequencyGrid(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.6, 0.5]))
+    with pytest.raises(ValueError, match="^omegas must be uniform"):
+        FrequencyGrid(np.array([1.0, 2.0, 3.5, 4.0]), np.full(4, 0.25))
+    with pytest.raises(ValueError, match="^omegas must be uniform"):
+        FrequencyGrid(np.linspace(1.0, 3.0, 201) ** 2, np.full(201, 1 / 201))
+
+
+@pytest.mark.parametrize("n", [3, 4, 51, 201, 2001, 8001])
+def test_every_increasing_grid_build_makes_is_uniform(n):
+    # up to mu/sigma = 1e16 the linspace of mu +- 8 sigma either rounds two
+    # frequencies onto each other, which build refuses, or passes as uniform
+    for mu in [0.0, *np.logspace(-3.0, 16.0, 153)]:
+        omegas = np.linspace(mu - 8.0, mu + 8.0, n)
+        if np.all(np.diff(omegas) > 0):
+            grid = FrequencyGrid.build(FrequencyDistribution(mu), n)
+            np.testing.assert_array_equal(grid.omegas, omegas)
+        else:
+            with pytest.raises(ValueError, match="^omegas must be strictly increasing"):
+                FrequencyGrid.build(FrequencyDistribution(mu), n)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +411,43 @@ def test_phase_matches_complex_exp_within_one_ulp():
     for part in ("real", "imag"):
         g, w = getattr(got, part), getattr(want, part)
         assert np.all(np.abs(g - w) <= np.spacing(np.abs(w)))
+
+
+@pytest.mark.parametrize("mu", [1.0, 400.0])
+@pytest.mark.parametrize("n", [3, 4, 51, 2001, 8001])
+def test_grid_phases_match_complex_exp(n, mu):
+    from mzdephase.oracle import _grid_phases
+
+    grid = FrequencyGrid.build(FrequencyDistribution(mu), n)
+    period = 2.0 * np.pi / grid.step
+    x = np.concatenate([
+        np.linspace(-period, period, 41),
+        np.random.default_rng(n).uniform(-period, period, 61),
+    ]).reshape(3, 34)
+    got = _grid_phases(x, grid)
+    assert got.shape == (3, 34, n)
+    want = np.exp(1j * x[..., None] * grid.omegas)
+    bound = 8.0 * np.finfo(float).eps * period * np.max(np.abs(grid.omegas))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_oracle_evaluates_few_phases(monkeypatch):
+    # factorised grid phases: about 2 sqrt(n) cos/sin per time, not n
+    from mzdephase import oracle
+    from mzdephase.cli import _default_times
+
+    cfg = preset("dtau10")
+    grid = FrequencyGrid.build(cfg.dist, n=8001)
+    times = _default_times(cfg)
+    phase, evaluated = oracle._phase, []
+
+    def counted(x):
+        evaluated.append(np.size(x))
+        return phase(x)
+
+    monkeypatch.setattr(oracle, "_phase", counted)
+    oracle_compare(cfg, grid, times)
+    assert 0 < sum(evaluated) < 0.05 * len(grid.omegas) * len(times)
 
 
 def _per_cell_inside_error(cfg, blocks, times):
