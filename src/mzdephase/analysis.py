@@ -9,6 +9,7 @@ import numpy as np
 
 from ._intervals import RISE_TOL, merge_rising_steps
 from .core import (
+    MAX_GRID_POINTS,
     DensityMatrix,
     InterferometerConfig,
     PolarizationState,
@@ -113,9 +114,8 @@ def _lambda_envelope(cfg: InterferometerConfig, total: np.ndarray) -> np.ndarray
     """Smooth upper envelope: sum of the two term moduli."""
     a1, a2 = _cross_delays(cfg)
     dn_out = cfg.window_out.delta_n
-    sigma = cfg.dist.sigma
-    e1 = np.exp(-0.5 * (sigma * (a1 + dn_out * total)) ** 2)
-    e2 = np.exp(-0.5 * (sigma * (a2 + dn_out * total)) ** 2)
+    e1 = np.exp(-0.5 * (a1 + dn_out * total) ** 2)
+    e2 = np.exp(-0.5 * (a2 + dn_out * total) ** 2)
     return e1 + e2
 
 
@@ -129,11 +129,14 @@ def lambda_peak(
     envelope brackets the candidates; |Lambda| itself is then refined locally
     at oscillation-resolving resolution.  Raises PeakNotFound when the signal
     stays below ``PEAK_FLOOR_TOL`` over the whole range; warns when a second,
-    well-separated candidate comes within 1% of the global maximum.
+    well-separated candidate comes within 1% of the global maximum.  Raises
+    ValueError, its message led by ``scan_range`` or ``mu``, for a range not
+    ordered or, before allocating either stage, when one would take more
+    than ``MAX_GRID_POINTS`` points.
     """
     t_lo, t_hi = scan_range
     if t_hi < t_lo:
-        raise ValueError("scan_range must be ordered")
+        raise ValueError(f"scan_range: [{t_lo:g}, {t_hi:g}] is not ordered")
     lo = float(effective_time(cfg.window_out, t_lo))
     hi = float(effective_time(cfg.window_out, t_hi))
     dn_out = cfg.window_out.delta_n
@@ -144,9 +147,23 @@ def lambda_peak(
             raise PeakNotFound("cross-term transfer below floor over the scan range")
         return lo, peak
 
-    # coarse stage on the envelope; its width in total time is 1/(sigma |dn'|)
-    width = 1.0 / (cfg.dist.sigma * abs(dn_out))
+    # coarse stage on the envelope; its width in total time is 1/|dn'|
+    width = 1.0 / abs(dn_out)
     coarse_step = min(width / 40.0, (hi - lo) / 100.0)
+    n_max = max(
+        cfg.window0.n_h, cfg.window0.n_v, cfg.window1.n_h, cfg.window1.n_v,
+        cfg.window_out.n_h, cfg.window_out.n_v,
+    )
+    fine_step = np.pi / (8.0 * abs(cfg.dist.mu) * n_max) if cfg.dist.mu else coarse_step
+    # count both stages' points before allocating either
+    if not hi - lo < MAX_GRID_POINTS * coarse_step:
+        raise ValueError(
+            f"scan_range: [{t_lo:g}, {t_hi:g}] needs over {MAX_GRID_POINTS} envelope points"
+        )
+    if not 2.0 * coarse_step < MAX_GRID_POINTS * fine_step:
+        raise ValueError(
+            f"mu: {cfg.dist.mu:g} needs over {MAX_GRID_POINTS} points per peak candidate"
+        )
     coarse = np.arange(lo, hi + coarse_step, coarse_step)
     coarse = coarse[coarse <= hi]
     if coarse[-1] < hi:
@@ -155,12 +172,6 @@ def lambda_peak(
 
     interior = (env[1:-1] >= env[:-2]) & (env[1:-1] >= env[2:])
     candidates = [0, len(coarse) - 1] + list(np.nonzero(interior)[0] + 1)
-
-    n_max = max(
-        cfg.window0.n_h, cfg.window0.n_v, cfg.window1.n_h, cfg.window1.n_v,
-        cfg.window_out.n_h, cfg.window_out.n_v,
-    )
-    fine_step = np.pi / (8.0 * abs(cfg.dist.mu) * n_max) if cfg.dist.mu else coarse_step
 
     best = []  # (peak value, total time) per candidate
     for idx in candidates:
@@ -195,7 +206,7 @@ def auto_scan_range(cfg: InterferometerConfig) -> tuple[float, float]:
     at the outside birefringence, or 100 time units without birefringence."""
     a1, a2 = _cross_delays(cfg)
     dn_out = abs(cfg.window_out.delta_n)
-    reach = (max(abs(a1), abs(a2)) + 10.0 / cfg.dist.sigma) / dn_out if dn_out else 100.0
+    reach = (max(abs(a1), abs(a2)) + 10.0) / dn_out if dn_out else 100.0
     t_start = cfg.window_out.t_start
     return t_start, min(t_start + reach, cfg.window_out.t_stop)
 

@@ -18,10 +18,12 @@ import numpy as np
 
 from . import analysis, maps, oracle
 from .core import (
+    MAX_GRID_POINTS,
     FrequencyDistribution,
     InteractionWindow,
     InterferometerConfig,
     PolarizationState,
+    effective_time,
 )
 from .errors import (
     ConfigError,
@@ -38,9 +40,6 @@ from .interferometer import (
 
 ORACLE_CHECK_THRESHOLD = 1e-5
 ORACLE_PROB_THRESHOLD = 1e-8
-
-# largest number of points a time grid or a frequency grid may hold
-MAX_GRID_POINTS = 1_000_000
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 # every numeric config field by section, in the order checked, with its
@@ -102,7 +101,7 @@ def build_config(data: dict) -> tuple[InterferometerConfig, dict]:
         problems.append(f"{key}: unknown section")
 
     ratio = _section(data, "distribution", problems).get("mu_over_sigma")
-    dist = None if ratio is None else FrequencyDistribution(mu=ratio, sigma=1.0)
+    dist = None if ratio is None else FrequencyDistribution(mu=ratio)
 
     windows = {}
     for name in ("arm0", "arm1", "output"):
@@ -197,6 +196,34 @@ def parse_grid(spec: str, min_points: int = 1, field: str = "grid") -> np.ndarra
     return start + step * np.arange(count)
 
 
+# largest delay n * t that one coupling may accumulate: the closed forms
+# square sums of up to two such delays, which then stay finite
+_MAX_DELAY = math.sqrt(sys.float_info.max) / 4.0
+
+
+def _check_delays(cfg: InterferometerConfig, t_last: float) -> None:
+    """Refuse a delay n * t that a coupling accumulates by t_last, an arm's
+    over its whole duration, which the interference weights take at every
+    time: one beyond ``_MAX_DELAY`` under its index, arms first, or one that
+    mu turns into a phase that overflows at the largest oracle frequency."""
+    out = cfg.window_out
+    t_out = effective_time(out, float(t_last))
+    for section, window, t in (
+        ("arm0", cfg.window0, cfg.window0.duration),
+        ("arm1", cfg.window1, cfg.window1.duration),
+        ("output", out, t_out),
+    ):
+        for key in ("n_h", "n_v"):
+            delay = getattr(window, key) * t
+            if not delay <= _MAX_DELAY:
+                raise ConfigError([f"{section}.{key}: delay {delay:g} overflows when squared"])
+            if not math.isfinite((abs(cfg.dist.mu) + oracle.DEFAULT_HALF_WIDTH) * 2.0 * delay):
+                raise ConfigError([
+                    f"distribution.mu_over_sigma: {cfg.dist.mu:g} turns the delay {delay:g} "
+                    f"of {section}.{key} into a phase that overflows"
+                ])
+
+
 _FLOAT_CELL = "{:.17g}"
 
 
@@ -213,6 +240,7 @@ def cmd_sweep(cfg: InterferometerConfig, grid: np.ndarray, locations, out) -> in
             raise ConfigError(
                 [f"locations: {loc} is only defined for times in [0, {limit}]"]
             )
+    _check_delays(cfg, grid[-1])
 
     header = ["tau"] + [f"D_{loc}" for loc in locations]
     header += ["p_out0", "p_out1", "popH_out0", "popH_out1"]
@@ -253,12 +281,21 @@ def cmd_sweep(cfg: InterferometerConfig, grid: np.ndarray, locations, out) -> in
     return 0
 
 
-def cmd_estimate(cfg: InterferometerConfig, scan: tuple[float, float] | None) -> int:
-    """Report the recoherence peak and the path-difference estimate."""
+def cmd_estimate(
+    cfg: InterferometerConfig, scan: tuple[float, float] | None, field: str = "grid"
+) -> int:
+    """Report the recoherence peak and the path-difference estimate.  A scan
+    range too long for the peak search is reported under ``field``."""
     if scan is None:
         scan = analysis.auto_scan_range(cfg)
+    _check_delays(cfg, scan[1])
     analysis.check_estimator_regime(cfg)
-    t_max, peak = analysis.lambda_peak(cfg, scan)
+    try:
+        t_max, peak = analysis.lambda_peak(cfg, scan)
+    except ValueError as exc:  # led by the input at fault, scan_range or mu
+        culprit, problem = str(exc).split(": ", 1)
+        where = "distribution.mu_over_sigma" if culprit == "mu" else field
+        raise ConfigError([f"{where}: {problem}"]) from None
     estimate = analysis.time_difference_from_peak(cfg, t_max)
     t0, t1 = cfg.window0.duration, cfg.window1.duration
     index_mode = abs(t0 - t1) < 1e-12 and (
@@ -289,6 +326,7 @@ def cmd_estimate(cfg: InterferometerConfig, scan: tuple[float, float] | None) ->
 def cmd_divisibility(cfg: InterferometerConfig, grid: np.ndarray) -> int:
     """List non-CP-divisible intervals per output port next to the backflow
     intervals; any disagreement is an internal consistency failure."""
+    _check_delays(cfg, grid[-1])
     step = float(np.max(np.diff(grid)))
     agree = True
     for jp, location in ((0, "path0_out"), (1, "path1_out")):
@@ -318,24 +356,39 @@ def cmd_oracle_check(cfg: InterferometerConfig, n: int, times) -> int:
     """Compare closed forms against the brute-force evolution.
 
     Warns on stderr when the frequency grid aliases at some requested time,
-    because the deviation then measures the quadrature, not the closed forms.
+    or when the rounding of the largest phase can reach the smaller of the
+    two thresholds, because the deviation then measures the quadrature or
+    the rounding, not the closed forms.
     """
+    _check_delays(cfg, max(times))
     try:
         grid = oracle.FrequencyGrid.build(cfg.dist, n=n)
     except ValueError as exc:  # the only unchecked input is a mu too large
         raise ConfigError([
-            f"distribution.mu_over_sigma: {cfg.dist.mu / cfg.dist.sigma:g} is too large "
+            f"distribution.mu_over_sigma: {cfg.dist.mu:g} is too large "
             f"for a uniform grid of n_freq={n} frequencies over mu +- "
             f"{oracle.DEFAULT_HALF_WIDTH:g} sigma ({exc})"
         ]) from None
+    delays = oracle.max_component_delay(cfg, times)
     bound = oracle.alias_free_delay(cfg, grid)
-    beyond = np.flatnonzero(oracle.max_component_delay(cfg, times) > bound)
+    beyond = np.flatnonzero(delays > bound)
     if len(beyond):
         print(
             f"warning: n_freq={n} resolves polarization-path delays up to "
             f"{bound:.6g} (alias period 2*pi/h less {oracle.ALIAS_MARGIN:g}/sigma), "
             f"first exceeded at t={_fmt(times[beyond[0]])}; the deviation then "
             "measures the quadrature, not the closed forms",
+            file=sys.stderr,
+        )
+    # eps times the largest phase omega * x: an arm's delay n * t, which the
+    # outside amplitudes carry, plus the largest component delay
+    arm = max(idx * w.duration for w in (cfg.window0, cfg.window1) for idx in (w.n_h, w.n_v))
+    rounding = np.finfo(float).eps * np.max(np.abs(grid.omegas)) * (arm + np.max(delays))
+    if rounding >= ORACLE_PROB_THRESHOLD:
+        print(
+            f"warning: the rounding of the largest phase omega * x, up to "
+            f"{rounding:.3g}, can reach the threshold {ORACLE_PROB_THRESHOLD:g}; the "
+            "deviation then measures the rounding, not the closed forms",
             file=sys.stderr,
         )
     result = oracle.oracle_compare(cfg, grid, times)
@@ -443,7 +496,7 @@ def main(argv=None) -> int:
             if grid_spec is not None:
                 grid = parse_grid(grid_spec, field=field)
                 scan = (float(grid[0]), float(grid[-1]))
-            return cmd_estimate(cfg, scan)
+            return cmd_estimate(cfg, scan, field)
         if args.command == "divisibility":
             if grid_spec is None:
                 raise ConfigError(["grid: required for divisibility"])

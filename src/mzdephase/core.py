@@ -19,23 +19,25 @@ TRACE_TOL = 1e-12
 UNIT_TRACE_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
 
+# largest number of points one grid may hold: a time grid, a frequency grid,
+# or a stage of the recoherence peak search
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FrequencyDistribution:
     """Gaussian spectrum of the frequency environment.
 
-    mu is the mean angular frequency and sigma the standard deviation, both in
-    units of 1/time.  The canonical configuration uses mu/sigma = 400.
+    mu is the mean angular frequency, in units of the standard deviation,
+    which is the unit of frequency.  The canonical configuration uses
+    mu = 400.
     """
 
     mu: float
-    sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not math.isfinite(self.mu / self.sigma):
-            raise ValueError("mu/sigma must be finite")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
 
 
 @dataclass(frozen=True)
@@ -242,16 +244,15 @@ def kappa_of_delay(dist: FrequencyDistribution, theta: float, x):
     """Decoherence factor for an accumulated birefringent delay x.
 
     Averaging e^(i*omega*x) over the Gaussian spectrum gives
-    exp[i(theta + mu*x) - (sigma*x)^2 / 2]: the modulus decays like a Gaussian
-    in the delay while the phase rotates at the mean frequency.  Accepts
-    scalar or array x; a float x is evaluated without numpy.
+    exp[i(theta + mu*x) - x^2 / 2]: the modulus decays like a Gaussian in the
+    delay while the phase rotates at the mean frequency.  Accepts scalar or
+    array x; a float x is evaluated without numpy.
     """
     if isinstance(x, float):
         x = float(x)
-        s = dist.sigma * x
-        return cmath.exp(complex(-0.5 * (s * s), theta + dist.mu * x))
+        return cmath.exp(complex(-0.5 * (x * x), theta + dist.mu * x))
     x = np.asarray(x, dtype=float)
-    out = np.exp(1j * (theta + dist.mu * x) - 0.5 * (dist.sigma * x) ** 2)
+    out = np.exp(1j * (theta + dist.mu * x) - 0.5 * x**2)
     return out if out.ndim else complex(out)
 
 

@@ -49,20 +49,15 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     """Real interference weights (kappa_H, kappa_V) at the output beam splitter.
 
     They originate from the cross-terms between the two inside paths evaluated
-    at the full coupling durations: a Gaussian envelope in the optical path
-    difference of each polarization component times a cosine at the mean
-    frequency, with prefactor 2.  Time-independent; returned as Python floats.
+    at the full coupling durations: twice the real part of the decoherence
+    factor at the optical path difference of each polarization component.
+    Time-independent; returned as Python floats.
     """
-    t0, t1 = cfg.window0.duration, cfg.window1.duration
-    mu, sigma = cfg.dist.mu, cfg.dist.sigma
-    out = []
-    for n0, n1 in (
-        (cfg.window0.n_h, cfg.window1.n_h),
-        (cfg.window0.n_v, cfg.window1.n_v),
-    ):
-        d = n0 * t0 - n1 * t1
-        out.append(float(2.0 * np.exp(-0.5 * (sigma * d) ** 2) * np.cos(mu * d)))
-    return out[0], out[1]
+    w0, w1 = cfg.window0, cfg.window1
+    t0, t1 = w0.duration, w1.duration
+    kh = kappa_of_delay(cfg.dist, 0.0, w0.n_h * t0 - w1.n_h * t1)
+    kv = kappa_of_delay(cfg.dist, 0.0, w0.n_v * t0 - w1.n_v * t1)
+    return 2.0 * kh.real, 2.0 * kv.real
 
 
 def _cross_delays(cfg: InterferometerConfig) -> tuple[float, float]:
@@ -247,28 +242,23 @@ def _closed_form(
 def _state(
     cfg: InterferometerConfig, stage: str, conditioning, t: float, normalized=True
 ) -> DensityMatrix:
-    """The closed-form state at a (stage, conditioning) location at one time:
-    a one-element view of _closed_form, scaled by the reciprocal probability
-    as numpy divides a complex array by a float, so sweep's 17-digit
-    populations keep the bits of _closed_form_states.  Inside, t must lie in
+    """The closed-form state at a (stage, conditioning) location at one time,
+    a one-state view of _closed_form_states.  Inside, t must lie in
     [0, window_out.t_start]."""
     if stage == "inside":
         _check_inside_time(cfg, t)
-    transfer, w_h, w_v, prob = _closed_form(cfg, stage, conditioning, t, normalized)
-    pol, scale = cfg.pol, 1.0 / prob
-    coh = pol.c_h * pol.c_v.conjugate() * transfer
-    m = [[w_h * abs(pol.c_h) ** 2, coh], [coh.conjugate(), w_v * abs(pol.c_v) ** 2]]
-    return DensityMatrix([[x * scale for x in row] for row in m], require_unit_trace=normalized)
+    rho = _closed_form_states(cfg, stage, conditioning, t, normalized)
+    return DensityMatrix(rho, require_unit_trace=normalized)
 
 
 def _closed_form_states(
-    cfg: InterferometerConfig, stage: str, conditioning, times: np.ndarray
+    cfg: InterferometerConfig, stage: str, conditioning, times, normalized: bool = True
 ) -> np.ndarray:
-    """The closed-form states rho[time, a, b] at a (stage, conditioning)
-    location, at every one of ``times``.  Conditional states are scaled by
-    the reciprocal port probability, as conditional_state_outside scales
-    them."""
-    transfer, weight_h, weight_v, prob = _closed_form(cfg, stage, conditioning, times)
+    """The closed-form states rho[..., a, b] at a (stage, conditioning)
+    location, one per entry of ``times``, a scalar or an array.  Conditional
+    states are scaled by the reciprocal port probability unless
+    ``normalized`` is false."""
+    transfer, weight_h, weight_v, prob = _closed_form(cfg, stage, conditioning, times, normalized)
     pol = cfg.pol
     scale = 1.0 / prob
     return _states(

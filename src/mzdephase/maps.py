@@ -27,7 +27,7 @@ from .core import InterferometerConfig
 from .errors import ZeroCoherenceFactor
 from .interferometer import ZERO_F_TOL, _closed_form, _lacks_coherence, coherence_transfer
 
-# default eigenvalue tolerance for Choi-based complete-positivity checks
+# eigenvalue tolerance of the Choi-based complete-positivity checks
 CP_TOL = 1e-10
 
 
@@ -173,12 +173,10 @@ def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperat
     return _diagonal_operation(1.0, 1.0, ratio)
 
 
-def is_completely_positive(op: QuantumOperation, tol: float = CP_TOL) -> bool:
-    """Choi criterion: the map is CP iff its Choi matrix is PSD (within tol)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def is_completely_positive(op: QuantumOperation) -> bool:
+    """Choi criterion: the map is CP iff its Choi matrix is PSD within CP_TOL."""
     eigs = np.linalg.eigvalsh(op.choi)
-    return bool(eigs[0] >= -tol)
+    return bool(eigs[0] >= -CP_TOL)
 
 
 class TraceCharacter(enum.Enum):
@@ -187,13 +185,13 @@ class TraceCharacter(enum.Enum):
     INVALID = "invalid"
 
 
-def trace_character(op: QuantumOperation, tol: float = CP_TOL) -> TraceCharacter:
-    """Classify 1 - sum K^dag K: zero, PSD nonzero, or neither."""
+def trace_character(op: QuantumOperation) -> TraceCharacter:
+    """Classify 1 - sum K^dag K within CP_TOL: zero, PSD nonzero, or neither."""
     deficiency = op.completeness_deficiency
     eigs = np.linalg.eigvalsh(deficiency)
-    if np.max(np.abs(eigs)) <= tol:
+    if np.max(np.abs(eigs)) <= CP_TOL:
         return TraceCharacter.TRACE_PRESERVING
-    if eigs[0] >= -tol:
+    if eigs[0] >= -CP_TOL:
         return TraceCharacter.TRACE_NON_INCREASING
     return TraceCharacter.INVALID
 

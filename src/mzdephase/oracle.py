@@ -96,10 +96,8 @@ class FrequencyGrid:
         sum exactly to one so truncation never leaks probability; the uniform
         step is a common factor and drops out.
         """
-        omegas = np.linspace(
-            dist.mu - half_width * dist.sigma, dist.mu + half_width * dist.sigma, n
-        )
-        weights = np.exp(-0.5 * ((omegas - dist.mu) / dist.sigma) ** 2)
+        omegas = np.linspace(dist.mu - half_width, dist.mu + half_width, n)
+        weights = np.exp(-0.5 * (omegas - dist.mu) ** 2)
         weights[[0, -1]] *= 0.5
         weights /= weights.sum()
         return cls(omegas, weights)
@@ -127,7 +125,7 @@ def alias_free_delay(cfg: InterferometerConfig, grid: FrequencyGrid) -> float:
     """Largest component delay the trapezoid grid resolves: its alias period
     2*pi/h, at which the sum of e^(i*omega*x) repeats its value at x = 0, less
     ``ALIAS_MARGIN`` spectral widths."""
-    return 2.0 * math.pi / grid.step - ALIAS_MARGIN / cfg.dist.sigma
+    return 2.0 * math.pi / grid.step - ALIAS_MARGIN
 
 
 def _phase(x: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ def random_polarization(rng) -> PolarizationState:
 def random_config(rng) -> InterferometerConfig:
     """A generic valid experiment: distinct birefringent windows, an output
     coupling that starts after both arms close, and a random input state."""
-    dist = FrequencyDistribution(mu=float(rng.uniform(100.0, 500.0)), sigma=1.0)
+    dist = FrequencyDistribution(mu=float(rng.uniform(100.0, 500.0)))
 
     def window(t_start, t_stop):
         n_v = float(rng.uniform(1.5, 1.58))

@@ -176,6 +176,23 @@ def test_peak_not_found_when_signal_dead(baseline):
         lambda_peak(cfg, (60.0, 60.0))
 
 
+@pytest.mark.parametrize("mu", [1e12, 1e300])
+def test_peak_search_refuses_a_mu_before_allocating(baseline, mu):
+    # ~2e13 fine points per candidate at mu = 1e12: far beyond memory
+    cfg = InterferometerConfig(
+        FrequencyDistribution(mu), baseline.window0, baseline.window1,
+        baseline.window_out, baseline.pol,
+    )
+    with pytest.raises(ValueError, match="^mu: "):
+        lambda_peak(cfg, (60.0, 3000.0))
+
+
+def test_peak_search_refuses_a_scan_range_before_allocating(baseline):
+    # ~4e19 envelope steps of 1/40 of its width 1/0.009
+    with pytest.raises(ValueError, match=r"^scan_range: \[60, 1e\+20\] "):
+        lambda_peak(baseline, (60.0, 1e20))
+
+
 # ---------------------------------------------------------------------------
 # interaction-difference estimation
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_load_baseline_preset():
     cfg, run = load_config(preset_path("dtau10"))
     assert cfg.window0.n_h == 1.553
     assert cfg.window0.n_v == 1.544
-    assert cfg.dist.mu / cfg.dist.sigma == 400.0
+    assert cfg.dist.mu == 400.0
     assert (cfg.window0.t_start, cfg.window0.t_stop) == (0.0, 50.0)
     assert (cfg.window1.t_start, cfg.window1.t_stop) == (0.0, 60.0)
     assert cfg.window_out.t_start == 60.0
@@ -553,6 +553,37 @@ def test_estimate_full_interference_exits_3(capsys):
     )
 
 
+@pytest.mark.parametrize("mu", [1e12, 1e300])
+def test_estimate_refuses_a_mu_too_fast_for_the_peak_search(tmp_path, mu, capsys):
+    # resolving the oscillation at mu = 1e12 would take ~2e13 points around
+    # each peak candidate of the dtau10 windows
+    doc = dict(BASELINE, distribution={"mu_over_sigma": mu})
+    assert main(["estimate", "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: distribution.mu_over_sigma: {mu:g} needs over {MAX_GRID_POINTS} "
+        "points per peak candidate\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, run, field", [
+    (["--grid", "60:1e20:1e19"], {}, "grid"),
+    ([], {"grid": "60:1e20:1e19"}, "run.grid"),
+])
+def test_estimate_refuses_a_scan_range_too_long_for_the_peak_search(
+    tmp_path, flag, run, field, capsys
+):
+    # eleven grid times, but ~4e19 steps of 1/40 of the envelope's width
+    path = write_config(tmp_path, dict(BASELINE, run=run))
+    assert main(["estimate", "--config", path, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: {field}: [60, 1e+20] needs over {MAX_GRID_POINTS} envelope points\n"
+    )
+    assert captured.out == ""
+
+
 def test_estimate_searches_the_peak_once(tmp_path, monkeypatch, capsys):
     # both cross delays are negative, so |Lambda| has two unit peaks, at
     # total outside times 400 and 1640: the peak search warns
@@ -816,9 +847,21 @@ def test_oracle_check_alias_warning_boundary(capsys):
         assert ("warning:" in captured.err) == warns, spec
 
 
-def test_oracle_check_default_run_is_silent(capsys):
-    assert main(["oracle-check", "--config", "preset:dtau10"]) == 0
+@pytest.mark.parametrize("name", PRESETS)
+def test_oracle_check_default_run_is_silent(name, capsys):
+    assert main(["oracle-check", "--config", f"preset:{name}"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_oracle_check_warns_when_phase_rounding_can_fail_it(tmp_path, capsys):
+    # at mu = 1e12 the arm phases n t omega reach ~1e14, whose rounding alone
+    # makes the closed forms and the oracle disagree
+    doc = dict(BASELINE, distribution={"mu_over_sigma": 1e12})
+    assert main(["oracle-check", "--config", write_config(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert "verdict: FAIL" in captured.out
+    assert captured.err.startswith("warning: the rounding of the largest phase omega * x")
+    assert "measures the rounding, not the closed forms" in captured.err
 
 
 def test_default_oracle_times_evaluate_the_output_start_once():
@@ -832,6 +875,50 @@ def test_default_oracle_times_evaluate_the_output_start_once():
 # ---------------------------------------------------------------------------
 # error paths
 # ---------------------------------------------------------------------------
+
+ALL_COMMANDS = ["sweep", "estimate", "divisibility", "oracle-check"]
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("section", ["arm0", "arm1", "output"])
+def test_a_delay_whose_square_overflows_exits_2(tmp_path, command, section, capsys):
+    # 1e300 * 40 squared is beyond the float range; tier-1 turns numpy's
+    # overflow RuntimeWarning into an error
+    doc = dict(BASELINE, **{section: {**BASELINE[section], "n_h": 1e300}})
+    argv = [command, "--config", write_config(tmp_path, doc), "--grid", "60:100:1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {section}.n_h: delay ")
+    assert captured.err.endswith(" overflows when squared\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_a_delay_whose_square_overflows_on_the_default_range_names_its_arm(
+    tmp_path, command, capsys
+):
+    # the automatic scan range then ends past 1e303; the arm is named, not
+    # the output that the range stretches
+    doc = dict(BASELINE, arm0={**BASELINE["arm0"], "n_h": 1e300})
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    if command in ("sweep", "divisibility"):
+        argv += ["--grid", "60:100:1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: arm0.n_h: delay 5e+301 overflows when squared\n"
+    )
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_a_phase_that_overflows_exits_2(tmp_path, command, capsys):
+    # mu times the dtau10 delays of ~100 is beyond the float range
+    doc = dict(BASELINE, distribution={"mu_over_sigma": 1.7e308})
+    argv = [command, "--config", write_config(tmp_path, doc), "--grid", "60:100:1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: distribution.mu_over_sigma: 1.7e+308 turns ")
+    assert captured.out == ""
+
 
 def test_missing_config_file_exits_2(capsys):
     assert main(["sweep", "--config", "/nonexistent.json", "--grid", "0:1:1"]) == 2

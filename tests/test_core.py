@@ -23,14 +23,14 @@ from mzdephase.core import (
     trace_distances,
 )
 
-DIST = FrequencyDistribution(mu=400.0, sigma=1.0)
+DIST = FrequencyDistribution(mu=400.0)
 
 
 def quadrature_kappa(dist, theta, x, n=2001, half=8.0):
     """Independent check: trapezoid quadrature of the spectral average."""
-    om = np.linspace(dist.mu - half * dist.sigma, dist.mu + half * dist.sigma, n)
-    pdf = np.exp(-0.5 * ((om - dist.mu) / dist.sigma) ** 2)
-    pdf /= np.sqrt(2 * np.pi) * dist.sigma
+    om = np.linspace(dist.mu - half, dist.mu + half, n)
+    pdf = np.exp(-0.5 * (om - dist.mu) ** 2)
+    pdf /= np.sqrt(2 * np.pi)
     values = pdf * np.exp(1j * om * x)
     # the trapezoid rule written out: np.trapezoid needs numpy >= 2.0
     integral = (om[1] - om[0]) * (values.sum() - 0.5 * (values[0] + values[-1]))
@@ -96,14 +96,13 @@ def test_kappa_matches_quadrature_on_random_delays():
 
 def test_kappa_modulus_multiplicativity():
     rng = np.random.default_rng(4)
-    sigma = DIST.sigma
     for _ in range(50):
         x1, x2 = rng.uniform(-3.0, 3.0, size=2)
         lhs = abs(kappa_of_delay(DIST, 0.0, x1 + x2))
         rhs = (
             abs(kappa_of_delay(DIST, 0.0, x1))
             * abs(kappa_of_delay(DIST, 0.0, x2))
-            * np.exp(-(sigma**2) * x1 * x2)
+            * np.exp(-x1 * x2)
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -182,11 +181,6 @@ def test_pure_density_relative_phase():
 # ---------------------------------------------------------------------------
 # type invariants
 # ---------------------------------------------------------------------------
-
-def test_distribution_requires_positive_sigma():
-    with pytest.raises(ValueError):
-        FrequencyDistribution(mu=400.0, sigma=0.0)
-
 
 def test_polarization_must_be_normalized():
     # an amplitude beyond the float range is refused in the same way

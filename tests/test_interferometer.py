@@ -164,7 +164,7 @@ def test_output_functions_invariants():
 # port probabilities
 # ---------------------------------------------------------------------------
 
-def test_interference_kappas_are_python_floats_with_the_numpy_bits():
+def test_interference_kappas_are_python_floats_from_the_kernel():
     rng = np.random.default_rng(36)
     for cfg in [preset(name) for name in PRESETS] + [random_config(rng) for _ in range(5)]:
         got = interference_kappas(cfg)
@@ -173,7 +173,7 @@ def test_interference_kappas_are_python_floats_with_the_numpy_bits():
                                          (cfg.window0.n_v, cfg.window1.n_v))):
             d = n0 * t0 - n1 * t1
             assert type(value) is float
-            assert value == 2.0 * np.exp(-0.5 * (cfg.dist.sigma * d) ** 2) * np.cos(cfg.dist.mu * d)
+            assert value == 2.0 * kappa_of_delay(cfg.dist, 0.0, d).real
 
 
 def test_path_probabilities_full_interference():
