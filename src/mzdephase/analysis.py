@@ -21,6 +21,7 @@ from .interferometer import (
     LOCATION_STAGES,
     _cross_delays,
     _lambda_of_total_time,
+    _lambda_slope,
     averaged_state_outside,
     conditional_state_outside,
     interference_kappas,
@@ -119,6 +120,23 @@ def _lambda_envelope(cfg: InterferometerConfig, total: np.ndarray) -> np.ndarray
     return e1 + e2
 
 
+def _slope_root(slope, a: float, b: float) -> float:
+    """Where |Lambda| stops rising in [a, b]: when ``slope``, d|Lambda|^2/dT,
+    is positive at a and not at b, the last time with a positive slope,
+    bisected on its sign down to adjacent floats; otherwise no such root is
+    bracketed, and a."""
+    if not slope(a) > 0.0 >= slope(b):
+        return a
+    while True:
+        m = a + 0.5 * (b - a)
+        if not a < m < b:
+            return a
+        if slope(m) > 0.0:
+            a = m
+        else:
+            b = m
+
+
 def lambda_peak(
     cfg: InterferometerConfig, scan_range: tuple[float, float]
 ) -> tuple[float, float]:
@@ -126,13 +144,16 @@ def lambda_peak(
 
     Returns (t_max, peak_value) where t_max is the total outside interaction
     time at the maximum of |Lambda|.  A coarse scan of the smooth two-term
-    envelope brackets the candidates; |Lambda| itself is then refined locally
-    at oscillation-resolving resolution.  Raises PeakNotFound when the signal
-    stays below ``PEAK_FLOOR_TOL`` over the whole range; warns when a second,
-    well-separated candidate comes within 1% of the global maximum.  Raises
-    ValueError, its message led by ``scan_range`` or ``mu``, for a range not
-    ordered or, before allocating either stage, when one would take more
-    than ``MAX_GRID_POINTS`` points.
+    envelope brackets the candidates.  |Lambda|^2 is a sum of Gaussians in T
+    whose mean frequency enters only through a constant phase, so it does not
+    oscillate in T: in each bracket the candidate is the root of the
+    closed-form slope d|Lambda|^2/dT, found by bisection down to adjacent
+    floats, or a bracket end where |Lambda| is larger.  Raises PeakNotFound
+    when the signal stays below ``PEAK_FLOOR_TOL`` over the whole range;
+    warns when a second, well-separated candidate comes within 1% of the
+    global maximum.  Raises ValueError, its message led by ``scan_range``,
+    for a range not ordered or, before allocating, one whose envelope scan
+    would take more than ``MAX_GRID_POINTS`` points.
     """
     t_lo, t_hi = scan_range
     if t_hi < t_lo:
@@ -150,19 +171,9 @@ def lambda_peak(
     # coarse stage on the envelope; its width in total time is 1/|dn'|
     width = 1.0 / abs(dn_out)
     coarse_step = min(width / 40.0, (hi - lo) / 100.0)
-    n_max = max(
-        cfg.window0.n_h, cfg.window0.n_v, cfg.window1.n_h, cfg.window1.n_v,
-        cfg.window_out.n_h, cfg.window_out.n_v,
-    )
-    fine_step = np.pi / (8.0 * abs(cfg.dist.mu) * n_max) if cfg.dist.mu else coarse_step
-    # count both stages' points before allocating either
     if not hi - lo < MAX_GRID_POINTS * coarse_step:
         raise ValueError(
             f"scan_range: [{t_lo:g}, {t_hi:g}] needs over {MAX_GRID_POINTS} envelope points"
-        )
-    if not 2.0 * coarse_step < MAX_GRID_POINTS * fine_step:
-        raise ValueError(
-            f"mu: {cfg.dist.mu:g} needs over {MAX_GRID_POINTS} points per peak candidate"
         )
     coarse = np.arange(lo, hi + coarse_step, coarse_step)
     coarse = coarse[coarse <= hi]
@@ -173,15 +184,14 @@ def lambda_peak(
     interior = (env[1:-1] >= env[:-2]) & (env[1:-1] >= env[2:])
     candidates = [0, len(coarse) - 1] + list(np.nonzero(interior)[0] + 1)
 
+    slope = _lambda_slope(cfg)
     best = []  # (peak value, total time) per candidate
     for idx in candidates:
-        a = max(lo, coarse[idx] - coarse_step)
-        b = min(hi, coarse[idx] + coarse_step)
-        fine = np.arange(a, b + fine_step, fine_step)
-        fine = fine[fine <= b]
-        mod = np.abs(_lambda_of_total_time(cfg, fine))
-        k = int(np.argmax(mod))
-        best.append((float(mod[k]), float(fine[k])))
+        a = max(lo, float(coarse[idx]) - coarse_step)
+        b = min(hi, float(coarse[idx]) + coarse_step)
+        best.append(max(
+            (abs(_lambda_of_total_time(cfg, t)), t) for t in (a, _slope_root(slope, a, b), b)
+        ))
 
     best.sort(reverse=True)
     peak_value, t_max = best[0]

@@ -292,10 +292,8 @@ def cmd_estimate(
     analysis.check_estimator_regime(cfg)
     try:
         t_max, peak = analysis.lambda_peak(cfg, scan)
-    except ValueError as exc:  # led by the input at fault, scan_range or mu
-        culprit, problem = str(exc).split(": ", 1)
-        where = "distribution.mu_over_sigma" if culprit == "mu" else field
-        raise ConfigError([f"{where}: {problem}"]) from None
+    except ValueError as exc:  # a scan range the peak search refuses
+        raise ConfigError([f"{field}: {str(exc).removeprefix('scan_range: ')}"]) from None
     estimate = analysis.time_difference_from_peak(cfg, t_max)
     t0, t1 = cfg.window0.duration, cfg.window1.duration
     index_mode = abs(t0 - t1) < 1e-12 and (

@@ -42,13 +42,21 @@ class FrequencyDistribution:
 
 @dataclass(frozen=True)
 class PolarizationState:
-    """Qubit amplitudes for H and V plus their constant relative phase theta."""
+    """Qubit amplitudes for H and V plus their constant relative phase theta.
+
+    theta is stored reduced to [-pi, pi] by the IEEE remainder, which is
+    exact and leaves a theta already in that range unchanged; a huge theta
+    would otherwise swallow every mu * x added to it.
+    """
 
     c_h: complex
     c_v: complex
     theta: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        object.__setattr__(self, "theta", math.remainder(self.theta, math.tau))
         try:
             norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
         except OverflowError:  # an amplitude beyond the float range

@@ -80,6 +80,29 @@ def _lambda_of_total_time(cfg: InterferometerConfig, total):
     )
 
 
+def _lambda_slope(cfg: InterferometerConfig):
+    """The slope d|Lambda|^2/dT of the squared cross-term transfer modulus,
+    as a function of the total outside interaction time T.
+
+    With x_i = a_i + dn_out T and d kappa/dx = kappa (i mu - x), the slope is
+    2 dn_out Re(conj(Lambda) sum_i kappa(x_i) (i mu - x_i)).  The mu part sums
+    to i mu |Lambda|^2, which has no real part, so what is left is
+    -2 dn_out sum_i x_i Re(conj(Lambda) kappa(x_i)).
+    """
+    a1, a2 = _cross_delays(cfg)
+    dn_out = cfg.window_out.delta_n
+    dist, theta = cfg.dist, cfg.pol.theta
+
+    def slope(total):
+        x1, x2 = a1 + dn_out * total, a2 + dn_out * total
+        k1 = kappa_of_delay(dist, theta, x1)
+        k2 = kappa_of_delay(dist, theta, x2)
+        conj_lam = (k1 + k2).conjugate()
+        return -2.0 * dn_out * (x1 * (conj_lam * k1).real + x2 * (conj_lam * k2).real)
+
+    return slope
+
+
 def _shifted_kappas(cfg: InterferometerConfig, total):
     """Decoherence factors of both paths after a total outside interaction
     time: the outside delay added on top of each full inside delay."""

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import preset
+from conftest import preset, random_config
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mzdephase.analysis import (
+    PEAK_FLOOR_TOL,
     TraceDistanceSeries,
     backflow_intervals,
     blp_measure,
@@ -17,7 +22,13 @@ from mzdephase.core import (
     PolarizationState,
 )
 from mzdephase.errors import EstimatorOutOfRegime, ImpossibleOutcome, PeakNotFound
-from mzdephase.interferometer import coherence_transfer, path_probabilities
+from mzdephase.interferometer import (
+    _cross_delays,
+    _lambda_of_total_time,
+    _lambda_slope,
+    coherence_transfer,
+    path_probabilities,
+)
 
 PEAK_TOTAL_TIME = (1.544 * 60.0 - 1.553 * 50.0) / 0.009  # 1665.55...
 
@@ -176,21 +187,168 @@ def test_peak_not_found_when_signal_dead(baseline):
         lambda_peak(cfg, (60.0, 60.0))
 
 
+def test_peak_of_dtau10_is_where_its_first_cross_delay_cancels(baseline):
+    # x1 = n0_h t0 - n1_v t1 + dn_out T vanishes there; the other cross
+    # delay is then 31, so |Lambda| is one to the last bit
+    a1 = 1.553 * 50.0 - 1.544 * 60.0
+    t_max, peak = lambda_peak(baseline, (60.0, 3000.0))
+    assert abs(t_max - -a1 / (1.553 - 1.544)) <= 1e-9
+    assert t_max == 1665.5555555555757
+    assert peak == pytest.approx(1.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("mu", [1e12, 1e300])
-def test_peak_search_refuses_a_mu_before_allocating(baseline, mu):
-    # ~2e13 fine points per candidate at mu = 1e12: far beyond memory
+def test_peak_search_takes_a_mu_of_any_size(baseline, mu):
+    # mu enters |Lambda| only through a constant phase, so the peak stays put
     cfg = InterferometerConfig(
         FrequencyDistribution(mu), baseline.window0, baseline.window1,
         baseline.window_out, baseline.pol,
     )
-    with pytest.raises(ValueError, match="^mu: "):
-        lambda_peak(cfg, (60.0, 3000.0))
+    t_max, _ = lambda_peak(cfg, (60.0, 3000.0))
+    assert t_max == pytest.approx(lambda_peak(baseline, (60.0, 3000.0))[0], rel=1e-12)
 
 
 def test_peak_search_refuses_a_scan_range_before_allocating(baseline):
     # ~4e19 envelope steps of 1/40 of its width 1/0.009
     with pytest.raises(ValueError, match=r"^scan_range: \[60, 1e\+20\] "):
         lambda_peak(baseline, (60.0, 1e20))
+
+
+def reference_abs_lambda(doc, total):
+    """|Lambda| at total outside times, from the config numbers: the sum of
+    exp(i (theta + mu x) - x^2 / 2) over the two cross delays x."""
+    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, theta = doc
+    total = np.asarray(total, dtype=float)
+    return np.abs(sum(
+        np.exp(1j * (theta + mu * x) - 0.5 * x**2)
+        for x in (n0h * t0 - n1v * t1 + (nh - nv) * total,
+                  n1h * t1 - n0v * t0 + (nh - nv) * total)
+    ))
+
+
+def reference_brackets(doc, lo, hi):
+    """The brackets the peak search refines in, [a, b] around each envelope
+    candidate, and the step pi / (8 mu n_max) at which it sampled them before
+    its slope bisection."""
+    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, _ = doc
+    a1, a2, dn = n0h * t0 - n1v * t1, n1h * t1 - n0v * t0, nh - nv
+    step = min(1.0 / abs(dn) / 40.0, (hi - lo) / 100.0)
+    coarse = np.arange(lo, hi + step, step)
+    coarse = coarse[coarse <= hi]
+    if coarse[-1] < hi:
+        coarse = np.append(coarse, hi)
+    env = np.exp(-0.5 * (a1 + dn * coarse) ** 2) + np.exp(-0.5 * (a2 + dn * coarse) ** 2)
+    interior = (env[1:-1] >= env[:-2]) & (env[1:-1] >= env[2:])
+    n_max = max(n0h, n0v, n1h, n1v, nh, nv)
+    fine_step = np.pi / (8.0 * abs(mu) * n_max) if mu else step
+    brackets = [
+        (max(lo, float(coarse[idx]) - step), min(hi, float(coarse[idx]) + step))
+        for idx in [0, len(coarse) - 1] + list(np.nonzero(interior)[0] + 1)
+    ]
+    return brackets, fine_step
+
+
+def fine_grid(a, b, fine_step):
+    if a == b:  # a bracket of no width, as one narrower than an ulp becomes
+        return np.array([a])
+    fine = np.arange(a, b + fine_step, fine_step)
+    return fine[fine <= b]
+
+
+@st.composite
+def peak_searches(draw):
+    """A config, as the numbers the references read, and a scan range in
+    laboratory times; the arms' delays may be long enough for the estimator
+    regime, or short enough for strong interference."""
+    def indices():
+        n_v = draw(st.floats(1.4, 1.6))
+        return n_v + draw(st.floats(0.005, 0.03)) * draw(st.sampled_from([-1, 1])), n_v
+
+    arms = [(*indices(), draw(st.floats(0.0, 40.0))) for _ in range(2)]
+    out = indices()
+    mu = draw(st.one_of(st.just(0.0), st.floats(1.0, 500.0)))
+    theta = draw(st.floats(-np.pi, np.pi))
+    doc = (arms[0], arms[1], out, mu, theta)
+    start = max(arms[0][2], arms[1][2])
+    (n0h, n0v, t0), (n1h, n1v, t1) = arms
+    reach = (max(abs(n0h * t0 - n1v * t1), abs(n1h * t1 - n0v * t0)) + 10.0) / abs(out[0] - out[1])
+    t_lo = start + draw(st.floats(-0.1, 0.6)) * reach
+    t_hi = t_lo + draw(st.floats(0.0, 1.0)) * reach
+    return doc, (t_lo, t_hi)
+
+
+def config_of(doc):
+    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, theta = doc
+    s = 1.0 / np.sqrt(2.0)
+    return InterferometerConfig(
+        FrequencyDistribution(mu),
+        InteractionWindow(n0h, n0v, 0.0, t0),
+        InteractionWindow(n1h, n1v, 0.0, t1),
+        InteractionWindow(nh, nv, max(t0, t1), np.inf),
+        PolarizationState(s, s, theta),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(peak_searches())
+def test_bisected_peak_is_at_least_the_fine_grid_maximum(search):
+    doc, (t_lo, t_hi) = search
+    cfg = config_of(doc)
+    start = cfg.window_out.t_start
+    lo, hi = max(t_lo, start) - start, max(t_hi, start) - start
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            t_max, peak = lambda_peak(cfg, (t_lo, t_hi))
+        except PeakNotFound:
+            t_max, peak = None, 0.0
+    if hi == lo:
+        brackets, fine_step = [(lo, lo)], np.inf
+    else:
+        brackets, fine_step = reference_brackets(doc, lo, hi)
+    # an envelope that underflows to a flat zero makes every coarse point a
+    # candidate; keep the reference's grids to a few million points
+    assume(sum((b - a) / fine_step for a, b in brackets) < 2e6)
+    grids = [fine_grid(a, b, fine_step) for a, b in brackets]
+    values = [reference_abs_lambda(doc, grid) for grid in grids]
+    best = max(float(v.max()) for v in values)
+    if t_max is None:
+        assert best < PEAK_FLOOR_TOL + 1e-15
+        return
+    assert peak >= best - 1e-15
+    assert peak == pytest.approx(float(reference_abs_lambda(doc, t_max)), abs=1e-15)
+
+    # the grid's argmax locates the peak to one step where it is unique: the
+    # best bracket's maximum is not flat on the grid, and every other
+    # bracket's peak stays clearly below it; that margin covers how far a
+    # grid point may miss the top of a hump of curvature up to 2 dn^2
+    k = max(range(len(grids)), key=lambda j: values[j].max())
+    grid, value = grids[k], values[k]
+    j = int(np.argmax(value))
+    where = float(grid[j])
+    flat = any(0 <= i < len(value) and value[i] >= value[j] for i in (j - 1, j + 1))
+    dn = doc[2][0] - doc[2][1]
+    margin = 4.0 * (dn * fine_step) ** 2 + 1e-12
+    rivals = [
+        float(v.max()) for g, v in zip(grids, values)
+        if abs(float(g[np.argmax(v)]) - where) > 2.0 * fine_step
+    ]
+    if not flat and all(r < best - margin for r in rivals):
+        assert abs(t_max - where) <= fine_step
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_closed_form_slope_matches_central_differences(seed, where):
+    cfg = random_config(np.random.default_rng(seed))
+    dn = cfg.window_out.delta_n
+    a1, a2 = _cross_delays(cfg)
+    total = where * (max(abs(a1), abs(a2)) + 5.0) / abs(dn)
+    # a step of 1e-4 in the cross delays: truncation ~1e-8, phase rounding ~1e-8
+    step = 1e-4 / abs(dn)
+    up, down = (abs(_lambda_of_total_time(cfg, total + s)) ** 2 for s in (step, -step))
+    slope = _lambda_slope(cfg)(total)
+    assert slope / dn == pytest.approx((up - down) / (2.0 * step) / dn, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

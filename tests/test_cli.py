@@ -553,18 +553,22 @@ def test_estimate_full_interference_exits_3(capsys):
     )
 
 
+def estimate_fields(out):
+    return dict(line.split(": ") for line in out.strip().splitlines())
+
+
 @pytest.mark.parametrize("mu", [1e12, 1e300])
-def test_estimate_refuses_a_mu_too_fast_for_the_peak_search(tmp_path, mu, capsys):
-    # resolving the oscillation at mu = 1e12 would take ~2e13 points around
-    # each peak candidate of the dtau10 windows
+def test_estimate_takes_a_mu_of_any_size(tmp_path, mu, capsys):
+    # mu enters |Lambda| only through a constant phase: the peak search needs
+    # no grid that resolves it, and the peak stays where it is at mu = 400
+    assert main(["estimate", "--config", write_config(tmp_path, BASELINE)]) == 0
+    want = float(estimate_fields(capsys.readouterr().out)["peak_total_interaction_time"])
     doc = dict(BASELINE, distribution={"mu_over_sigma": mu})
-    assert main(["estimate", "--config", write_config(tmp_path, doc)]) == 2
+    assert main(["estimate", "--config", write_config(tmp_path, doc)]) == 0
     captured = capsys.readouterr()
-    assert captured.err == (
-        f"config error: distribution.mu_over_sigma: {mu:g} needs over {MAX_GRID_POINTS} "
-        "points per peak candidate\n"
-    )
-    assert captured.out == ""
+    assert captured.err == ""
+    got = float(estimate_fields(captured.out)["peak_total_interaction_time"])
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("flag, run, field", [
@@ -730,6 +734,18 @@ def test_oracle_check_honours_run_n_freq(tmp_path, capsys):
     # the flag still takes precedence over the config
     assert main(["oracle-check", "--config", path, "--n-freq", "2001"]) == 0
     assert "verdict: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("theta", [1.7e308, 7.0])
+def test_oracle_check_passes_at_a_theta_beyond_pi(tmp_path, theta, capsys):
+    # theta is reduced to [-pi, pi]; unreduced, 1.7e308 swallowed every
+    # mu * x added to it
+    doc = json.loads(json.dumps(BASELINE))
+    doc["polarization"]["theta"] = theta
+    assert main(["oracle-check", "--config", write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert "verdict: PASS" in captured.out
+    assert captured.err == ""
 
 
 def _refuse_to_build_a_grid(monkeypatch):

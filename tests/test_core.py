@@ -189,6 +189,28 @@ def test_polarization_must_be_normalized():
             PolarizationState(c_h, 0.1)
 
 
+@given(st.floats(-math.pi, math.pi))
+def test_polarization_keeps_a_theta_within_pi(theta):
+    assert PolarizationState(1.0, 0.0, theta).theta == theta
+
+
+@pytest.mark.parametrize("theta, reduced", [
+    (7.0, 7.0 - 2.0 * math.pi),
+    (-7.0, 2.0 * math.pi - 7.0),
+    (1.7e308, math.remainder(1.7e308, 2.0 * math.pi)),
+])
+def test_polarization_reduces_theta_beyond_pi(theta, reduced):
+    got = PolarizationState(1.0, 0.0, theta).theta
+    assert -math.pi <= got <= math.pi
+    assert got == pytest.approx(reduced, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_polarization_refuses_a_theta_not_finite(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        PolarizationState(1.0, 0.0, theta)
+
+
 def test_window_ordering_enforced():
     with pytest.raises(ValueError):
         InteractionWindow(1.55, 1.54, 10.0, 5.0)
@@ -320,6 +342,16 @@ def matrices_near_the_tolerances(draw):
     return [[a, c.conjugate()], [c, d]], unit
 
 
+def closed_form_lowest(m):
+    """The smallest eigenvalue DensityMatrix computes for a Hermitian m, read
+    from the message with which it refuses m lowered by 2 PSD_TOL."""
+    shift = 2.0 * PSD_TOL
+    with pytest.raises(ValueError, match="semidefinite") as info:
+        DensityMatrix(np.asarray(m, dtype=complex) - shift * np.eye(2),
+                      require_unit_trace=False)
+    return float(str(info.value).rsplit(" ", 1)[1]) + shift
+
+
 @settings(max_examples=600, deadline=None)
 @given(matrices_near_the_tolerances())
 # Hermitian within tolerance, but only the lower triangle, which eigvalsh
@@ -328,9 +360,23 @@ def matrices_near_the_tolerances(draw):
 # an off-diagonal defect whose exact modulus, 1.00000000000000005e-12, rounds
 # to HERMITICITY_TOL, and which numpy's complex abs rounds one ulp above it
 @example(([[1.0, -9.792452874065205e-13 + 2.0267872876086712e-13j], [0j, 0.0]], False))
+# a smallest eigenvalue 2.2e-17 above -PSD_TOL, which tr/2 - hypot puts
+# 8.9e-17 below it
+@example(([[1.000000000001, 0], [0, -9.999778782798785e-13]], False))
 def test_density_matrix_checks_agree_with_eigvalsh(case):
     m, unit = case
-    assert closed_form_verdict(m, unit) == eigvalsh_verdict(m, unit)
+    want = eigvalsh_verdict(m, unit)
+    lowest = np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0]
+    # within a few roundings of the trace of -PSD_TOL, the closed form and
+    # eigvalsh may fall on opposite sides of it: there their smallest
+    # eigenvalues must agree instead
+    band = 4.0 * np.finfo(float).eps * max(abs(np.trace(np.asarray(m)).real), 1.0)
+    got = closed_form_verdict(m, unit)
+    if want == "Hermitian" or abs(lowest + PSD_TOL) > band:
+        assert got == want
+    else:
+        assert got == want or "positive semidefinite" in (got, want)
+        assert abs(closed_form_lowest(m) - lowest) <= band
 
 
 def array_message(matrices):
