@@ -19,7 +19,6 @@ from .core import (
 from .errors import EstimatorOutOfRegime, PeakNotFound
 from .interferometer import (
     LOCATION_STAGES,
-    _cross_delays,
     _lambda_of_total_time,
     _lambda_slope,
     averaged_state_outside,
@@ -111,15 +110,6 @@ def blp_measure(series: TraceDistanceSeries) -> float:
     return float(inc[inc > RISE_TOL].sum())
 
 
-def _lambda_envelope(cfg: InterferometerConfig, total: np.ndarray) -> np.ndarray:
-    """Smooth upper envelope: sum of the two term moduli."""
-    a1, a2 = _cross_delays(cfg)
-    dn_out = cfg.window_out.delta_n
-    e1 = np.exp(-0.5 * (a1 + dn_out * total) ** 2)
-    e2 = np.exp(-0.5 * (a2 + dn_out * total) ** 2)
-    return e1 + e2
-
-
 def _slope_root(slope, a: float, b: float) -> float:
     """Where |Lambda| stops rising in [a, b]: when ``slope``, d|Lambda|^2/dT,
     is positive at a and not at b, the last time with a positive slope,
@@ -160,7 +150,7 @@ def lambda_peak(
         raise ValueError(f"scan_range: [{t_lo:g}, {t_hi:g}] is not ordered")
     lo = float(effective_time(cfg.window_out, t_lo))
     hi = float(effective_time(cfg.window_out, t_hi))
-    dn_out = cfg.window_out.delta_n
+    dn_out = cfg.outside_terms.dn_out
 
     if dn_out == 0.0 or hi == lo:
         peak = float(np.abs(_lambda_of_total_time(cfg, np.array([lo]))[0]))
@@ -179,9 +169,11 @@ def lambda_peak(
     coarse = coarse[coarse <= hi]
     if coarse[-1] < hi:
         coarse = np.append(coarse, hi)
-    env = _lambda_envelope(cfg, coarse)
-
-    interior = (env[1:-1] >= env[:-2]) & (env[1:-1] >= env[2:])
+    # smooth upper envelope of |Lambda|: the sum of its two term moduli
+    env = (np.exp(-0.5 * (cfg.outside_terms.a_1 + dn_out * coarse) ** 2)
+           + np.exp(-0.5 * (cfg.outside_terms.a_2 + dn_out * coarse) ** 2))
+    # strict on the left: where the envelope underflowed to a flat 0, no candidates
+    interior = (env[1:-1] > env[:-2]) & (env[1:-1] >= env[2:])
     candidates = [0, len(coarse) - 1] + list(np.nonzero(interior)[0] + 1)
 
     slope = _lambda_slope(cfg)
@@ -214,9 +206,9 @@ def auto_scan_range(cfg: InterferometerConfig) -> tuple[float, float]:
     """Laboratory times from the output start to comfortably past any
     recoherence peak: the larger cross delay plus ten spectral widths, undone
     at the outside birefringence, or 100 time units without birefringence."""
-    a1, a2 = _cross_delays(cfg)
-    dn_out = abs(cfg.window_out.delta_n)
-    reach = (max(abs(a1), abs(a2)) + 10.0) / dn_out if dn_out else 100.0
+    terms = cfg.outside_terms
+    dn_out = abs(terms.dn_out)
+    reach = (max(abs(terms.a_1), abs(terms.a_2)) + 10.0) / dn_out if dn_out else 100.0
     t_start = cfg.window_out.t_start
     return t_start, min(t_start + reach, cfg.window_out.t_stop)
 
@@ -230,7 +222,7 @@ def check_estimator_regime(cfg: InterferometerConfig) -> None:
         raise EstimatorOutOfRegime(
             f"interference weights ({kh!r}, {kv!r}) are not negligible"
         )
-    if cfg.window_out.delta_n == 0.0:
+    if cfg.outside_terms.dn_out == 0.0:
         raise EstimatorOutOfRegime(
             "output coupling has zero birefringence: no delay is accumulated"
         )

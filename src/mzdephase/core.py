@@ -9,6 +9,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +116,26 @@ class InteractionWindow:
         return self.t_stop - self.t_start
 
 
+class OutsideTerms(NamedTuple):
+    """The time-independent terms of the closed forms after the output beam
+    splitter: the path delays d_j = dn_j tau_j and the cross delays a_1 =
+    n_h0 tau_0 - n_v1 tau_1, a_2 = n_h1 tau_1 - n_v0 tau_0, each shifted by
+    dn_out T after a total outside interaction time T; the interference
+    weights, twice the real decoherence factor at the optical path difference
+    of each polarization; each port's population weights (2 +- kappa) / 4;
+    and the port probabilities, which sum to one."""
+
+    d_0: float
+    d_1: float
+    a_1: float
+    a_2: float
+    dn_out: float
+    kappa_h: float
+    kappa_v: float
+    port_weights: tuple[tuple[float, float], tuple[float, float]]
+    port_probabilities: tuple[float, float]
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Full experiment description: spectrum, the two inside couplings, the
@@ -136,6 +158,24 @@ class InterferometerConfig:
                 "output coupling starts at "
                 f"{self.window_out.t_start}, before the inside couplings end at {latest}"
             )
+
+    @cached_property
+    def outside_terms(self) -> OutsideTerms:
+        """OutsideTerms, computed on first use and kept; == and hash ignore
+        them.  The weights are Python floats."""
+        w0, w1 = self.window0, self.window1
+        t0, t1 = w0.duration, w1.duration
+        kh = 2.0 * kappa_of_delay(self.dist, 0.0, w0.n_h * t0 - w1.n_h * t1).real
+        kv = 2.0 * kappa_of_delay(self.dist, 0.0, w0.n_v * t0 - w1.n_v * t1).real
+        p0 = (2.0 + abs(self.pol.c_h) ** 2 * kh + abs(self.pol.c_v) ** 2 * kv) / 4.0
+        return OutsideTerms(
+            d_0=w0.delta_n * t0, d_1=w1.delta_n * t1,
+            a_1=w0.n_h * t0 - w1.n_v * t1, a_2=w1.n_h * t1 - w0.n_v * t0,
+            dn_out=self.window_out.delta_n, kappa_h=kh, kappa_v=kv,
+            port_weights=(((2.0 + kh) / 4.0, (2.0 + kv) / 4.0),
+                          ((2.0 - kh) / 4.0, (2.0 - kv) / 4.0)),
+            port_probabilities=(p0, 1.0 - p0),
+        )
 
 
 class DensityMatrix:

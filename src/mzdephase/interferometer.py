@@ -46,37 +46,20 @@ LOCATION_STAGES = {
 
 
 def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
-    """Real interference weights (kappa_H, kappa_V) at the output beam splitter.
-
-    They originate from the cross-terms between the two inside paths evaluated
-    at the full coupling durations: twice the real part of the decoherence
-    factor at the optical path difference of each polarization component.
-    Time-independent; returned as Python floats.
-    """
-    w0, w1 = cfg.window0, cfg.window1
-    t0, t1 = w0.duration, w1.duration
-    kh = kappa_of_delay(cfg.dist, 0.0, w0.n_h * t0 - w1.n_h * t1)
-    kv = kappa_of_delay(cfg.dist, 0.0, w0.n_v * t0 - w1.n_v * t1)
-    return 2.0 * kh.real, 2.0 * kv.real
-
-
-def _cross_delays(cfg: InterferometerConfig) -> tuple[float, float]:
-    """Inside delays between the H component of one path and the V component
-    of the other; the outside coupling shifts both and their cancellation
-    produces the recoherence peak."""
-    t0, t1 = cfg.window0.duration, cfg.window1.duration
-    a1 = cfg.window0.n_h * t0 - cfg.window1.n_v * t1
-    a2 = cfg.window1.n_h * t1 - cfg.window0.n_v * t0
-    return a1, a2
+    """Real interference weights (kappa_H, kappa_V) at the output beam splitter,
+    time-independent Python floats read from ``cfg.outside_terms``: the
+    cross-terms between the two inside paths at the full coupling durations."""
+    return cfg.outside_terms.kappa_h, cfg.outside_terms.kappa_v
 
 
 def _lambda_of_total_time(cfg: InterferometerConfig, total):
-    """Cross-term transfer after a total outside interaction time."""
-    a1, a2 = _cross_delays(cfg)
-    shift = cfg.window_out.delta_n * total
+    """Cross-term transfer after a total outside interaction time, whose
+    cancelling cross delays produce the recoherence peak."""
+    terms = cfg.outside_terms
+    shift = terms.dn_out * total
     theta = cfg.pol.theta
-    return kappa_of_delay(cfg.dist, theta, a1 + shift) + kappa_of_delay(
-        cfg.dist, theta, a2 + shift
+    return kappa_of_delay(cfg.dist, theta, terms.a_1 + shift) + kappa_of_delay(
+        cfg.dist, theta, terms.a_2 + shift
     )
 
 
@@ -89,8 +72,8 @@ def _lambda_slope(cfg: InterferometerConfig):
     to i mu |Lambda|^2, which has no real part, so what is left is
     -2 dn_out sum_i x_i Re(conj(Lambda) kappa(x_i)).
     """
-    a1, a2 = _cross_delays(cfg)
-    dn_out = cfg.window_out.delta_n
+    terms = cfg.outside_terms
+    a1, a2, dn_out = terms.a_1, terms.a_2, terms.dn_out
     dist, theta = cfg.dist, cfg.pol.theta
 
     def slope(total):
@@ -106,11 +89,10 @@ def _lambda_slope(cfg: InterferometerConfig):
 def _shifted_kappas(cfg: InterferometerConfig, total):
     """Decoherence factors of both paths after a total outside interaction
     time: the outside delay added on top of each full inside delay."""
-    shift = cfg.window_out.delta_n * total
-    return tuple(
-        kappa_of_delay(cfg.dist, cfg.pol.theta, window.delta_n * window.duration + shift)
-        for window in (cfg.window0, cfg.window1)
-    )
+    terms = cfg.outside_terms
+    shift = terms.dn_out * total
+    return (kappa_of_delay(cfg.dist, cfg.pol.theta, terms.d_0 + shift),
+            kappa_of_delay(cfg.dist, cfg.pol.theta, terms.d_1 + shift))
 
 
 def _check_index(kind: str, j) -> None:
@@ -131,12 +113,6 @@ def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
     k0, k1 = _shifted_kappas(cfg, total)
     lam = _lambda_of_total_time(cfg, total)
     return (k0 + k1 + lam) / 4.0 if jp == 0 else (k0 + k1 - lam) / 4.0
-
-
-def _port_weight(kappa: float, jp: int) -> float:
-    """Population weight of the unnormalized port-jp state for the
-    interference weight of that polarization."""
-    return (2.0 + (-1) ** jp * kappa) / 4.0
 
 
 def _check_inside_time(cfg: InterferometerConfig, t: float):
@@ -169,18 +145,9 @@ def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
     """Detection probabilities of the two output ports.
 
     Interference weights, weighted by the input populations, on top of the
-    balanced 1/2 background; the two always sum to one.
+    balanced 1/2 background (``cfg.outside_terms``); they sum to one.
     """
-    return _port_probabilities(cfg, *interference_kappas(cfg))
-
-
-def _port_probabilities(
-    cfg: InterferometerConfig, kh: float, kv: float
-) -> tuple[float, float]:
-    ph = abs(cfg.pol.c_h) ** 2
-    pv = abs(cfg.pol.c_v) ** 2
-    p0 = (2.0 + ph * kh + pv * kv) / 4.0
-    return p0, 1.0 - p0
+    return cfg.outside_terms.port_probabilities
 
 
 def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
@@ -189,9 +156,9 @@ def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
     return min(weight_h, weight_v) < ZERO_F_TOL
 
 
-def _bright_port(probs: tuple[float, float], jp: int) -> float:
+def _bright_port(cfg: InterferometerConfig, jp: int) -> float:
     """The conditioning probability of port jp; a dark port raises."""
-    prob = probs[jp]
+    prob = cfg.outside_terms.port_probabilities[jp]
     if prob < DARK_PORT_TOL:
         raise ImpossibleOutcome(
             f"output port {jp} has probability {prob!r}; cannot condition on it"
@@ -253,12 +220,11 @@ def _closed_form(
     if conditioning is None:
         k0, k1 = _shifted_kappas(cfg, effective_time(cfg.window_out, times))
         return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
-    kh, kv = interference_kappas(cfg)
     transfer = coherence_transfer(cfg, conditioning, times)
-    weight_h, weight_v = _port_weight(kh, conditioning), _port_weight(kv, conditioning)
+    weight_h, weight_v = cfg.outside_terms.port_weights[conditioning]
     if _lacks_coherence(weight_h, weight_v):
         transfer = np.zeros_like(transfer)  # not its roundoff
-    prob = _bright_port(_port_probabilities(cfg, kh, kv), conditioning) if normalized else 1.0
+    prob = _bright_port(cfg, conditioning) if normalized else 1.0
     return transfer, weight_h, weight_v, prob
 
 
@@ -293,12 +259,14 @@ def _closed_form_states(
 
 def _states(pop_h: float, pop_v: float, coherence: np.ndarray) -> np.ndarray:
     """The stack rho[..., a, b] of [[pop_h, coherence], [coherence^*, pop_v]],
-    one matrix per entry of ``coherence``."""
-    rho = np.empty(np.shape(coherence) + (2, 2), dtype=complex)
-    rho[..., 0, 0] = pop_h
-    rho[..., 0, 1] = coherence
-    rho[..., 1, 0] = np.conj(coherence)
-    rho[..., 1, 1] = pop_v
+    one matrix per entry of ``coherence``; a scalar (Python or numpy) gives
+    one 2x2 matrix, indexed without the ellipsis."""
+    rho = np.empty(getattr(coherence, "shape", ()) + (2, 2), dtype=complex)
+    at = (...,) if rho.ndim > 2 else ()
+    rho[at + (0, 0)] = pop_h
+    rho[at + (0, 1)] = coherence
+    rho[at + (1, 0)] = coherence.conjugate()
+    rho[at + (1, 1)] = pop_v
     return rho
 
 

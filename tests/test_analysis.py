@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from conftest import preset, random_config
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mzdephase import analysis
 from mzdephase.analysis import (
     PEAK_FLOOR_TOL,
     TraceDistanceSeries,
+    auto_scan_range,
     backflow_intervals,
     blp_measure,
     estimate_interaction_time_difference,
@@ -23,7 +26,6 @@ from mzdephase.core import (
 )
 from mzdephase.errors import EstimatorOutOfRegime, ImpossibleOutcome, PeakNotFound
 from mzdephase.interferometer import (
-    _cross_delays,
     _lambda_of_total_time,
     _lambda_slope,
     coherence_transfer,
@@ -197,6 +199,25 @@ def test_peak_of_dtau10_is_where_its_first_cross_delay_cancels(baseline):
     assert peak == pytest.approx(1.0, abs=1e-15)
 
 
+def test_an_envelope_underflowed_to_zero_brackets_no_candidates(baseline, monkeypatch):
+    # arms of 100 and 20: the cross delays start at 124.4 and -123.3, so the
+    # envelope is a flat 0 on most of the coarse scan; only its two ends and
+    # the one hump around the second cancellation point are bisected
+    cfg = replace(
+        baseline,
+        window0=replace(baseline.window0, t_stop=100.0),
+        window1=replace(baseline.window1, t_stop=20.0),
+        window_out=replace(baseline.window_out, t_start=100.0),
+    )
+    brackets = []
+    slope_root = analysis._slope_root
+    monkeypatch.setattr(
+        analysis, "_slope_root", lambda *args: brackets.append(args) or slope_root(*args)
+    )
+    assert lambda_peak(cfg, auto_scan_range(cfg)) == (13704.4444444446, 1.0)
+    assert len(brackets) == 3
+
+
 @pytest.mark.parametrize("mu", [1e12, 1e300])
 def test_peak_search_takes_a_mu_of_any_size(baseline, mu):
     # mu enters |Lambda| only through a constant phase, so the peak stays put
@@ -342,7 +363,7 @@ def test_bisected_peak_is_at_least_the_fine_grid_maximum(search):
 def test_closed_form_slope_matches_central_differences(seed, where):
     cfg = random_config(np.random.default_rng(seed))
     dn = cfg.window_out.delta_n
-    a1, a2 = _cross_delays(cfg)
+    a1, a2 = cfg.outside_terms.a_1, cfg.outside_terms.a_2
     total = where * (max(abs(a1), abs(a2)) + 5.0) / abs(dn)
     # a step of 1e-4 in the cross delays: truncation ~1e-8, phase rounding ~1e-8
     step = 1e-4 / abs(dn)

@@ -1,6 +1,14 @@
+import copy
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import EQUAL_H, PRESETS, preset, random_config
+from conftest import EQUAL_H, PRESETS, preset, random_config, random_polarization
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mzdephase import channels, core, interferometer
 
 from mzdephase.analysis import LOCATIONS, trace_distance_series
 from mzdephase.channels import single_path_state
@@ -158,6 +166,93 @@ def test_output_functions_invariants():
             lhs = 4.0 * coherence_transfer(cfg, jp, ts)
             rhs = k0 + k1 + (-1) ** jp * lam
             np.testing.assert_allclose(lhs, rhs, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the per-config table of outside terms
+# ---------------------------------------------------------------------------
+
+def expected_terms(cfg):
+    """Every entry of cfg.outside_terms recomputed from the windows, the
+    spectrum and the polarization."""
+    w0, w1, out, pol = cfg.window0, cfg.window1, cfg.window_out, cfg.pol
+    t0, t1 = w0.t_stop - w0.t_start, w1.t_stop - w1.t_start
+    kh = 2.0 * kappa_of_delay(cfg.dist, 0.0, w0.n_h * t0 - w1.n_h * t1).real
+    kv = 2.0 * kappa_of_delay(cfg.dist, 0.0, w0.n_v * t0 - w1.n_v * t1).real
+    p0 = (2.0 + abs(pol.c_h) ** 2 * kh + abs(pol.c_v) ** 2 * kv) / 4.0
+    return {
+        "d_0": (w0.n_h - w0.n_v) * t0,
+        "d_1": (w1.n_h - w1.n_v) * t1,
+        "a_1": w0.n_h * t0 - w1.n_v * t1,
+        "a_2": w1.n_h * t1 - w0.n_v * t0,
+        "dn_out": out.n_h - out.n_v,
+        "kappa_h": kh,
+        "kappa_v": kv,
+        "port_weights": (((2.0 + kh) / 4.0, (2.0 + kv) / 4.0),
+                         ((2.0 - kh) / 4.0, (2.0 - kv) / 4.0)),
+        "port_probabilities": (p0, 1.0 - p0),
+    }
+
+
+def _changed(cfg, field, rng):
+    """cfg with one field replaced by a valid, different value."""
+    if field == "dist":
+        return replace(cfg, dist=core.FrequencyDistribution(cfg.dist.mu + 1.0))
+    if field == "pol":
+        return replace(cfg, pol=random_polarization(rng))
+    window = getattr(cfg, field)
+    return replace(cfg, **{field: replace(window, n_h=window.n_h + 0.001)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["dist", "window0", "window1", "window_out", "pol"]))
+def test_outside_terms_are_their_formulas_and_follow_every_field(seed, field):
+    cfg = random_config(np.random.default_rng(seed))
+    twin = random_config(np.random.default_rng(seed))
+    key = hash(cfg)
+    terms = cfg.outside_terms
+    assert terms._asdict() == expected_terms(cfg)
+    assert all(type(x) is float for x in (terms.kappa_h, terms.kappa_v, *terms.port_probabilities))
+    # the table is neither compared nor hashed, and is computed once
+    assert cfg == twin and hash(cfg) == hash(twin) == key
+    assert cfg.outside_terms is terms
+    for other in (copy.copy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert other == cfg and hash(other) == key
+        assert other.outside_terms == terms
+    changed = _changed(cfg, field, np.random.default_rng(seed + 1))
+    assert changed != cfg
+    assert changed.outside_terms._asdict() == expected_terms(changed)
+    assert changed.outside_terms is not terms
+
+
+def _counted_kernel(monkeypatch) -> list:
+    """Record every kappa_of_delay call, wherever the package looks it up."""
+    calls = []
+    kernel = core.kappa_of_delay
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    for module in (core, channels, interferometer):
+        monkeypatch.setattr(module, "kappa_of_delay", counting)
+    return calls
+
+
+def test_a_warm_config_evaluates_only_the_transfer_terms(monkeypatch, baseline):
+    calls = _counted_kernel(monkeypatch)
+    conditional_state_outside(baseline, 0, 500.0)
+    # the table's two interference weights, once, and the four transfer terms
+    assert len(calls) == 6
+    for jp, t in ((0, 700.0), (1, 1665.0)):
+        calls.clear()
+        conditional_state_outside(baseline, jp, t)
+        assert len(calls) == 4
+    calls.clear()
+    interference_kappas(baseline)
+    path_probabilities(baseline)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from mzdephase.core import (
 )
 from mzdephase.errors import ZeroCoherenceFactor
 from mzdephase.interferometer import (
-    _port_weight,
     coherence_transfer,
     conditional_state_outside,
     interference_kappas,
@@ -125,7 +124,7 @@ def test_unit_weights_give_trace_preserving_map():
 def test_completeness_deficiency_is_population_weights(baseline):
     kh, kv = interference_kappas(baseline)
     op = kraus_conditional(baseline, 0, 500.0)
-    want = np.eye(2) - np.diag([_port_weight(kh, 0), _port_weight(kv, 0)])
+    want = np.eye(2) - np.diag([(2.0 + kh) / 4.0, (2.0 + kv) / 4.0])
     np.testing.assert_allclose(op.completeness_deficiency, want, atol=1e-14)
 
 
