@@ -2,6 +2,7 @@
 optical-path-difference estimation from output-side memory effects."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -9,7 +10,6 @@ import numpy as np
 
 from ._intervals import RISE_TOL, merge_rising_steps
 from .core import (
-    MAX_GRID_POINTS,
     DensityMatrix,
     InterferometerConfig,
     PolarizationState,
@@ -35,6 +35,10 @@ INTERFERENCE_TOL = 1e-6
 
 # recoherence signals below this floor are treated as absent
 PEAK_FLOOR_TOL = 1e-12
+
+# |Lambda| <= e^{-x1^2/2} + e^{-x2^2/2}, which is below PEAK_FLOOR_TOL once
+# both cross delays x_i exceed this in modulus
+PEAK_REACH = math.sqrt(2.0 * math.log(2.0 / PEAK_FLOOR_TOL))
 
 
 @dataclass(frozen=True)
@@ -133,24 +137,26 @@ def lambda_peak(
     """Locate the global maximum of the cross-term transfer modulus.
 
     Returns (t_max, peak_value) where t_max is the total outside interaction
-    time at the maximum of |Lambda|.  A coarse scan of the smooth two-term
-    envelope brackets the candidates.  |Lambda|^2 is a sum of Gaussians in T
-    whose mean frequency enters only through a constant phase, so it does not
-    oscillate in T: in each bracket the candidate is the root of the
-    closed-form slope d|Lambda|^2/dT, found by bisection down to adjacent
-    floats, or a bracket end where |Lambda| is larger.  Raises PeakNotFound
-    when the signal stays below ``PEAK_FLOOR_TOL`` over the whole range;
-    warns when a second, well-separated candidate comes within 1% of the
-    global maximum.  Raises ValueError, its message led by ``scan_range``,
-    for a range not ordered or, before allocating, one whose envelope scan
-    would take more than ``MAX_GRID_POINTS`` points.
+    time at the maximum of |Lambda|.  |Lambda| can reach ``PEAK_FLOOR_TOL``
+    only in the two windows of total time where a cross delay x_i is at most
+    ``PEAK_REACH`` in modulus; a coarse scan of |Lambda| over each window,
+    clipped to the range, brackets the candidates: its strict local maxima
+    and the range ends.  |Lambda|^2 is a sum of Gaussians in T whose mean
+    frequency enters only through a constant phase, so it does not oscillate
+    in T: in each bracket the candidate is the root of the closed-form slope
+    d|Lambda|^2/dT, found by bisection down to adjacent floats, or a bracket
+    end where |Lambda| is larger.  Raises PeakNotFound when the signal stays
+    below ``PEAK_FLOOR_TOL`` over the whole range; warns when a second,
+    well-separated candidate comes within 1% of the global maximum.  Raises
+    ValueError, its message led by ``scan_range``, for a range not ordered.
     """
     t_lo, t_hi = scan_range
     if t_hi < t_lo:
         raise ValueError(f"scan_range: [{t_lo:g}, {t_hi:g}] is not ordered")
     lo = float(effective_time(cfg.window_out, t_lo))
     hi = float(effective_time(cfg.window_out, t_hi))
-    dn_out = cfg.outside_terms.dn_out
+    terms = cfg.outside_terms
+    dn_out = terms.dn_out
 
     if dn_out == 0.0 or hi == lo:
         peak = float(np.abs(_lambda_of_total_time(cfg, np.array([lo]))[0]))
@@ -158,38 +164,33 @@ def lambda_peak(
             raise PeakNotFound("cross-term transfer below floor over the scan range")
         return lo, peak
 
-    # coarse stage on the envelope; its width in total time is 1/|dn'|
-    width = 1.0 / abs(dn_out)
-    coarse_step = min(width / 40.0, (hi - lo) / 100.0)
-    if not hi - lo < MAX_GRID_POINTS * coarse_step:
-        raise ValueError(
-            f"scan_range: [{t_lo:g}, {t_hi:g}] needs over {MAX_GRID_POINTS} envelope points"
-        )
-    coarse = np.arange(lo, hi + coarse_step, coarse_step)
-    coarse = coarse[coarse <= hi]
-    if coarse[-1] < hi:
-        coarse = np.append(coarse, hi)
-    # smooth upper envelope of |Lambda|: the sum of its two term moduli
-    env = (np.exp(-0.5 * (cfg.outside_terms.a_1 + dn_out * coarse) ** 2)
-           + np.exp(-0.5 * (cfg.outside_terms.a_2 + dn_out * coarse) ** 2))
-    # strict on the left: where the envelope underflowed to a flat 0, no candidates
-    interior = (env[1:-1] > env[:-2]) & (env[1:-1] >= env[2:])
-    candidates = [0, len(coarse) - 1] + list(np.nonzero(interior)[0] + 1)
-
+    # coarse stage at 1/40 of the width 1/|dn'| of each term of |Lambda|
+    coarse_step = min(1.0 / abs(dn_out) / 40.0, (hi - lo) / 100.0)
     slope = _lambda_slope(cfg)
     best = []  # (peak value, total time) per candidate
-    for idx in candidates:
-        a = max(lo, float(coarse[idx]) - coarse_step)
-        b = min(hi, float(coarse[idx]) + coarse_step)
-        best.append(max(
-            (abs(_lambda_of_total_time(cfg, t)), t) for t in (a, _slope_root(slope, a, b), b)
-        ))
+    for a_i in (terms.a_1, terms.a_2):
+        ends = sorted(((-PEAK_REACH - a_i) / dn_out, (PEAK_REACH - a_i) / dn_out))
+        w_lo, w_hi = max(lo, ends[0]), min(hi, ends[1])
+        if not w_lo <= w_hi:  # the window misses the range
+            continue
+        coarse = np.append(np.arange(w_lo, w_hi, coarse_step), w_hi)
+        modulus = np.abs(_lambda_of_total_time(cfg, coarse))
+        # strict on the left: where |Lambda| underflowed to a flat 0, no
+        # candidates.  A window end inside the range is none either: its own
+        # term is below the floor there, so a hump of the other term there
+        # peaks inside the other window
+        interior = (modulus[1:-1] > modulus[:-2]) & (modulus[1:-1] >= modulus[2:])
+        candidates = [t for t in (w_lo, w_hi) if t in (lo, hi)]
+        for c in candidates + coarse[1:-1][interior].tolist():
+            a, b = max(lo, c - coarse_step), min(hi, c + coarse_step)
+            best.append(max(
+                (abs(_lambda_of_total_time(cfg, t)), t) for t in (a, _slope_root(slope, a, b), b)
+            ))
 
     best.sort(reverse=True)
-    peak_value, t_max = best[0]
-    if peak_value < PEAK_FLOOR_TOL:
+    if not best or best[0][0] < PEAK_FLOOR_TOL:
         raise PeakNotFound("cross-term transfer below floor over the scan range")
-
+    peak_value, t_max = best[0]
     for value, where in best[1:]:
         separated = abs(where - t_max) > 2.0 * coarse_step
         if separated and value > 0.99 * peak_value:

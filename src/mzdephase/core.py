@@ -21,8 +21,7 @@ TRACE_TOL = 1e-12
 UNIT_TRACE_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
 
-# largest number of points one grid may hold: a time grid, a frequency grid,
-# or a stage of the recoherence peak search
+# largest number of points one grid may hold: a time grid or a frequency grid
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -63,7 +62,7 @@ class PolarizationState:
             norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
         except OverflowError:  # an amplitude beyond the float range
             norm = math.inf
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails it too
             raise ValueError(f"|c_h|^2 + |c_v|^2 = {norm!r}, expected 1")
 
     @classmethod
@@ -90,7 +89,8 @@ class InteractionWindow:
     """One birefringent medium: refractive indices and the interval in which
     the polarization-frequency coupling is switched on.
 
-    t_stop may be math.inf for a coupling that runs freely once started.
+    The indices must be finite; t_stop may be math.inf for a coupling that
+    runs freely once started.
     """
 
     n_h: float
@@ -99,9 +99,11 @@ class InteractionWindow:
     t_stop: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.n_h) and math.isfinite(self.n_v)):
+            raise ValueError(f"n_h {self.n_h} and n_v {self.n_v} must be finite")
         if not math.isfinite(self.t_start):
             raise ValueError("t_start must be finite")
-        if self.t_start > self.t_stop:
+        if not self.t_start <= self.t_stop:  # NaN fails it too
             raise ValueError(
                 f"t_start {self.t_start} must not exceed t_stop {self.t_stop}"
             )
@@ -167,7 +169,7 @@ class InterferometerConfig:
         t0, t1 = w0.duration, w1.duration
         kh = 2.0 * kappa_of_delay(self.dist, 0.0, w0.n_h * t0 - w1.n_h * t1).real
         kv = 2.0 * kappa_of_delay(self.dist, 0.0, w0.n_v * t0 - w1.n_v * t1).real
-        p0 = (2.0 + abs(self.pol.c_h) ** 2 * kh + abs(self.pol.c_v) ** 2 * kv) / 4.0
+        p0 = float((2.0 + abs(self.pol.c_h) ** 2 * kh + abs(self.pol.c_v) ** 2 * kv) / 4.0)
         return OutsideTerms(
             d_0=w0.delta_n * t0, d_1=w1.delta_n * t1,
             a_1=w0.n_h * t0 - w1.n_v * t1, a_2=w1.n_h * t1 - w0.n_v * t0,

@@ -121,7 +121,7 @@ def max_component_delay(cfg: InterferometerConfig, times) -> np.ndarray:
     return np.max(delays, axis=0) - np.min(delays, axis=0)
 
 
-def alias_free_delay(cfg: InterferometerConfig, grid: FrequencyGrid) -> float:
+def alias_free_delay(grid: FrequencyGrid) -> float:
     """Largest component delay the trapezoid grid resolves: its alias period
     2*pi/h, at which the sum of e^(i*omega*x) repeats its value at x = 0, less
     ``ALIAS_MARGIN`` spectral widths."""

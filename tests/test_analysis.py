@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import preset, random_config
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzdephase import analysis
 from mzdephase.analysis import (
     PEAK_FLOOR_TOL,
+    PEAK_REACH,
     TraceDistanceSeries,
     auto_scan_range,
     backflow_intervals,
@@ -199,10 +200,11 @@ def test_peak_of_dtau10_is_where_its_first_cross_delay_cancels(baseline):
     assert peak == pytest.approx(1.0, abs=1e-15)
 
 
-def test_an_envelope_underflowed_to_zero_brackets_no_candidates(baseline, monkeypatch):
-    # arms of 100 and 20: the cross delays start at 124.4 and -123.3, so the
-    # envelope is a flat 0 on most of the coarse scan; only its two ends and
-    # the one hump around the second cancellation point are bisected
+def test_only_the_hump_inside_a_cancellation_window_is_bisected(baseline, monkeypatch):
+    # arms of 100 and 20: the cross delays start at 124.4 and -123.3, so
+    # |Lambda| underflows to a flat 0 on most of the range; only the one hump
+    # around the second cancellation point is bisected, and the range ends,
+    # outside both windows, are no candidates
     cfg = replace(
         baseline,
         window0=replace(baseline.window0, t_stop=100.0),
@@ -215,7 +217,7 @@ def test_an_envelope_underflowed_to_zero_brackets_no_candidates(baseline, monkey
         analysis, "_slope_root", lambda *args: brackets.append(args) or slope_root(*args)
     )
     assert lambda_peak(cfg, auto_scan_range(cfg)) == (13704.4444444446, 1.0)
-    assert len(brackets) == 3
+    assert len(brackets) == 1
 
 
 @pytest.mark.parametrize("mu", [1e12, 1e300])
@@ -229,10 +231,40 @@ def test_peak_search_takes_a_mu_of_any_size(baseline, mu):
     assert t_max == pytest.approx(lambda_peak(baseline, (60.0, 3000.0))[0], rel=1e-12)
 
 
-def test_peak_search_refuses_a_scan_range_before_allocating(baseline):
-    # ~4e19 envelope steps of 1/40 of its width 1/0.009
-    with pytest.raises(ValueError, match=r"^scan_range: \[60, 1e\+20\] "):
-        lambda_peak(baseline, (60.0, 1e20))
+def test_peak_search_takes_a_scan_range_of_any_length(baseline):
+    # ~4e19 steps of 1/40 of the width 1/0.009, of which only the two
+    # cancellation windows are scanned
+    assert lambda_peak(baseline, (60.0, 1e20)) == lambda_peak(baseline, auto_scan_range(baseline))
+
+
+@pytest.mark.parametrize("long_range", [False, True])
+def test_each_coarse_scan_holds_at_most_604_points(baseline, long_range, monkeypatch):
+    # a window is 2 PEAK_REACH widths long, sampled at 40 points a width
+    # and at its closing end
+    assert int(2 * PEAK_REACH * 40) + 2 == 604
+    sizes = []
+    of_total_time = analysis._lambda_of_total_time
+    monkeypatch.setattr(
+        analysis, "_lambda_of_total_time",
+        lambda cfg, total: sizes.append(np.size(total)) or of_total_time(cfg, total),
+    )
+    for cfg in [baseline] + [random_config(np.random.default_rng(seed)) for seed in range(20)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                lambda_peak(cfg, (60.0, 1e20) if long_range else auto_scan_range(cfg))
+            except PeakNotFound:
+                pass
+    assert max(sizes) == 604
+
+
+def test_peak_of_two_humps_of_one_term_pair_is_the_higher_one():
+    # cross delays differing by between sqrt(2) and 2 (here 1.73): |Lambda|
+    # has two humps, while the sum of the term moduli has one between them
+    doc = ((1.4806799882369013, 1.5, 2.0), (1.509765625, 1.5, 1.4375), (1.515625, 1.5), 1.0, 0.0)
+    t_max, peak = lambda_peak(config_of(doc), (2.0, 695.1015625))
+    assert peak >= 1.0228531563
+    assert t_max == pytest.approx(44.7384, abs=1e-3)
 
 
 def reference_abs_lambda(doc, total):
@@ -247,33 +279,13 @@ def reference_abs_lambda(doc, total):
     ))
 
 
-def reference_brackets(doc, lo, hi):
-    """The brackets the peak search refines in, [a, b] around each envelope
-    candidate, and the step pi / (8 mu n_max) at which it sampled them before
-    its slope bisection."""
-    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, _ = doc
-    a1, a2, dn = n0h * t0 - n1v * t1, n1h * t1 - n0v * t0, nh - nv
-    step = min(1.0 / abs(dn) / 40.0, (hi - lo) / 100.0)
-    coarse = np.arange(lo, hi + step, step)
-    coarse = coarse[coarse <= hi]
-    if coarse[-1] < hi:
-        coarse = np.append(coarse, hi)
-    env = np.exp(-0.5 * (a1 + dn * coarse) ** 2) + np.exp(-0.5 * (a2 + dn * coarse) ** 2)
-    interior = (env[1:-1] >= env[:-2]) & (env[1:-1] >= env[2:])
-    n_max = max(n0h, n0v, n1h, n1v, nh, nv)
-    fine_step = np.pi / (8.0 * abs(mu) * n_max) if mu else step
-    brackets = [
-        (max(lo, float(coarse[idx]) - step), min(hi, float(coarse[idx]) + step))
-        for idx in [0, len(coarse) - 1] + list(np.nonzero(interior)[0] + 1)
-    ]
-    return brackets, fine_step
-
-
-def fine_grid(a, b, fine_step):
-    if a == b:  # a bracket of no width, as one narrower than an ulp becomes
-        return np.array([a])
-    fine = np.arange(a, b + fine_step, fine_step)
-    return fine[fine <= b]
+def reference_scan(doc, lo, hi):
+    """|Lambda| over the whole [lo, hi] in total time, on a uniform grid of
+    200,001 points (one point for a range of no width), and the grid step."""
+    if hi == lo:
+        return np.array([lo]), np.array([float(reference_abs_lambda(doc, lo))]), np.inf
+    grid = np.linspace(lo, hi, 200_001)
+    return grid, reference_abs_lambda(doc, grid), grid[1] - grid[0]
 
 
 @st.composite
@@ -323,16 +335,8 @@ def test_bisected_peak_is_at_least_the_fine_grid_maximum(search):
             t_max, peak = lambda_peak(cfg, (t_lo, t_hi))
         except PeakNotFound:
             t_max, peak = None, 0.0
-    if hi == lo:
-        brackets, fine_step = [(lo, lo)], np.inf
-    else:
-        brackets, fine_step = reference_brackets(doc, lo, hi)
-    # an envelope that underflows to a flat zero makes every coarse point a
-    # candidate; keep the reference's grids to a few million points
-    assume(sum((b - a) / fine_step for a, b in brackets) < 2e6)
-    grids = [fine_grid(a, b, fine_step) for a, b in brackets]
-    values = [reference_abs_lambda(doc, grid) for grid in grids]
-    best = max(float(v.max()) for v in values)
+    grid, value, step = reference_scan(doc, lo, hi)
+    best = float(value.max())
     if t_max is None:
         assert best < PEAK_FLOOR_TOL + 1e-15
         return
@@ -340,22 +344,19 @@ def test_bisected_peak_is_at_least_the_fine_grid_maximum(search):
     assert peak == pytest.approx(float(reference_abs_lambda(doc, t_max)), abs=1e-15)
 
     # the grid's argmax locates the peak to one step where it is unique: the
-    # best bracket's maximum is not flat on the grid, and every other
-    # bracket's peak stays clearly below it; that margin covers how far a
-    # grid point may miss the top of a hump of curvature up to 2 dn^2
-    k = max(range(len(grids)), key=lambda j: values[j].max())
-    grid, value = grids[k], values[k]
+    # maximum is not flat on the grid, and every other local maximum of the
+    # grid stays clearly below it; that margin covers how far a grid point
+    # may miss the top of a hump of curvature up to 2 dn^2
     j = int(np.argmax(value))
     where = float(grid[j])
     flat = any(0 <= i < len(value) and value[i] >= value[j] for i in (j - 1, j + 1))
     dn = doc[2][0] - doc[2][1]
-    margin = 4.0 * (dn * fine_step) ** 2 + 1e-12
-    rivals = [
-        float(v.max()) for g, v in zip(grids, values)
-        if abs(float(g[np.argmax(v)]) - where) > 2.0 * fine_step
-    ]
+    margin = 4.0 * (dn * step) ** 2 + 1e-12
+    padded = np.concatenate(([-np.inf], value, [-np.inf]))
+    maxima = np.flatnonzero((value > padded[:-2]) & (value >= padded[2:]))
+    rivals = [float(value[i]) for i in maxima if abs(float(grid[i]) - where) > 2.0 * step]
     if not flat and all(r < best - margin for r in rivals):
-        assert abs(t_max - where) <= fine_step
+        assert abs(t_max - where) <= step
 
 
 @settings(max_examples=200, deadline=None)

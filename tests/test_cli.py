@@ -571,21 +571,20 @@ def test_estimate_takes_a_mu_of_any_size(tmp_path, mu, capsys):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("flag, run, field", [
-    (["--grid", "60:1e20:1e19"], {}, "grid"),
-    ([], {"grid": "60:1e20:1e19"}, "run.grid"),
+@pytest.mark.parametrize("flag, run", [
+    (["--grid", "60:1e20:1e19"], {}),
+    ([], {"grid": "60:1e20:1e19"}),
 ])
-def test_estimate_refuses_a_scan_range_too_long_for_the_peak_search(
-    tmp_path, flag, run, field, capsys
-):
-    # eleven grid times, but ~4e19 steps of 1/40 of the envelope's width
+def test_estimate_takes_a_scan_range_of_any_length(tmp_path, flag, run, capsys):
+    # eleven grid times, but ~4e19 steps of 1/40 of the width 1/0.009, of
+    # which the peak search samples only the two cancellation windows
+    assert main(["estimate", "--config", write_config(tmp_path, BASELINE)]) == 0
+    want = capsys.readouterr().out
     path = write_config(tmp_path, dict(BASELINE, run=run))
-    assert main(["estimate", "--config", path, *flag]) == 2
+    assert main(["estimate", "--config", path, *flag]) == 0
     captured = capsys.readouterr()
-    assert captured.err == (
-        f"config error: {field}: [60, 1e+20] needs over {MAX_GRID_POINTS} envelope points\n"
-    )
-    assert captured.out == ""
+    assert captured.out == want
+    assert captured.err == ""
 
 
 def test_estimate_searches_the_peak_once(tmp_path, monkeypatch, capsys):

@@ -211,9 +211,25 @@ def test_polarization_refuses_a_theta_not_finite(theta):
         PolarizationState(1.0, 0.0, theta)
 
 
+def test_polarization_refuses_a_nan_amplitude():
+    for c_h, c_v in ((complex(math.nan), 0.7), (0.7, math.nan), (complex(0.7, math.nan), 0.7)):
+        with pytest.raises(ValueError, match="expected 1"):
+            PolarizationState(c_h, c_v)
+
+
 def test_window_ordering_enforced():
     with pytest.raises(ValueError):
         InteractionWindow(1.55, 1.54, 10.0, 5.0)
+    with pytest.raises(ValueError, match="must not exceed t_stop nan"):
+        InteractionWindow(1.55, 1.54, 0.0, math.nan)
+
+
+@pytest.mark.parametrize("n_h, n_v", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf),
+])
+def test_window_refuses_indices_not_finite(n_h, n_v):
+    with pytest.raises(ValueError, match="must be finite"):
+        InteractionWindow(n_h, n_v, 0.0, 1.0)
 
 
 def test_density_matrix_rejects_non_hermitian():

@@ -305,6 +305,14 @@ def test_dark_port_conditioning_raises():
         match=r"^output port 1 has probability 0\.0; cannot condition on it$",
     ):
         conditional_state_outside(cfg, 1, 80.0)
+    # amplitudes given as numpy scalars leave the probability a Python float
+    numpy_plus = replace(cfg, pol=PolarizationState(1 / np.sqrt(2), 1 / np.sqrt(2)))
+    assert all(type(p) is float for p in numpy_plus.outside_terms.port_probabilities)
+    with pytest.raises(
+        ImpossibleOutcome,
+        match=r"^output port 1 has probability 0\.0; cannot condition on it$",
+    ):
+        conditional_state_outside(numpy_plus, 1, 80.0)
     # the unnormalized state of the dark port still constructs, with trace 0
     dark = conditional_state_outside(cfg, 1, 80.0, normalized=False)
     assert isinstance(dark, DensityMatrix)

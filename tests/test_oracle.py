@@ -125,7 +125,7 @@ def test_coherence_factors_match_oracle_trace_distance(cfg):
     pair = [replace(cfg, pol=s()) for s in (PolarizationState.plus, PolarizationState.minus)]
     for location, (stage, conditioning) in LOCATION_STAGES.items():
         times = stage_times[stage]
-        assert np.all(max_component_delay(cfg, times) <= alias_free_delay(cfg, grid))
+        assert np.all(max_component_delay(cfg, times) <= alias_free_delay(grid))
         try:
             got = np.abs(coherence_factors(cfg, location, times))
         except ImpossibleOutcome:
@@ -367,7 +367,7 @@ def test_path_blocks_match_per_time_amplitudes(cfg):
         "outside": np.linspace(start, start + 4000.0, 41),
     }
     for stage, times in stage_times.items():
-        times = times[max_component_delay(cfg, times) <= alias_free_delay(cfg, grid)]
+        times = times[max_component_delay(cfg, times) <= alias_free_delay(grid)]
         assert len(times) > 5
         got = _path_blocks(cfg, grid, times, stage)
         want = _reference_blocks(cfg, grid, times, stage)
@@ -384,7 +384,7 @@ def test_alias_free_delay_is_period_less_margin():
     cfg = preset("dtau10")
     for n in (201, 2001):
         step = 16.0 / (n - 1)
-        got = alias_free_delay(cfg, FrequencyGrid.build(cfg.dist, n=n))
+        got = alias_free_delay(FrequencyGrid.build(cfg.dist, n=n))
         assert got == pytest.approx(2.0 * np.pi / step - ALIAS_MARGIN, rel=1e-12)
 
 
