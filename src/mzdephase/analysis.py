@@ -87,13 +87,10 @@ def trace_distance_series(
     raise ImpossibleOutcome.
     """
     grid = np.asarray(grid, dtype=float)
-    values = np.empty(len(grid))
     cfg_p = replace(cfg, pol=PolarizationState.plus())
     cfg_m = replace(cfg, pol=PolarizationState.minus())
-    for k, t in enumerate(grid):
-        values[k] = trace_distance(
-            _state_at(cfg_p, location, t), _state_at(cfg_m, location, t)
-        )
+    values = [trace_distance(_state_at(cfg_p, location, t), _state_at(cfg_m, location, t))
+              for t in grid.tolist()]
     return TraceDistanceSeries(grid, values, location)
 
 
@@ -151,7 +148,7 @@ def lambda_peak(
     ValueError, its message led by ``scan_range``, for a range not ordered.
     """
     t_lo, t_hi = scan_range
-    if t_hi < t_lo:
+    if not t_lo <= t_hi:  # NaN fails it too
         raise ValueError(f"scan_range: [{t_lo:g}, {t_hi:g}] is not ordered")
     lo = float(effective_time(cfg.window_out, t_lo))
     hi = float(effective_time(cfg.window_out, t_hi))

@@ -185,17 +185,29 @@ class DensityMatrix:
 
     Hermiticity, positive semidefiniteness and trace bounds are enforced at
     construction.  Trace below one is only admitted for explicitly
-    unnormalized conditional states (``require_unit_trace=False``).
+    unnormalized conditional states (``require_unit_trace=False``).  The state
+    is its four entries, Python complex numbers, read from a nested 2x2 tuple
+    of Python numbers as they are and from any other input through numpy.
     """
 
-    __slots__ = ("_m", "_trace")
+    __slots__ = ("_entries", "_m", "_trace")
+    _NUMBERS = frozenset((int, float, complex))  # the types read without numpy
 
     def __init__(self, matrix, *, require_unit_trace: bool = True):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+        entries = None
+        row0, row1 = matrix if type(matrix) is tuple and len(matrix) == 2 else (None, None)
+        if type(row0) is type(row1) is tuple and len(row0) == len(row1) == 2:
+            (a, b), (c, d) = row0, row1
+            if {type(a), type(b), type(c), type(d)} <= self._NUMBERS:
+                # x - 0j is complex(x), signed zeros included, but cheaper
+                entries = (a - 0j, b - 0j, c - 0j, d - 0j)
+        if entries is None:
+            m = np.array(matrix, dtype=complex)
+            if m.shape != (2, 2):
+                raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+            entries = tuple(m.ravel().tolist())
         # every check is written so that a NaN fails it
-        a, b, c, d = m.ravel().tolist()
+        a, b, c, d = entries
         if not (
             2.0 * abs(a.imag) <= HERMITICITY_TOL
             and abs(b - c.conjugate()) <= HERMITICITY_TOL
@@ -214,13 +226,14 @@ class DensityMatrix:
             raise ValueError(f"trace {tr} outside [0, 1]")
         if require_unit_trace and not abs(tr - 1.0) <= UNIT_TRACE_TOL:
             raise ValueError(f"trace {tr} differs from 1")
-        m.setflags(write=False)
-        self._m = m
-        self._trace = tr
+        self._entries, self._m, self._trace = entries, None, tr
 
     @property
     def matrix(self) -> np.ndarray:
-        """The underlying (read-only) 2x2 array."""
+        """The underlying (read-only) 2x2 array, built on first read."""
+        if self._m is None:
+            self._m = np.array(self._entries, dtype=complex).reshape(2, 2)
+        self._m.setflags(write=False)  # numpy unpickles an array writeable
         return self._m
 
     @property
@@ -229,23 +242,23 @@ class DensityMatrix:
 
     @property
     def population_h(self) -> float:
-        return float(np.real(self._m[0, 0]))
+        return self._entries[0].real
 
     @property
     def population_v(self) -> float:
-        return float(np.real(self._m[1, 1]))
+        return self._entries[3].real
 
     @property
     def coherence(self) -> complex:
         """The off-diagonal <H|rho|V> element."""
-        return complex(self._m[0, 1])
+        return self._entries[1]
 
     @property
     def unit_trace(self) -> bool:
-        return abs(self.trace - 1.0) <= UNIT_TRACE_TOL
+        return abs(self._trace - 1.0) <= UNIT_TRACE_TOL
 
     def __repr__(self):
-        return f"DensityMatrix({self._m.tolist()!r})"
+        return f"DensityMatrix({[list(self._entries[:2]), list(self._entries[2:])]!r})"
 
 
 def check_density_matrices(m) -> None:
@@ -314,8 +327,8 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """
     if not a.unit_trace or not b.unit_trace:
         raise ValueError("trace distance requires unit-trace inputs")
-    a00, _, a10, a11 = a.matrix.ravel().tolist()
-    b00, _, b10, b11 = b.matrix.ravel().tolist()
+    a00, _, a10, a11 = a._entries
+    b00, _, b10, b11 = b._entries
     d00, d11 = a00.real - b00.real, a11.real - b11.real
     half = (d00 + d11) / 2.0
     r = math.hypot((d00 - d11) / 2.0, abs(a10 - b10))

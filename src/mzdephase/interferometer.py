@@ -9,6 +9,7 @@ factor; the brute-force cross-check lives in the oracle module.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -52,15 +53,22 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     return cfg.outside_terms.kappa_h, cfg.outside_terms.kappa_v
 
 
+def _shifted_kappas(cfg: InterferometerConfig, total, delays) -> list:
+    """Decoherence factors after a total outside interaction time: the
+    outside delay added on top of each of the given full inside delays."""
+    shift = cfg.outside_terms.dn_out * total
+    dist, theta = cfg.dist, cfg.pol.theta
+    kappas = []
+    for x in delays:
+        kappas.append(kappa_of_delay(dist, theta, x + shift))
+    return kappas
+
+
 def _lambda_of_total_time(cfg: InterferometerConfig, total):
     """Cross-term transfer after a total outside interaction time, whose
     cancelling cross delays produce the recoherence peak."""
-    terms = cfg.outside_terms
-    shift = terms.dn_out * total
-    theta = cfg.pol.theta
-    return kappa_of_delay(cfg.dist, theta, terms.a_1 + shift) + kappa_of_delay(
-        cfg.dist, theta, terms.a_2 + shift
-    )
+    k1, k2 = _shifted_kappas(cfg, total, (cfg.outside_terms.a_1, cfg.outside_terms.a_2))
+    return k1 + k2
 
 
 def _lambda_slope(cfg: InterferometerConfig):
@@ -86,33 +94,31 @@ def _lambda_slope(cfg: InterferometerConfig):
     return slope
 
 
-def _shifted_kappas(cfg: InterferometerConfig, total):
-    """Decoherence factors of both paths after a total outside interaction
-    time: the outside delay added on top of each full inside delay."""
-    terms = cfg.outside_terms
-    shift = terms.dn_out * total
-    return (kappa_of_delay(cfg.dist, cfg.pol.theta, terms.d_0 + shift),
-            kappa_of_delay(cfg.dist, cfg.pol.theta, terms.d_1 + shift))
-
-
 def _check_index(kind: str, j) -> None:
     """Raise ValueError unless j names inside path or output port 0 or 1."""
     if j not in (0, 1):
         raise ValueError(f"{kind} index {j!r} is neither 0 nor 1")
 
 
+def _check_times(times) -> None:
+    """Raise ValueError naming the first time that is NaN or infinite."""
+    if not (isinstance(times, float) and math.isfinite(times)):
+        for t in np.asarray(times, dtype=float)[~np.isfinite(times)].flat:
+            raise ValueError(f"time {float(t)!r} is not finite")
+
+
 def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
     """Conditional coherence transfer factor f_jp of output port jp.
 
     A quarter of the two shifted path factors plus (port 0) or minus (port 1)
-    the cross-term transfer.  Accepts scalar or array laboratory times.  A
-    port index other than 0 or 1 raises ValueError.
+    the cross-term transfer, at scalar or array laboratory times.  A port
+    index other than 0 or 1, or a time that is not finite, raises ValueError.
     """
     _check_index("port", jp)
-    total = effective_time(cfg.window_out, t)
-    k0, k1 = _shifted_kappas(cfg, total)
-    lam = _lambda_of_total_time(cfg, total)
-    return (k0 + k1 + lam) / 4.0 if jp == 0 else (k0 + k1 - lam) / 4.0
+    _check_times(t)
+    terms, total = cfg.outside_terms, effective_time(cfg.window_out, t)
+    k0, k1, l1, l2 = _shifted_kappas(cfg, total, (terms.d_0, terms.d_1, terms.a_1, terms.a_2))
+    return (k0 + k1 + (l1 + l2)) / 4.0 if jp == 0 else (k0 + k1 - (l1 + l2)) / 4.0
 
 
 def _check_inside_time(cfg: InterferometerConfig, t: float):
@@ -206,8 +212,10 @@ def _closed_form(
     port, where they are its interference weights and, when ``normalized``,
     its probability; a dark port then raises ImpossibleOutcome, and a port
     without H-V coherence (_lacks_coherence) has a transfer of exactly zero.
-    A path or port index other than 0 or 1 raises ValueError.
+    An index other than 0 or 1, or a time not finite, raises ValueError.
     """
+    if stage == "inside" or conditioning is None:
+        _check_times(times)  # coherence_transfer checks a port's
     if stage == "inside":
         theta = cfg.pol.theta
         if conditioning is not None:
@@ -218,7 +226,8 @@ def _closed_form(
         k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
         return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
     if conditioning is None:
-        k0, k1 = _shifted_kappas(cfg, effective_time(cfg.window_out, times))
+        total, terms = effective_time(cfg.window_out, times), cfg.outside_terms
+        k0, k1 = _shifted_kappas(cfg, total, (terms.d_0, terms.d_1))
         return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
     transfer = coherence_transfer(cfg, conditioning, times)
     weight_h, weight_v = cfg.outside_terms.port_weights[conditioning]
@@ -228,45 +237,42 @@ def _closed_form(
     return transfer, weight_h, weight_v, prob
 
 
+def _entries(cfg: InterferometerConfig, transfer, weight_h, weight_v, prob):
+    """(pop_h, pop_v, coherence) of the closed-form state of these terms."""
+    pol, scale = cfg.pol, 1.0 / prob
+    return (weight_h * abs(pol.c_h) ** 2 * scale, weight_v * abs(pol.c_v) ** 2 * scale,
+            pol.c_h * pol.c_v.conjugate() * transfer * scale)
+
+
 def _state(
     cfg: InterferometerConfig, stage: str, conditioning, t: float, normalized=True
 ) -> DensityMatrix:
     """The closed-form state at a (stage, conditioning) location at one time,
-    a one-state view of _closed_form_states.  Inside, t must lie in
+    built from _closed_form's scalar terms.  Inside, t must lie in
     [0, window_out.t_start]."""
     if stage == "inside":
         _check_inside_time(cfg, t)
-    rho = _closed_form_states(cfg, stage, conditioning, t, normalized)
-    return DensityMatrix(rho, require_unit_trace=normalized)
+    pop_h, pop_v, coh = _entries(cfg, *_closed_form(cfg, stage, conditioning, t, normalized))
+    return DensityMatrix(((pop_h, coh), (coh.conjugate(), pop_v)), require_unit_trace=normalized)
 
 
 def _closed_form_states(
     cfg: InterferometerConfig, stage: str, conditioning, times, normalized: bool = True
 ) -> np.ndarray:
     """The closed-form states rho[..., a, b] at a (stage, conditioning)
-    location, one per entry of ``times``, a scalar or an array.  Conditional
-    states are scaled by the reciprocal port probability unless
-    ``normalized`` is false."""
-    transfer, weight_h, weight_v, prob = _closed_form(cfg, stage, conditioning, times, normalized)
-    pol = cfg.pol
-    scale = 1.0 / prob
-    return _states(
-        weight_h * abs(pol.c_h) ** 2 * scale,
-        weight_v * abs(pol.c_v) ** 2 * scale,
-        pol.c_h * pol.c_v.conjugate() * transfer * scale,
-    )
+    location, one per entry of ``times``.  Conditional states are scaled by
+    the reciprocal port probability unless ``normalized`` is false."""
+    return _states(*_entries(cfg, *_closed_form(cfg, stage, conditioning, times, normalized)))
 
 
 def _states(pop_h: float, pop_v: float, coherence: np.ndarray) -> np.ndarray:
     """The stack rho[..., a, b] of [[pop_h, coherence], [coherence^*, pop_v]],
-    one matrix per entry of ``coherence``; a scalar (Python or numpy) gives
-    one 2x2 matrix, indexed without the ellipsis."""
-    rho = np.empty(getattr(coherence, "shape", ()) + (2, 2), dtype=complex)
-    at = (...,) if rho.ndim > 2 else ()
-    rho[at + (0, 0)] = pop_h
-    rho[at + (0, 1)] = coherence
-    rho[at + (1, 0)] = coherence.conjugate()
-    rho[at + (1, 1)] = pop_v
+    one matrix per entry of ``coherence``."""
+    rho = np.empty(np.shape(coherence) + (2, 2), dtype=complex)
+    rho[..., 0, 0] = pop_h
+    rho[..., 0, 1] = coherence
+    rho[..., 1, 0] = coherence.conjugate()
+    rho[..., 1, 1] = pop_v
     return rho
 
 

@@ -174,9 +174,16 @@ def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperat
 
 
 def is_completely_positive(op: QuantumOperation) -> bool:
-    """Choi criterion: the map is CP iff its Choi matrix is PSD within CP_TOL."""
-    eigs = np.linalg.eigvalsh(op.choi)
-    return bool(eigs[0] >= -CP_TOL)
+    """Choi criterion: the map is CP iff its Choi matrix is PSD within CP_TOL,
+    from _diagonal_operation's spectrum where only the corners are nonzero."""
+    entries = op.choi.ravel().tolist()
+    if op.choi.shape == (4, 4) and not any(entries[1:3] + entries[4:12] + entries[13:15]):
+        # the real diagonal and the lower triangle, as eigvalsh reads them
+        h, g, v = entries[0].real, entries[12], entries[15].real
+        lowest = (h + v) / 2.0 - abs(complex((h - v) / 2.0, abs(g)))
+        if cmath.isfinite(lowest):
+            return lowest >= -CP_TOL
+    return bool(np.linalg.eigvalsh(op.choi)[0] >= -CP_TOL)
 
 
 class TraceCharacter(enum.Enum):

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -229,6 +230,13 @@ def test_peak_search_takes_a_mu_of_any_size(baseline, mu):
     )
     t_max, _ = lambda_peak(cfg, (60.0, 3000.0))
     assert t_max == pytest.approx(lambda_peak(baseline, (60.0, 3000.0))[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("scan_range", [(100.0, 60.0), (60.0, math.nan), (math.nan, 100.0)])
+def test_peak_search_refuses_a_scan_range_not_ordered(baseline, scan_range):
+    # a NaN end used to read as a dead signal (PeakNotFound)
+    with pytest.raises(ValueError, match=r"^scan_range: \[.*\] is not ordered$"):
+        lambda_peak(baseline, scan_range)
 
 
 def test_peak_search_takes_a_scan_range_of_any_length(baseline):

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +302,12 @@ def eigvalsh_verdict(m, require_unit_trace):
     return None
 
 
+def as_tuples(m):
+    """The nested 2x2 tuple of Python numbers that DensityMatrix reads
+    without numpy."""
+    return tuple(tuple(row) for row in m)
+
+
 def closed_form_verdict(m, require_unit_trace):
     try:
         DensityMatrix(m, require_unit_trace=require_unit_trace)
@@ -388,6 +397,9 @@ def test_density_matrix_checks_agree_with_eigvalsh(case):
     # eigenvalues must agree instead
     band = 4.0 * np.finfo(float).eps * max(abs(np.trace(np.asarray(m)).real), 1.0)
     got = closed_form_verdict(m, unit)
+    # the tuple form is read without numpy, to the same verdict and message
+    assert closed_form_verdict(as_tuples(m), unit) == got
+    assert scalar_message(as_tuples(m), unit) == scalar_message(m, unit)
     if want == "Hermitian" or abs(lowest + PSD_TOL) > band:
         assert got == want
     else:
@@ -451,6 +463,7 @@ def matrices_with_non_finite_entries(draw):
 def test_array_check_rejects_exactly_what_density_matrix_rejects(case):
     m, _ = case
     assert_same_rejection(array_message([m]), scalar_message(m, True))
+    assert scalar_message(as_tuples(m), True) == scalar_message(m, True)
 
 
 def test_array_check_names_the_first_rejected_matrix():
@@ -474,6 +487,56 @@ def unit_trace_states(draw):
     scale = draw(st.floats(0.0, 1.0)) / length if length > 1.0 else 1.0
     x, y, z = x * scale, y * scale, z * scale
     return DensityMatrix([[(1 + z) / 2, complex(x, -y) / 2], [complex(x, y) / 2, (1 - z) / 2]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_trace_states(), st.booleans())
+def test_tuple_and_array_forms_build_the_same_state(state, unit):
+    m = state.matrix.tolist()
+    if not unit:
+        m = [[x * 0.5 for x in row] for row in m]
+    from_array = DensityMatrix(np.array(m), require_unit_trace=unit)
+    from_tuple = DensityMatrix(as_tuples(m), require_unit_trace=unit)
+    # copies made before .matrix is first read build it just the same
+    copies = [copy.copy(from_tuple), pickle.loads(pickle.dumps(from_tuple))]
+    for got in [from_tuple, *copies]:
+        assert got.matrix.dtype == complex and got.matrix.shape == (2, 2)
+        assert got.matrix.tobytes() == from_array.matrix.tobytes()
+        assert not got.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got.matrix[0, 1] = 0.0
+        want_repr = f"DensityMatrix({np.array(m, dtype=complex).tolist()!r})"
+        assert repr(got) == repr(from_array) == want_repr
+        assert got.trace == from_array.trace and got.unit_trace == unit
+        assert type(got.population_h) is float and type(got.coherence) is complex
+        assert (got.population_h, got.population_v, got.coherence) == (
+            from_array.population_h, from_array.population_v, from_array.coherence)
+    # and so do copies made after it: no unpickled array is left writeable
+    for read in (copy.copy(from_tuple), pickle.loads(pickle.dumps(from_tuple))):
+        assert read.matrix.tobytes() == from_array.matrix.tobytes()
+        assert not read.matrix.flags.writeable
+    with pytest.raises(AttributeError):
+        from_tuple.coherence = 0j
+    with pytest.raises(AttributeError):
+        from_tuple.label = "rho"
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (((0.5, 0.0, 0.0), (0.0, 0.5, 0.0)), "expected a 2x2 matrix, got shape (2, 3)"),
+    (((0.5, 0.0),), "expected a 2x2 matrix, got shape (1, 2)"),
+    ((0.5, 0.5), "expected a 2x2 matrix, got shape (2,)"),
+])
+def test_a_tuple_of_another_shape_is_refused_as_an_array_is(matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DensityMatrix(matrix)
+
+
+def test_a_tuple_of_numpy_scalars_or_bools_builds_the_array_state():
+    for entries in [(np.float64(0.5), np.complex128(0.5), 0.5 + 0j, 0.5), (True, 0, 0, False)]:
+        matrix = (entries[:2], entries[2:])
+        want = DensityMatrix(np.array(matrix, dtype=complex))
+        got = DensityMatrix(matrix)
+        assert got.matrix.tobytes() == want.matrix.tobytes() and repr(got) == repr(want)
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,5 +1,7 @@
 import copy
+import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -161,7 +163,8 @@ def test_output_functions_invariants():
         total = effective_time(cfg.window_out, ts)
         lam = _lambda_of_total_time(cfg, total)
         assert np.all(np.abs(lam) <= 2.0 + 1e-12)
-        k0, k1 = _shifted_kappas(cfg, total)
+        terms = cfg.outside_terms
+        k0, k1 = _shifted_kappas(cfg, total, (terms.d_0, terms.d_1))
         for jp in (0, 1):
             lhs = 4.0 * coherence_transfer(cfg, jp, ts)
             rhs = k0 + k1 + (-1) ** jp * lam
@@ -367,6 +370,32 @@ def test_coherence_factors_reject_unknown_location(baseline):
     for evaluate in (coherence_factors, trace_distance_series):
         with pytest.raises(ValueError, match="unknown location"):
             evaluate(baseline, "nowhere", [60.0])
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_time_not_finite_is_refused_by_name(t):
+    # the dtau10 output coupling runs freely, so at t = inf the scalar kernel
+    # gave a state without coherence, and the array kernel RuntimeWarnings
+    cfg = preset("dtau10")
+    start = cfg.window_out.t_start
+    calls = {
+        "conditional_state_outside": lambda: conditional_state_outside(cfg, 0, t),
+        "unnormalized": lambda: conditional_state_outside(cfg, 1, t, normalized=False),
+        "averaged_state_outside": lambda: averaged_state_outside(cfg, t),
+        "path_state_inside": lambda: path_state_inside(cfg, 1, t),
+        "joint_state_inside": lambda: joint_state_inside(cfg, t),
+        "coherence_transfer": lambda: coherence_transfer(cfg, 0, t),
+        "coherence_transfer array": lambda: coherence_transfer(cfg, 1, np.array([start, t])),
+    }
+    for location in LOCATIONS:
+        times = [start if location.endswith("_out") else start / 2.0, t]
+        calls[f"coherence_factors {location}"] = (
+            lambda location=location, times=times: coherence_factors(cfg, location, times))
+        calls[f"trace_distance_series {location}"] = (
+            lambda location=location, times=times: trace_distance_series(cfg, location, times))
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=re.escape(repr(t))):
+            call()
 
 
 def test_pair_state_check_rejects_what_density_matrix_rejects():

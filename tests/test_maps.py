@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -293,6 +294,70 @@ def test_conditional_operation_choi_spectrum(h, v, f, theta):
 def test_propagator_choi_spectrum(f1, f2):
     op = propagator_from_coherence_factors(f1, f2)
     _assert_diagonal_choi_spectrum(op, 1.0, 1.0, f2 / f1)
+
+
+def _eigvalsh_verdict(op):
+    """is_completely_positive as LAPACK reads it: eigvalsh's smallest
+    eigenvalue of the Choi matrix, and that eigenvalue."""
+    lowest = np.linalg.eigvalsh(op.choi)[0]
+    return bool(lowest >= -CP_TOL), lowest
+
+
+_ENTRY = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def diagonal_or_kraus_maps(draw):
+    """A diagonal map, its weights possibly negative and |g|^2 / (h v) - 1
+    within or far from CP_TOL; or a map from one to three Kraus operators,
+    diagonal (so that only the Choi corners are nonzero) or not, its Choi
+    matrix possibly lowered by a multiple of the identity."""
+    if draw(st.booleans()):
+        h, v = draw(st.floats(-0.1, 1.0)), draw(st.floats(-0.1, 1.0))
+        excess = draw(st.one_of(_EXCESS, st.floats(-1.0, 1.0)))
+        gabs = np.sqrt(abs(h * v) * (1.0 + excess))
+        phase = np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        return maps._diagonal_operation(h, v, complex(gabs * phase))
+    diagonal = draw(st.booleans())
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = np.array([[draw(_ENTRY), draw(_ENTRY)], [draw(_ENTRY), draw(_ENTRY)]])
+        ops.append(np.diag(np.diag(k)) if diagonal else k)
+    choi = QuantumOperation.from_kraus(ops).choi
+    if draw(st.booleans()):
+        choi = choi - draw(st.floats(0.0, 0.5)) * np.eye(4)
+    return QuantumOperation(choi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(diagonal_or_kraus_maps())
+def test_cp_verdict_agrees_with_eigvalsh(op):
+    want, lowest = _eigvalsh_verdict(op)
+    # within a few roundings of -CP_TOL the closed form and LAPACK may fall
+    # on opposite sides of it
+    band = 8.0 * np.finfo(float).eps * max(np.max(np.abs(op.choi)), 1.0)
+    if abs(lowest + CP_TOL) > band:
+        assert is_completely_positive(op) is want
+
+
+def test_a_choi_matrix_nonzero_only_at_its_corners_takes_the_closed_form():
+    corners = [
+        conditional_operation(0.5, 0.3, 0.2 + 0.1j),
+        propagator_from_coherence_factors(0.5, 0.6j),
+        QuantumOperation.from_kraus([np.diag([0.6, 0.8j]), np.diag([0.1, 0.0])]),
+    ]
+    full = [QuantumOperation.from_kraus([np.array([[0.6, 0.1], [0.0, 0.8]])]),
+            QuantumOperation(np.diag([1.0, 0.0, 0.0, np.nan])), QuantumOperation(np.eye(2))]
+    want = [_eigvalsh_verdict(op)[0] for op in corners]
+    with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh called")):
+        assert [is_completely_positive(op) for op in corners] == want == [True, False, True]
+    for op in full:
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            try:
+                is_completely_positive(op)
+            except np.linalg.LinAlgError:
+                pass
+        assert spy.call_count == 1
 
 
 _RHO = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
