@@ -19,6 +19,7 @@ from .core import (
 from .errors import EstimatorOutOfRegime, PeakNotFound
 from .interferometer import (
     LOCATION_STAGES,
+    _check_times,
     _lambda_of_total_time,
     _lambda_slope,
     averaged_state_outside,
@@ -56,9 +57,11 @@ class TraceDistanceSeries:
             raise ValueError(f"unknown location {self.location!r}")
         if len(times) != len(values) or len(times) < 2:
             raise ValueError("times and values must have equal length >= 2")
-        if np.any(np.diff(times) <= 0):
+        _check_times(times)
+        # each check is written so that NaN fails it
+        if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        if values.min() < -1e-12 or values.max() > 1.0 + 1e-12:
+        if not (values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12):
             raise ValueError("trace distances must lie in [0, 1]")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)

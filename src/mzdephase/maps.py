@@ -1,19 +1,20 @@
-"""Choi matrices, Kraus forms, intermediate propagators and complete-positivity
-analysis of the conditional output dynamics.
+"""Intermediate propagators, Kraus forms and complete-positivity analysis of
+the conditional output dynamics.
 
-Every operation here is one diagonal map rho -> [[h rho_HH, g rho_HV],
-[g^* rho_VH, v rho_VV]], stored as its Choi matrix, whose only nonzero
-entries are h, g, g^* and v.  The conditional evolution on an output port
-takes h and v from its interference weights and g from the coherence transfer
+After the output beam splitter the conditional dynamics is pure dephasing
+with path-wise population weights, so every operation here is one diagonal
+map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH, v rho_VV]], stored as its
+three numbers (h, v, g).  The conditional evolution on an output port takes
+h and v from its interference weights and g from the coherence transfer
 factor f; it is CP and trace-non-increasing.  The propagator between two
 times has h = v = 1 and g = f(t2)/f(t1); it is CP exactly when |f| has not
 increased, and |f| divided by (h + v) / 2 is the trace distance of the
-maximally coherent input pair.  Complete positivity is the Choi spectrum's
-verdict, made once by is_completely_positive; a Kraus form is read from the
-same spectrum, and only where that verdict is CP.  Whether a port can be
-conditioned on is the port probability's verdict, and whether it carries H-V
-coherence for a map to act on is its interference weights' verdict; both are
-made in the interferometer module."""
+maximally coherent input pair.  The Choi matrix and the Kraus form are views
+of the three numbers; complete positivity is one closed-form verdict, made by
+is_completely_positive, and a Kraus form exists exactly where it is CP.
+Whether a port can be conditioned on is the port probability's verdict, and
+whether it carries H-V coherence for a map to act on is its interference
+weights' verdict; both are made in the interferometer module."""
 from __future__ import annotations
 
 import cmath
@@ -31,30 +32,35 @@ from .interferometer import ZERO_F_TOL, _closed_form, _lacks_coherence, coherenc
 CP_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuantumOperation:
-    """A qubit operation given by its Choi matrix sum_ij E(|i><j|) (x) |i><j|,
-    the one thing it stores: entry ((a, i), (b, j)) is <a|E(|i><j|)|b>.
+    """The diagonal qubit map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH,
+    v rho_VV]], given by its three numbers; a NaN or infinite one raises
+    ValueError naming it.
 
-    Every other view reads this matrix.  ``kraus`` gives the operators of the
-    Choi spectrum where the map is CP and None where it is not; a map that is
-    not CP keeps its Hermitian Choi matrix for inspection.
+    ``choi`` and ``kraus`` are views of (h, v, g).  ``kraus`` gives the
+    operators of the Choi spectrum where the map is CP and None where it is
+    not; a map that is not CP keeps its numbers for inspection.
     """
 
-    choi: np.ndarray
+    h: float
+    v: float
+    g: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "choi", np.asarray(self.choi, dtype=complex))
+        _check_finite(h=self.h, v=self.v, g=self.g)
+        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "v", float(self.v))
+        object.__setattr__(self, "g", complex(self.g))
 
-    @classmethod
-    def from_kraus(cls, kraus_ops) -> "QuantumOperation":
-        """Choi matrix sum_K vec(K) vec(K)^dag, with vec(K) = (K (x) 1)|Omega>
-        for |Omega> = |HH> + |VV>: K flattened row by row."""
+    @property
+    def choi(self) -> np.ndarray:
+        """Choi matrix sum_ij E(|i><j|) (x) |i><j|, whose entry ((a, i), (b, j))
+        is <a|E(|i><j|)|b>: h, g, g^* and v at its corners, zero elsewhere."""
+        h, v, g = self.h, self.v, self.g
         choi = np.zeros((4, 4), dtype=complex)
-        for op in kraus_ops:
-            vec = np.asarray(op, dtype=complex).reshape(4)
-            choi += np.outer(vec, vec.conj())
-        return cls(choi)
+        choi[0, 0], choi[0, 3], choi[3, 0], choi[3, 3] = h, g, g.conjugate(), v
+        return choi
 
     @property
     def kraus(self) -> list | None:
@@ -65,17 +71,9 @@ class QuantumOperation:
         eigs, vecs = np.linalg.eigh(self.choi)
         return [np.sqrt(l) * vecs[:, i].reshape(2, 2) for i, l in enumerate(eigs) if l > CP_TOL]
 
-    @property
-    def completeness_deficiency(self) -> np.ndarray:
-        """Hermitian matrix 1 - sum_i K_i^dag K_i (zero for trace preservation):
-        one minus the partial trace of the Choi matrix over the output."""
-        c = self.choi.reshape(2, 2, 2, 2)
-        return np.eye(2) - np.einsum("aiaj->ij", c).conj()
-
     def apply(self, rho) -> np.ndarray:
         """Apply the operation to a 2x2 matrix."""
-        c = self.choi.reshape(2, 2, 2, 2)
-        return np.einsum("aibj,ij->ab", c, np.asarray(rho, dtype=complex))
+        return np.asarray(rho, dtype=complex) * [[self.h, self.g], [self.g.conjugate(), self.v]]
 
 
 def _check_finite(**arguments) -> None:
@@ -83,18 +81,6 @@ def _check_finite(**arguments) -> None:
     for name, value in arguments.items():
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _diagonal_operation(h: float, v: float, g: complex) -> QuantumOperation:
-    """The diagonal map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH, v rho_VV]],
-    written as its closed-form Choi matrix: h, g, g^* and v at its corners.
-
-    For h, v > 0 its spectrum is 0, 0 and (h + v) / 2 +- |((h - v) / 2, g)|,
-    so it is CP exactly when |g|^2 <= h v.
-    """
-    choi = np.zeros((4, 4), dtype=complex)
-    choi[0, 0], choi[0, 3], choi[3, 0], choi[3, 3] = h, g, g.conjugate(), v
-    return QuantumOperation(choi)
 
 
 def conditional_operation(
@@ -113,7 +99,7 @@ def conditional_operation(
     _check_finite(h=h, v=v, f=f, theta=theta)
     if not (h > 0 and v > 0):
         raise ValueError(f"population weights ({h!r}, {v!r}) must be positive")
-    return _diagonal_operation(h, v, complex(f) * cmath.exp(-1j * theta))
+    return QuantumOperation(h, v, complex(f) * cmath.exp(-1j * theta))
 
 
 def _port_terms(cfg: InterferometerConfig, jp: int, times):
@@ -170,20 +156,16 @@ def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperat
     ratio = complex(f2) / complex(f1)
     if not cmath.isfinite(ratio):
         raise ValueError(f"f2/f1 must be finite, got {f2!r}/{f1!r}")
-    return _diagonal_operation(1.0, 1.0, ratio)
+    return QuantumOperation(1.0, 1.0, ratio)
 
 
 def is_completely_positive(op: QuantumOperation) -> bool:
-    """Choi criterion: the map is CP iff its Choi matrix is PSD within CP_TOL,
-    from _diagonal_operation's spectrum where only the corners are nonzero."""
-    entries = op.choi.ravel().tolist()
-    if op.choi.shape == (4, 4) and not any(entries[1:3] + entries[4:12] + entries[13:15]):
-        # the real diagonal and the lower triangle, as eigvalsh reads them
-        h, g, v = entries[0].real, entries[12], entries[15].real
-        lowest = (h + v) / 2.0 - abs(complex((h - v) / 2.0, abs(g)))
-        if cmath.isfinite(lowest):
-            return lowest >= -CP_TOL
-    return bool(np.linalg.eigvalsh(op.choi)[0] >= -CP_TOL)
+    """Choi criterion: the map is CP iff the lowest Choi eigenvalue,
+    (h + v) / 2 - |((h - v) / 2, g)|, is at least -CP_TOL; the spectrum is
+    0, 0 and (h + v) / 2 +- |((h - v) / 2, g)|.  It is read from the halves
+    of h and v, bit for bit the same wherever (h + v) / 2 does not overflow."""
+    h, v = op.h / 2.0, op.v / 2.0
+    return h + v - abs(complex(h - v, abs(op.g))) >= -CP_TOL
 
 
 class TraceCharacter(enum.Enum):
@@ -193,12 +175,12 @@ class TraceCharacter(enum.Enum):
 
 
 def trace_character(op: QuantumOperation) -> TraceCharacter:
-    """Classify 1 - sum K^dag K within CP_TOL: zero, PSD nonzero, or neither."""
-    deficiency = op.completeness_deficiency
-    eigs = np.linalg.eigvalsh(deficiency)
-    if np.max(np.abs(eigs)) <= CP_TOL:
+    """Classify the deficiency 1 - sum K^dag K = diag(1 - h, 1 - v) within
+    CP_TOL: zero, PSD nonzero, or neither."""
+    deficiency = (1.0 - op.h, 1.0 - op.v)
+    if max(map(abs, deficiency)) <= CP_TOL:
         return TraceCharacter.TRACE_PRESERVING
-    if eigs[0] >= -CP_TOL:
+    if min(deficiency) >= -CP_TOL:
         return TraceCharacter.TRACE_NON_INCREASING
     return TraceCharacter.INVALID
 

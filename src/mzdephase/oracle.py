@@ -26,7 +26,7 @@ import numpy as np
 from .core import DensityMatrix, FrequencyDistribution, InterferometerConfig, effective_time
 from .core import check_density_matrices, trace_distances
 from .errors import ImpossibleOutcome
-from .interferometer import LOCATION_STAGES, _closed_form_states, path_probabilities
+from .interferometer import LOCATION_STAGES, _check_times, _closed_form_states, path_probabilities
 
 DEFAULT_N_FREQ = 2001
 DEFAULT_HALF_WIDTH = 8.0  # in units of sigma
@@ -66,15 +66,18 @@ class FrequencyGrid:
         weights = np.asarray(self.weights, dtype=float)
         if omegas.ndim != 1 or omegas.shape != weights.shape or len(omegas) < 3:
             raise ValueError("omegas and weights must be equal-length 1d arrays")
-        if np.any(np.diff(omegas) <= 0):
+        # each check is written so that NaN fails it
+        if not np.all(np.diff(omegas) > 0):
             raise ValueError("omegas must be strictly increasing")
         object.__setattr__(self, "omegas", omegas)
+        if not math.isfinite(self.step):
+            raise ValueError(f"omegas must be finite, got ends {omegas[0]!r} and {omegas[-1]!r}")
         spread = np.max(np.abs(omegas - (omegas[0] + self.step * np.arange(len(omegas)))))
-        if spread > _UNIFORM_ULPS * np.spacing(np.max(np.abs(omegas))):
+        if not spread <= _UNIFORM_ULPS * np.spacing(np.max(np.abs(omegas))):
             raise ValueError(f"omegas must be uniform: {spread!r} off the line of their ends")
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):
             raise ValueError("weights must be non-negative")
-        if abs(weights.sum() - 1.0) > 1e-10:
+        if not abs(weights.sum() - 1.0) <= 1e-10:
             raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
         object.__setattr__(self, "weights", weights)
 
@@ -263,7 +266,10 @@ def oracle_state(
     conditioning : None, 0 or 1
         None averages over the path degree of freedom; an integer projects on
         that (inside path or output port) and normalizes.
+
+    A time that is NaN or infinite raises ValueError naming it.
     """
+    _check_times(t)
     rho, norm = _conditioned(_path_blocks(cfg, grid, np.array([t]), stage), [conditioning])
     rho, norm = rho[0, 0], norm[0, 0]
     if norm < _CONDITION_TOL:
@@ -274,7 +280,8 @@ def oracle_state(
 def oracle_port_probabilities(
     cfg: InterferometerConfig, grid: FrequencyGrid, t: float
 ) -> tuple[float, float]:
-    """Output-port weights from the evolved amplitudes."""
+    """Output-port weights from the evolved amplitudes; a time not finite raises."""
+    _check_times(t)
     p0, p1 = _port_weights(_path_blocks(cfg, grid, np.array([t]), "outside")[0])
     return float(p0), float(p1)
 
@@ -303,12 +310,17 @@ def oracle_compare(
     A stage's states are validated and compared as one batch.  The first
     cell, in (time, location) order and simulated before closed form, that
     DensityMatrix would reject raises its ValueError; a simulated
-    conditioning weight of zero raises ImpossibleOutcome.
+    conditioning weight of zero raises ImpossibleOutcome.  The first time
+    that is NaN, infinite or negative, which no stage would take, raises
+    ValueError naming it before anything is compared.
     """
     times = np.asarray(times, dtype=float)
+    for t in times[~((times >= 0) & (times < math.inf))].flat:
+        _check_times(float(t))
+        raise ValueError(f"time {float(t)!r} is negative")
     out_start = cfg.window_out.t_start
     stage_times = {
-        "inside": times[(times >= 0) & (times <= out_start)],
+        "inside": times[times <= out_start],
         "outside": times[times >= out_start],
     }
     worst_state = 0.0

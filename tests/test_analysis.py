@@ -63,6 +63,22 @@ def test_series_validation():
         TraceDistanceSeries(np.array([0.0, 1.0]), np.array([0.5, 1.5]), "path0")
 
 
+@pytest.mark.parametrize("times, values, message", [
+    ([0.0, 1.0, 2.0], [0.1, np.nan, 0.5], r"^trace distances must lie in \[0, 1\]$"),
+    ([0.0, 1.0], [np.nan, np.nan], r"^trace distances must lie in \[0, 1\]$"),
+    ([0.0, np.nan], [0.5, 0.4], "^time nan is not finite$"),
+    ([np.nan, 1.0, 2.0], [0.5, 0.4, 0.6], "^time nan is not finite$"),
+    ([0.0, np.inf], [0.1, 0.5], "^time inf is not finite$"),
+    ([np.inf, np.inf], [0.1, 0.5], "^time inf is not finite$"),
+])
+def test_series_validation_refuses_nan(times, values, message):
+    # a NaN value made blp_measure 0 and backflow_intervals empty, a silent
+    # verdict of no memory; a NaN or infinite time gave the interval
+    # (0.0, nan) or (0.0, inf), or a numpy RuntimeWarning
+    with pytest.raises(ValueError, match=message):
+        TraceDistanceSeries(np.array(times), np.array(values), "path0")
+
+
 def test_pathwise_series_equals_kappa_modulus_and_is_monotone(baseline):
     from mzdephase.channels import single_path_kappa
 

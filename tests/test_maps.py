@@ -36,71 +36,81 @@ from mzdephase.maps import (
     trace_character,
 )
 
-SWAP = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
-
-
 # ---------------------------------------------------------------------------
-# QuantumOperation plumbing
+# QuantumOperation: three numbers and their views
 # ---------------------------------------------------------------------------
 
 def test_identity_operation():
-    op = QuantumOperation.from_kraus([np.eye(2)])
+    op = QuantumOperation(1.0, 1.0, 1.0)
     rho = pure_density(PolarizationState.plus()).matrix
     np.testing.assert_array_equal(op.apply(rho), rho)
     assert is_completely_positive(op)
     assert trace_character(op) is TraceCharacter.TRACE_PRESERVING
 
 
-def test_transposition_via_choi_is_not_cp():
-    op = QuantumOperation(SWAP)
+def test_coherence_growth_is_not_cp_but_trace_preserving():
+    op = QuantumOperation(1.0, 1.0, 1.5j)
     assert not is_completely_positive(op)
     assert op.kraus is None
-    # transposition is still trace preserving
     assert trace_character(op) is TraceCharacter.TRACE_PRESERVING
 
 
-_ENTRY = st.floats(-2.0, 2.0)
-_OPERATOR = st.lists(st.builds(complex, _ENTRY, _ENTRY), min_size=4, max_size=4).map(
-    lambda entries: np.array(entries).reshape(2, 2)
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_OPERATOR, min_size=1, max_size=3))
-def test_choi_matches_the_kron_formula(operators):
-    omega = np.array([1.0, 0.0, 0.0, 1.0])
-    want = np.zeros((4, 4), dtype=complex)
-    for op in operators:
-        vec = np.kron(op, np.eye(2)) @ omega
-        want += np.outer(vec, vec.conj())
-    got = QuantumOperation.from_kraus(operators).choi
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+_RHO = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
 
 
 def _kraus_sum(kraus, rho):
     return sum(k @ rho @ k.conj().T for k in kraus)
 
 
-def test_choi_application_matches_kraus_application():
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        ops = (rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))) / 2.0
-        op = QuantumOperation.from_kraus(ops)
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = raw @ raw.conj().T
-        rho /= np.trace(rho).real
-        want = _kraus_sum(ops, rho)
-        np.testing.assert_allclose(op.apply(rho), want, atol=1e-13)
-        # the Kraus form read back from the Choi spectrum is the same map
-        np.testing.assert_allclose(_kraus_sum(op.kraus, rho), want, atol=1e-13)
+# |g|^2 / (h v) - 1 on both sides of the CP boundary, within and beyond CP_TOL
+_EXCESS = st.floats(-1e-9, 1e-9)
+# a weight anywhere in (0, 1.5), or within about CP_TOL of 1
+_ANY_WEIGHT = st.one_of(st.floats(1e-3, 1.5), st.floats(1.0 - 3e-10, 1.0 + 3e-10))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ANY_WEIGHT, _ANY_WEIGHT, st.one_of(_EXCESS, st.floats(-1.0, 1.0)),
+       st.floats(-np.pi, np.pi))
+def test_choi_matches_the_kron_formula(h, v, excess, phi):
+    # choi, kraus, apply and trace_character are views of (h, v, g): the
+    # Choi matrix is sum_K vec(K) vec(K)^dag of its own Kraus operators,
+    # with vec(K) = (K (x) 1)|Omega>, wherever the map is CP
+    g = np.sqrt(h * v * (1.0 + excess)) * np.exp(1j * phi)
+    op = QuantumOperation(h, v, g)
+    # the Choi contraction sum_ij <a|E(|i><j|)|b> rho_ij, either side of CP
+    want = np.einsum("aibj,ij->ab", op.choi.reshape(2, 2, 2, 2), _RHO)
+    np.testing.assert_allclose(op.apply(_RHO), want, rtol=0, atol=1e-15)
+    kraus = op.kraus
+    assert (kraus is None) == (not is_completely_positive(op))
+    if kraus is not None:
+        omega = np.array([1.0, 0.0, 0.0, 1.0])
+        kron = np.zeros((4, 4), dtype=complex)
+        for k in kraus:
+            vec = np.kron(k, np.eye(2)) @ omega
+            kron += np.outer(vec, vec.conj())
+        np.testing.assert_allclose(op.choi, kron, rtol=0, atol=2 * CP_TOL)
+        np.testing.assert_allclose(op.apply(_RHO), _kraus_sum(kraus, _RHO), rtol=0,
+                                   atol=2 * CP_TOL)
+    low, high = np.linalg.eigvalsh(np.diag([1.0 - h, 1.0 - v]))
+    if max(abs(low), abs(high)) <= CP_TOL:
+        want = TraceCharacter.TRACE_PRESERVING
+    elif low >= -CP_TOL:
+        want = TraceCharacter.TRACE_NON_INCREASING
+    else:
+        want = TraceCharacter.INVALID
+    assert trace_character(op) is want
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad)
+    for name in ("h", "v", "g")
+    for bad in [np.inf, -np.inf, np.nan] + ([complex(np.nan, 1.0), complex(0.2, np.inf)]
+                                            if name == "g" else [])
+])
+def test_a_field_not_finite_is_refused_by_name(name, bad):
+    fields = {"h": 0.5, "v": 0.5, "g": 0.1j} | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        QuantumOperation(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +136,17 @@ def test_completeness_deficiency_is_population_weights(baseline):
     kh, kv = interference_kappas(baseline)
     op = kraus_conditional(baseline, 0, 500.0)
     want = np.eye(2) - np.diag([(2.0 + kh) / 4.0, (2.0 + kv) / 4.0])
-    np.testing.assert_allclose(op.completeness_deficiency, want, atol=1e-14)
+    got = np.eye(2) - sum(k.conj().T @ k for k in op.kraus)
+    np.testing.assert_allclose(got, want, atol=1e-14)
+    assert (op.h, op.v) == ((2.0 + kh) / 4.0, (2.0 + kv) / 4.0)
 
 
 def test_scaled_kraus_list_is_invalid():
     op = conditional_operation(1.0, 1.0, 0.3)
-    scaled = QuantumOperation.from_kraus([1.1 * k for k in op.kraus])
+    # the map of the Kraus operators 1.1 K: every number scaled by 1.21
+    scaled = QuantumOperation(1.21 * op.h, 1.21 * op.v, 1.21 * op.g)
+    np.testing.assert_allclose(_kraus_sum(scaled.kraus, _RHO),
+                               _kraus_sum([1.1 * k for k in op.kraus], _RHO), atol=1e-14)
     assert trace_character(scaled) is TraceCharacter.INVALID
 
 
@@ -195,10 +210,10 @@ def test_propagator_from_a_vanishing_factor_raises(f1):
 
 
 def test_propagator_from_an_overflowing_ratio_raises(monkeypatch):
-    def no_choi(*args):
-        raise AssertionError("a Choi matrix was built")
+    def no_operation(*args):
+        raise AssertionError("an operation was built")
 
-    monkeypatch.setattr(maps, "_diagonal_operation", no_choi)
+    monkeypatch.setattr(maps, "QuantumOperation", no_operation)
     for f1, f2 in [(1e-13, 1e300), (1e-13j, 1e300 + 1e300j)]:
         with pytest.raises(ValueError, match=r"^f2/f1 must be finite, got "):
             propagator_from_coherence_factors(f1, f2)
@@ -260,10 +275,10 @@ _NON_FINITE = [
 def test_non_finite_arguments_are_named_before_a_choi_matrix_is_built(
     make, name, bad, monkeypatch
 ):
-    def no_choi(*args):
-        raise AssertionError("a Choi matrix was built")
+    def no_operation(*args):
+        raise AssertionError("an operation was built")
 
-    monkeypatch.setattr(maps, "_diagonal_operation", no_choi)
+    monkeypatch.setattr(maps, "QuantumOperation", no_operation)
     with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         make(**_ARGUMENTS[make] | {name: bad})
 
@@ -303,34 +318,19 @@ def _eigvalsh_verdict(op):
     return bool(lowest >= -CP_TOL), lowest
 
 
-_ENTRY = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-
-
 @st.composite
-def diagonal_or_kraus_maps(draw):
+def diagonal_maps(draw):
     """A diagonal map, its weights possibly negative and |g|^2 / (h v) - 1
-    within or far from CP_TOL; or a map from one to three Kraus operators,
-    diagonal (so that only the Choi corners are nonzero) or not, its Choi
-    matrix possibly lowered by a multiple of the identity."""
-    if draw(st.booleans()):
-        h, v = draw(st.floats(-0.1, 1.0)), draw(st.floats(-0.1, 1.0))
-        excess = draw(st.one_of(_EXCESS, st.floats(-1.0, 1.0)))
-        gabs = np.sqrt(abs(h * v) * (1.0 + excess))
-        phase = np.exp(1j * draw(st.floats(-np.pi, np.pi)))
-        return maps._diagonal_operation(h, v, complex(gabs * phase))
-    diagonal = draw(st.booleans())
-    ops = []
-    for _ in range(draw(st.integers(1, 3))):
-        k = np.array([[draw(_ENTRY), draw(_ENTRY)], [draw(_ENTRY), draw(_ENTRY)]])
-        ops.append(np.diag(np.diag(k)) if diagonal else k)
-    choi = QuantumOperation.from_kraus(ops).choi
-    if draw(st.booleans()):
-        choi = choi - draw(st.floats(0.0, 0.5)) * np.eye(4)
-    return QuantumOperation(choi)
+    within or far from CP_TOL."""
+    h, v = draw(st.floats(-0.1, 1.0)), draw(st.floats(-0.1, 1.0))
+    excess = draw(st.one_of(_EXCESS, st.floats(-1.0, 1.0)))
+    gabs = np.sqrt(abs(h * v) * (1.0 + excess))
+    phase = np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return QuantumOperation(h, v, complex(gabs * phase))
 
 
 @settings(max_examples=500, deadline=None)
-@given(diagonal_or_kraus_maps())
+@given(diagonal_maps())
 def test_cp_verdict_agrees_with_eigvalsh(op):
     want, lowest = _eigvalsh_verdict(op)
     # within a few roundings of -CP_TOL the closed form and LAPACK may fall
@@ -340,27 +340,35 @@ def test_cp_verdict_agrees_with_eigvalsh(op):
         assert is_completely_positive(op) is want
 
 
-def test_a_choi_matrix_nonzero_only_at_its_corners_takes_the_closed_form():
-    corners = [
+@pytest.mark.parametrize("h, v, g, cp", [
+    (1.5e308, 1.5e308, 1.7e308, False),
+    (1.7e308, 1e307, 1.6e308, False),
+    (1.5e308, 1.5e308, 1.4e308, True),
+    (1e308, 1.7e308, 1.3e308, True),
+])
+def test_cp_verdict_near_overflow_agrees_with_eigvalsh(h, v, g, cp):
+    # (h + v) / 2 overflows here; the halves of h and v do not
+    op = QuantumOperation(h, v, g)
+    assert is_completely_positive(op) is _eigvalsh_verdict(op)[0] is cp
+
+
+def test_every_verdict_is_made_without_eigvalsh(baseline):
+    ops = [
         conditional_operation(0.5, 0.3, 0.2 + 0.1j),
+        conditional_operation(0.5, 0.3, 0.6),
+        kraus_conditional(baseline, 0, 500.0),
+        propagator_from_coherence_factors(0.5, 0.4j),
         propagator_from_coherence_factors(0.5, 0.6j),
-        QuantumOperation.from_kraus([np.diag([0.6, 0.8j]), np.diag([0.1, 0.0])]),
+        propagator(baseline, 0, 1300.0, 1600.0),
     ]
-    full = [QuantumOperation.from_kraus([np.array([[0.6, 0.1], [0.0, 0.8]])]),
-            QuantumOperation(np.diag([1.0, 0.0, 0.0, np.nan])), QuantumOperation(np.eye(2))]
-    want = [_eigvalsh_verdict(op)[0] for op in corners]
+    want = [(_eigvalsh_verdict(op)[0], op.kraus is not None) for op in ops]
+    characters = [trace_character(op) for op in ops]
     with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh called")):
-        assert [is_completely_positive(op) for op in corners] == want == [True, False, True]
-    for op in full:
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
-            try:
-                is_completely_positive(op)
-            except np.linalg.LinAlgError:
-                pass
-        assert spy.call_count == 1
-
-
-_RHO = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
+        got = [(is_completely_positive(op), op.kraus is not None) for op in ops]
+        assert [trace_character(op) for op in ops] == characters
+    assert got == want == [(v, v) for v in (True, False, True, True, False, False)]
+    assert characters == [TraceCharacter.TRACE_NON_INCREASING] * 3 + [
+        TraceCharacter.TRACE_PRESERVING] * 3
 
 
 def _assert_kraus_exactly_where_cp(op):
@@ -369,10 +377,6 @@ def _assert_kraus_exactly_where_cp(op):
     if kraus is not None:
         assert np.all(np.isfinite(kraus))
         np.testing.assert_allclose(_kraus_sum(kraus, _RHO), op.apply(_RHO), rtol=0, atol=CP_TOL)
-
-
-# |g|^2 / (h v) - 1 on both sides of the CP boundary, within and beyond CP_TOL
-_EXCESS = st.floats(-1e-9, 1e-9)
 
 
 @settings(max_examples=300, deadline=None)

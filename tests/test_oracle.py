@@ -60,6 +60,48 @@ def test_grid_validation():
         FrequencyGrid(np.linspace(1.0, 3.0, 201) ** 2, np.full(201, 1 / 201))
 
 
+_OMEGAS = np.array([1.0, 2.0, 3.0])
+_WEIGHTS = np.array([0.25, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("omegas, weights, message", [
+    (np.array([1.0, np.nan, 3.0]), _WEIGHTS, "^omegas must be strictly increasing"),
+    (np.array([np.nan, 2.0, 3.0]), _WEIGHTS, "^omegas must be strictly increasing"),
+    (np.array([1.0, 2.0, np.inf]), _WEIGHTS, "^omegas must be finite"),
+    (np.array([-np.inf, 2.0, 3.0]), _WEIGHTS, "^omegas must be finite"),
+    (_OMEGAS, np.array([0.25, np.nan, 0.25]), "^weights must be non-negative"),
+    # the first failing check is the one named: increasing before weights
+    (np.array([1.0, np.nan, 3.0]), np.array([0.25, np.nan, 0.25]),
+     "^omegas must be strictly increasing"),
+], ids=["omega", "first-omega", "inf-omega", "-inf-omega", "weight", "omega-and-weight"])
+def test_grid_validation_refuses_nan(omegas, weights, message):
+    with pytest.raises(ValueError, match=message):
+        FrequencyGrid(omegas, weights)
+
+
+@pytest.mark.parametrize("times, bad", [
+    ([np.nan], "time nan is not finite"),
+    ([-5.0], "time -5.0 is negative"),
+    ([100.0, np.inf, 200.0], "time inf is not finite"),
+    ([30.0, -np.inf], "time -inf is not finite"),
+    ([30.0, -1.0, np.nan], "time -1.0 is negative"),
+    ([30.0, np.nan, -1.0], "time nan is not finite"),
+])
+def test_compare_names_the_first_time_not_finite_or_negative(times, bad):
+    # such a time falls in no stage, and was skipped as if it had passed
+    with pytest.raises(ValueError, match=f"^{bad}$"):
+        oracle_compare(preset("dtau10"), FrequencyGrid.build(DIST, 201), times)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_oracle_state_and_port_weights_refuse_a_time_not_finite(grid, baseline, t):
+    for stage in ("inside", "outside"):
+        with pytest.raises(ValueError, match=f"^time {t!r} is not finite$"):
+            oracle_state(baseline, grid, t, stage)
+    with pytest.raises(ValueError, match=f"^time {t!r} is not finite$"):
+        oracle_port_probabilities(baseline, grid, t)
+
+
 @pytest.mark.parametrize("n", [3, 4, 51, 201, 2001, 8001])
 def test_every_increasing_grid_build_makes_is_uniform(n):
     # up to mu/sigma = 1e16 the linspace of mu +- 8 sigma either rounds two
