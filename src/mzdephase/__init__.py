@@ -16,7 +16,7 @@ from .analysis import (
     time_difference_from_peak,
     trace_distance_series,
 )
-from .channels import single_path_kappa, single_path_state
+from .channels import single_path_kappa
 from .core import (
     DensityMatrix,
     FrequencyDistribution,
@@ -54,10 +54,9 @@ from .maps import (
     is_completely_positive,
     kraus_conditional,
     propagator,
-    propagator_from_coherence_factors,
     trace_character,
 )
-from .oracle import FrequencyGrid, OracleDeviation, oracle_compare, oracle_state
+from .oracle import FrequencyGrid, OracleDeviation, oracle_compare
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "time_difference_from_peak",
     "trace_distance_series",
     "single_path_kappa",
-    "single_path_state",
     "DensityMatrix",
     "FrequencyDistribution",
     "InteractionWindow",
@@ -104,10 +102,8 @@ __all__ = [
     "is_completely_positive",
     "kraus_conditional",
     "propagator",
-    "propagator_from_coherence_factors",
     "trace_character",
     "FrequencyGrid",
     "OracleDeviation",
     "oracle_compare",
-    "oracle_state",
 ]

@@ -55,6 +55,10 @@ class TraceDistanceSeries:
         values = np.asarray(self.values, dtype=float)
         if self.location not in LOCATIONS:
             raise ValueError(f"unknown location {self.location!r}")
+        if times.ndim != 1 or values.ndim != 1:
+            raise ValueError(
+                f"times and values must be 1-D, got shapes {times.shape} and {values.shape}"
+            )
         if len(times) != len(values) or len(times) < 2:
             raise ValueError("times and values must have equal length >= 2")
         _check_times(times)
@@ -87,9 +91,12 @@ def trace_distance_series(
 
     The input pair replaces the configured polarization; conditioning or
     averaging is applied according to the location.  Dark-port locations
-    raise ImpossibleOutcome.
+    raise ImpossibleOutcome, and a grid that is not 1-D raises ValueError
+    naming its shape.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
     cfg_p = replace(cfg, pol=PolarizationState.plus())
     cfg_m = replace(cfg, pol=PolarizationState.minus())
     values = [trace_distance(_state_at(cfg_p, location, t), _state_at(cfg_m, location, t))
@@ -236,9 +243,7 @@ def time_difference_from_peak(cfg: InterferometerConfig, t_max: float) -> float:
     return abs(cfg.window_out.delta_n) * t_max / n_max
 
 
-def estimate_interaction_time_difference(
-    cfg: InterferometerConfig, scan_range: tuple[float, float] | None = None
-) -> float:
+def estimate_interaction_time_difference(cfg: InterferometerConfig) -> float:
     """Estimate the inside interaction-time difference from the recoherence peak.
 
     Valid only without interference at the output beam splitter
@@ -247,8 +252,9 @@ def estimate_interaction_time_difference(
     approximation of the true difference, not an exact inversion.  For equal
     durations and unequal inside indices the same quantity approximates the
     index difference times the common duration over the largest index.  The
-    peak is searched over ``scan_range``, by default ``auto_scan_range(cfg)``.
+    peak is searched over ``auto_scan_range(cfg)``; for another range, call
+    ``lambda_peak`` and ``time_difference_from_peak`` directly.
     """
     check_estimator_regime(cfg)
-    t_max, _ = lambda_peak(cfg, scan_range or auto_scan_range(cfg))
+    t_max, _ = lambda_peak(cfg, auto_scan_range(cfg))
     return time_difference_from_peak(cfg, t_max)

@@ -256,13 +256,10 @@ def _state(
     return DensityMatrix(((pop_h, coh), (coh.conjugate(), pop_v)), require_unit_trace=normalized)
 
 
-def _closed_form_states(
-    cfg: InterferometerConfig, stage: str, conditioning, times, normalized: bool = True
-) -> np.ndarray:
-    """The closed-form states rho[..., a, b] at a (stage, conditioning)
-    location, one per entry of ``times``.  Conditional states are scaled by
-    the reciprocal port probability unless ``normalized`` is false."""
-    return _states(*_entries(cfg, *_closed_form(cfg, stage, conditioning, times, normalized)))
+def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times) -> np.ndarray:
+    """The normalized closed-form states rho[..., a, b] at a (stage,
+    conditioning) location, one per entry of ``times``."""
+    return _states(*_entries(cfg, *_closed_form(cfg, stage, conditioning, times)))
 
 
 def _states(pop_h: float, pop_v: float, coherence: np.ndarray) -> np.ndarray:

@@ -126,37 +126,21 @@ def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOp
 def propagator(
     cfg: InterferometerConfig, jp: int, t1: float, t2: float
 ) -> QuantumOperation:
-    """Intermediate propagator of port jp from t1 to t2.
+    """Intermediate propagator of port jp from t1 to t2: (1, 1, f(t2)/f(t1)).
 
     Built from the ratio of coherence transfer factors alone; the interference
     weights drop out of the map and only gate the port.  Completely positive
-    (and then trace preserving) exactly when |f(t2)| <= |f(t1)|.
+    (and then trace preserving) exactly when |f(t2)| <= |f(t1)|; a map that
+    is not CP is kept for inspection.  |f(t1)| below ZERO_F_TOL raises
+    ZeroCoherenceFactor naming the port and t1.
     """
     if t2 < t1:
         raise ValueError(f"t2={t2} must not precede t1={t1}")
     f1 = complex(_port_terms(cfg, jp, t1)[0])
     f2 = complex(coherence_transfer(cfg, jp, t2))
-    try:
-        return propagator_from_coherence_factors(f1, f2)
-    except ZeroCoherenceFactor as exc:
-        raise ZeroCoherenceFactor(f"port {jp}, t1={t1}: {exc}") from None
-
-
-def propagator_from_coherence_factors(f1: complex, f2: complex) -> QuantumOperation:
-    """Propagator defined by the coherence transfer factors at the two ends.
-
-    When |f2| grows beyond |f1| the Choi matrix has a negative eigenvalue and
-    the map is not CP; it is kept for inspection.  A NaN or infinite factor,
-    or a ratio f2/f1 that overflows, raises ValueError naming it, and |f1|
-    below ZERO_F_TOL raises ZeroCoherenceFactor.
-    """
-    _check_finite(f1=f1, f2=f2)
     if abs(f1) < ZERO_F_TOL:
-        raise ZeroCoherenceFactor(f"|f1|={abs(f1)!r}: propagator undefined")
-    ratio = complex(f2) / complex(f1)
-    if not cmath.isfinite(ratio):
-        raise ValueError(f"f2/f1 must be finite, got {f2!r}/{f1!r}")
-    return QuantumOperation(1.0, 1.0, ratio)
+        raise ZeroCoherenceFactor(f"port {jp}, t1={t1}: |f1|={abs(f1)!r}: propagator undefined")
+    return QuantumOperation(1.0, 1.0, f2 / f1)
 
 
 def is_completely_positive(op: QuantumOperation) -> bool:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DensityMatrix, FrequencyDistribution, InterferometerConfig, effective_time
+from .core import FrequencyDistribution, InterferometerConfig, effective_time
 from .core import check_density_matrices, trace_distances
 from .errors import ImpossibleOutcome
 from .interferometer import LOCATION_STAGES, _check_times, _closed_form_states, path_probabilities
@@ -248,64 +248,23 @@ def _port_weights(blocks: np.ndarray) -> np.ndarray:
     return np.real(np.trace(blocks, axis1=-2, axis2=-1))
 
 
-def oracle_state(
-    cfg: InterferometerConfig,
-    grid: FrequencyGrid,
-    t: float,
-    stage: str,
-    conditioning=None,
-) -> DensityMatrix:
-    """Polarization state at time t from direct evolution of the joint state.
-
-    Parameters
-    ----------
-    stage : "inside" or "outside"
-        Whether the state is taken before or after the output beam splitter.
-        Outside, both arms count as closed, as in the closed forms, also at
-        times before the output coupling starts.
-    conditioning : None, 0 or 1
-        None averages over the path degree of freedom; an integer projects on
-        that (inside path or output port) and normalizes.
-
-    A time that is NaN or infinite raises ValueError naming it.
-    """
-    _check_times(t)
-    rho, norm = _conditioned(_path_blocks(cfg, grid, np.array([t]), stage), [conditioning])
-    rho, norm = rho[0, 0], norm[0, 0]
-    if norm < _CONDITION_TOL:
-        raise _impossible(norm)
-    return DensityMatrix(rho / norm)
-
-
-def oracle_port_probabilities(
-    cfg: InterferometerConfig, grid: FrequencyGrid, t: float
-) -> tuple[float, float]:
-    """Output-port weights from the evolved amplitudes; a time not finite raises."""
-    _check_times(t)
-    p0, p1 = _port_weights(_path_blocks(cfg, grid, np.array([t]), "outside")[0])
-    return float(p0), float(p1)
-
-
 class OracleDeviation(NamedTuple):
     max_deviation: float
     probability_deviation: float
 
 
 def oracle_compare(
-    cfg: InterferometerConfig,
-    grid: FrequencyGrid,
-    times: Sequence[float],
-    locations: Sequence[str] = tuple(LOCATION_STAGES),
+    cfg: InterferometerConfig, grid: FrequencyGrid, times: Sequence[float]
 ) -> OracleDeviation:
     """Maximum disagreement between the closed forms and the brute force.
 
-    Sweeps the requested (time, location) matrix, comparing states by trace
-    distance, and also compares the analytic port probabilities against the
-    oracle port weights.  Inside locations only use times up to the start of
-    the output coupling, outside locations only times from it on.  A port the
-    closed forms refuse as dark is skipped.  Each stage sums its times in
-    chunks of at most ``CHUNK_ELEMENTS`` phases, and reads every location of a
-    time from the same blocks.
+    Sweeps the (time, location) matrix of every location, comparing states
+    by trace distance, and also compares the analytic port probabilities
+    against the oracle port weights.  Inside locations only use times up to
+    the start of the output coupling, outside locations only times from it
+    on.  A port the closed forms refuse as dark is skipped.  Each stage sums
+    its times in chunks of at most ``CHUNK_ELEMENTS`` phases, and reads every
+    location of a time from the same blocks.
 
     A stage's states are validated and compared as one batch.  The first
     cell, in (time, location) order and simulated before closed form, that
@@ -327,8 +286,7 @@ def oracle_compare(
     worst_prob = 0.0
     for stage, todo in stage_times.items():
         references = {}  # closed forms by conditioning; a dark port has none
-        for location in locations:
-            here, c = LOCATION_STAGES[location]
+        for here, c in LOCATION_STAGES.values():
             if here == stage and len(todo):
                 try:
                     references[c] = _closed_form_states(cfg, stage, c, todo)

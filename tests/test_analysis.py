@@ -79,6 +79,31 @@ def test_series_validation_refuses_nan(times, values, message):
         TraceDistanceSeries(np.array(times), np.array(values), "path0")
 
 
+@pytest.mark.parametrize("times, values, shapes", [
+    ([[1.0], [2.0]], [[0.1], [0.2]], r"\(2, 1\) and \(2, 1\)"),
+    ([[1.0, 2.0], [3.0, 4.0]], [[0.1, 0.2], [0.3, 0.4]], r"\(2, 2\) and \(2, 2\)"),
+    ([1.0, 2.0], [[0.1], [0.2]], r"\(2,\) and \(2, 1\)"),
+    ([1.0, 2.0], 0.1, r"\(2,\) and \(\)"),
+], ids=["column", "square", "values-column", "values-scalar"])
+def test_series_refuses_times_or_values_not_1d(times, values, shapes):
+    # such a series was built, and backflow_intervals then raised numpy's
+    # ambiguous truth value or a failed scalar conversion
+    with pytest.raises(ValueError, match=f"^times and values must be 1-D, got shapes {shapes}$"):
+        TraceDistanceSeries(np.array(times), np.array(values), "path0")
+
+
+@pytest.mark.parametrize("location, grid, shape", [
+    ("path0_out", [[60.0], [70.0]], r"\(2, 1\)"),
+    ("path0", [[6.0], [7.0]], r"\(2, 1\)"),
+    ("joint_out", [[60.0, 70.0], [80.0, 90.0]], r"\(2, 2\)"),
+    ("path0_out", 60.0, r"\(\)"),
+], ids=["column-outside", "column-inside", "square", "scalar"])
+def test_series_refuses_a_grid_not_1d_before_any_point(baseline, location, grid, shape):
+    # the per-point loop ended in numpy's or Python's own error instead
+    with pytest.raises(ValueError, match=f"^grid must be 1-D, got shape {shape}$"):
+        trace_distance_series(baseline, location, grid)
+
+
 def test_pathwise_series_equals_kappa_modulus_and_is_monotone(baseline):
     from mzdephase.channels import single_path_kappa
 

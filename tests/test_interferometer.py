@@ -10,10 +10,9 @@ from conftest import EQUAL_H, PRESETS, preset, random_config, random_polarizatio
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzdephase import channels, core, interferometer
+from mzdephase import channels, core, interferometer, maps
 
 from mzdephase.analysis import LOCATIONS, trace_distance_series
-from mzdephase.channels import single_path_state
 from mzdephase.cli import build_config
 from mzdephase.core import (
     DensityMatrix,
@@ -58,7 +57,7 @@ def test_joint_inside_symmetric_arms_reduce_to_single_path(baseline):
     cfg = symmetric_config()
     for t in (0.0, 10.0, 37.5, 50.0):
         joint = joint_state_inside(cfg, t)
-        single = single_path_state(cfg.pol, cfg.window0, cfg.dist, t)
+        single = path_state_inside(cfg, 0, t)
         np.testing.assert_allclose(joint.matrix, single.matrix, atol=1e-15)
 
 
@@ -88,10 +87,14 @@ def test_joint_inside_rejects_times_past_output_start(baseline):
 
 
 def test_path_state_inside_matches_single_path(baseline):
+    # the pure-dephasing state of one medium, from its decoherence factor
+    pol = baseline.pol
     rng = np.random.default_rng(31)
     for t in rng.uniform(0.0, 60.0, size=100):
         got = path_state_inside(baseline, 0, t)
-        want = single_path_state(baseline.pol, baseline.window0, baseline.dist, t)
+        kappa = channels.single_path_kappa(baseline.window0, baseline.dist, pol.theta, t)
+        coh = pol.c_h * pol.c_v.conjugate() * kappa
+        want = DensityMatrix([[abs(pol.c_h) ** 2, coh], [coh.conjugate(), abs(pol.c_v) ** 2]])
         np.testing.assert_array_equal(got.matrix, want.matrix)
 
 
@@ -386,6 +389,9 @@ def test_a_time_not_finite_is_refused_by_name(t):
         "joint_state_inside": lambda: joint_state_inside(cfg, t),
         "coherence_transfer": lambda: coherence_transfer(cfg, 0, t),
         "coherence_transfer array": lambda: coherence_transfer(cfg, 1, np.array([start, t])),
+        "kraus_conditional": lambda: maps.kraus_conditional(cfg, 0, t),
+        "propagator t1": lambda: maps.propagator(cfg, 0, t, t),
+        "propagator t2": lambda: maps.propagator(cfg, 0, start, t),
     }
     for location in LOCATIONS:
         times = [start if location.endswith("_out") else start / 2.0, t]

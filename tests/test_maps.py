@@ -32,7 +32,6 @@ from mzdephase.maps import (
     is_completely_positive,
     kraus_conditional,
     propagator,
-    propagator_from_coherence_factors,
     trace_character,
 )
 
@@ -203,20 +202,20 @@ def test_conditional_operation_rejects_a_weight_that_is_not_positive(h, v):
         conditional_operation(h, v, 0.1)
 
 
-@pytest.mark.parametrize("f1", [0.0, 1e-300])
-def test_propagator_from_a_vanishing_factor_raises(f1):
-    with pytest.raises(ZeroCoherenceFactor, match="propagator undefined"):
-        propagator_from_coherence_factors(f1, 0.5)
+def _propagator_of(f1, f2):
+    """maps.propagator from t1 = 0 to t2 = 1 on a port 0 whose coherence
+    transfer is f1 at t1 and f2 at t2."""
+    with mock.patch.object(maps, "_port_terms", return_value=(f1, 1.0, 1.0)), \
+            mock.patch.object(maps, "coherence_transfer", return_value=f2):
+        return propagator(None, 0, 0.0, 1.0)
 
 
-def test_propagator_from_an_overflowing_ratio_raises(monkeypatch):
-    def no_operation(*args):
-        raise AssertionError("an operation was built")
-
-    monkeypatch.setattr(maps, "QuantumOperation", no_operation)
-    for f1, f2 in [(1e-13, 1e300), (1e-13j, 1e300 + 1e300j)]:
-        with pytest.raises(ValueError, match=r"^f2/f1 must be finite, got "):
-            propagator_from_coherence_factors(f1, f2)
+@pytest.mark.parametrize("f1, modulus", [(0.0, "0.0"), (1e-300, "1e-300"), (1e-300j, "1e-300")],
+                         ids=["0.0", "1e-300", "1e-300j"])
+def test_propagator_from_a_vanishing_factor_raises(f1, modulus):
+    want = rf"^port 0, t1=0\.0: \|f1\|={modulus}: propagator undefined$"
+    with pytest.raises(ZeroCoherenceFactor, match=want):
+        _propagator_of(f1, 0.5)
 
 
 def test_conditional_operation_at_zero_coherence_is_full_dephasing():
@@ -260,7 +259,6 @@ def test_coherence_beyond_the_weights_gives_a_finite_non_cp_map():
 
 _ARGUMENTS = {
     conditional_operation: {"h": 0.5, "v": 0.5, "f": 0.3 + 0.1j, "theta": 0.2},
-    propagator_from_coherence_factors: {"f1": 0.8 + 0.1j, "f2": 0.3j},
 }
 _NON_FINITE = [
     pytest.param(make, name, bad, id=f"{make.__name__}-{name}-{bad}")
@@ -307,7 +305,7 @@ def test_conditional_operation_choi_spectrum(h, v, f, theta):
 @settings(max_examples=300, deadline=None)
 @given(_COHERENCE, _COHERENCE)
 def test_propagator_choi_spectrum(f1, f2):
-    op = propagator_from_coherence_factors(f1, f2)
+    op = _propagator_of(f1, f2)
     _assert_diagonal_choi_spectrum(op, 1.0, 1.0, f2 / f1)
 
 
@@ -357,8 +355,8 @@ def test_every_verdict_is_made_without_eigvalsh(baseline):
         conditional_operation(0.5, 0.3, 0.2 + 0.1j),
         conditional_operation(0.5, 0.3, 0.6),
         kraus_conditional(baseline, 0, 500.0),
-        propagator_from_coherence_factors(0.5, 0.4j),
-        propagator_from_coherence_factors(0.5, 0.6j),
+        _propagator_of(0.5, 0.4j),
+        _propagator_of(0.5, 0.6j),
         propagator(baseline, 0, 1300.0, 1600.0),
     ]
     want = [(_eigvalsh_verdict(op)[0], op.kraus is not None) for op in ops]
@@ -390,7 +388,7 @@ def test_conditional_operation_has_a_kraus_form_exactly_where_cp(h, v, excess, p
 @given(_COHERENCE, _EXCESS, st.floats(-np.pi, np.pi))
 def test_propagator_has_a_kraus_form_exactly_where_cp(f1, excess, phi):
     f2 = f1 * np.sqrt(1.0 + excess) * np.exp(1j * phi)
-    _assert_kraus_exactly_where_cp(propagator_from_coherence_factors(f1, f2))
+    _assert_kraus_exactly_where_cp(_propagator_of(f1, f2))
 
 
 def test_a_step_within_cp_tol_of_the_boundary_has_a_kraus_form(baseline):
@@ -457,7 +455,7 @@ def test_propagator_non_cp_inside_backflow_interval(baseline):
 
 
 def test_forced_growth_ratio_is_not_cp():
-    op = propagator_from_coherence_factors(0.5 + 0.0j, 0.6 + 0.0j)
+    op = _propagator_of(0.5 + 0.0j, 0.6 + 0.0j)
     assert not is_completely_positive(op)
 
 
@@ -484,11 +482,8 @@ def test_propagator_ignores_interference_weights(baseline):
     # the propagator is a function of the coherence transfer factors alone
     t1, t2 = 200.0, 900.0
     via_config = propagator(baseline, 0, t1, t2)
-    via_factors = propagator_from_coherence_factors(
-        complex(coherence_transfer(baseline, 0, t1)),
-        complex(coherence_transfer(baseline, 0, t2)),
-    )
-    assert np.array_equal(via_config.choi, via_factors.choi)
+    f1, f2 = (complex(coherence_transfer(baseline, 0, t)) for t in (t1, t2))
+    assert via_config == QuantumOperation(1.0, 1.0, f2 / f1)
 
 
 def test_equivalence_of_coherence_growth_and_trace_distance_growth():

@@ -1,8 +1,12 @@
-"""The README's Python API example runs, and every exported name resolves."""
+"""The README's Python API example runs, and every exported name resolves
+and is documented there."""
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
+
+import pytest
 
 import mzdephase
 
@@ -27,3 +31,29 @@ def test_every_exported_name_resolves():
     assert len(set(mzdephase.__all__)) == len(mzdephase.__all__)
     for name in mzdephase.__all__:
         assert getattr(mzdephase, name) is not None, name
+
+
+def _python_api_prose() -> str:
+    """The README between "## Python API" and "## Performance", code blocks
+    removed."""
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    return re.sub(r"```.*?```", "", section.split("## Performance", 1)[0], flags=re.S)
+
+
+def test_every_exported_name_is_documented_in_the_python_api_section():
+    documented = {
+        name for span in re.findall(r"`([^`]+)`", _python_api_prose())
+        for name in re.findall(r"[A-Za-z_]\w*", span)
+    }
+    assert [name for name in mzdephase.__all__ if name not in documented] == []
+
+
+@pytest.mark.parametrize("module, name", [
+    ("channels", "single_path_state"),
+    ("oracle", "oracle_state"),
+    ("oracle", "oracle_port_probabilities"),
+    ("maps", "propagator_from_coherence_factors"),
+])
+def test_names_that_only_tests_used_are_gone(module, name):
+    assert not hasattr(mzdephase, name)
+    assert not hasattr(importlib.import_module(f"mzdephase.{module}"), name)
