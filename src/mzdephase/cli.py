@@ -217,7 +217,7 @@ def _check_delays(cfg: InterferometerConfig, t_last: float) -> None:
             delay = getattr(window, key) * t
             if not delay <= _MAX_DELAY:
                 raise ConfigError([f"{section}.{key}: delay {delay:g} overflows when squared"])
-            if not math.isfinite((abs(cfg.dist.mu) + oracle.DEFAULT_HALF_WIDTH) * 2.0 * delay):
+            if not math.isfinite((abs(cfg.dist.mu) + oracle.HALF_WIDTH) * 2.0 * delay):
                 raise ConfigError([
                     f"distribution.mu_over_sigma: {cfg.dist.mu:g} turns the delay {delay:g} "
                     f"of {section}.{key} into a phase that overflows"
@@ -359,7 +359,7 @@ def cmd_oracle_check(cfg: InterferometerConfig, n: int, times) -> int:
         raise ConfigError([
             f"distribution.mu_over_sigma: {cfg.dist.mu:g} is too large "
             f"for a uniform grid of n_freq={n} frequencies over mu +- "
-            f"{oracle.DEFAULT_HALF_WIDTH:g} sigma ({exc})"
+            f"{oracle.HALF_WIDTH:g} sigma ({exc})"
         ]) from None
     delays = oracle.max_component_delay(cfg, times)
     bound = oracle.alias_free_delay(grid)

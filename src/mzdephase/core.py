@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 # tolerances for double-precision checks on 2x2 matrices
-HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 UNIT_TRACE_TOL = 1e-9
@@ -181,60 +180,38 @@ class InterferometerConfig:
 
 
 class DensityMatrix:
-    """A 2x2 polarization density matrix in the {H, V} basis.
+    """A 2x2 polarization density matrix [[p_h, c], [c^*, p_v]] in the
+    {H, V} basis, held as its three numbers: the populations p_h and p_v, as
+    Python floats, and the coherence c = <H|rho|V>, a Python complex.
 
-    Hermiticity, positive semidefiniteness and trace bounds are enforced at
+    Positive semidefiniteness and the trace bounds are enforced at
     construction.  Trace below one is only admitted for explicitly
-    unnormalized conditional states (``require_unit_trace=False``).  The state
-    is its four entries, Python complex numbers, read from a nested 2x2 tuple
-    of Python numbers as they are and from any other input through numpy.
+    unnormalized conditional states (``require_unit_trace=False``).
     """
 
-    __slots__ = ("_entries", "_m", "_trace")
-    _NUMBERS = frozenset((int, float, complex))  # the types read without numpy
+    __slots__ = ("_p_h", "_p_v", "_c", "_trace")
 
-    def __init__(self, matrix, *, require_unit_trace: bool = True):
-        entries = None
-        row0, row1 = matrix if type(matrix) is tuple and len(matrix) == 2 else (None, None)
-        if type(row0) is type(row1) is tuple and len(row0) == len(row1) == 2:
-            (a, b), (c, d) = row0, row1
-            if {type(a), type(b), type(c), type(d)} <= self._NUMBERS:
-                # x - 0j is complex(x), signed zeros included, but cheaper
-                entries = (a - 0j, b - 0j, c - 0j, d - 0j)
-        if entries is None:
-            m = np.array(matrix, dtype=complex)
-            if m.shape != (2, 2):
-                raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-            entries = tuple(m.ravel().tolist())
-        # every check is written so that a NaN fails it
-        a, b, c, d = entries
-        if not (
-            2.0 * abs(a.imag) <= HERMITICITY_TOL
-            and abs(b - c.conjugate()) <= HERMITICITY_TOL
-            and 2.0 * abs(d.imag) <= HERMITICITY_TOL
-        ):
-            raise ValueError("matrix is not Hermitian")
-        # smallest eigenvalue of the Hermitian matrix read from the lower
-        # triangle, as LAPACK's eigvalsh reads it; abs of a complex is the C
-        # library's hypot, as np.hypot in check_density_matrices (math.hypot
-        # may round differently)
-        tr = a.real + d.real
-        lowest = tr / 2.0 - abs(complex((a.real - d.real) / 2.0, abs(c)))
+    def __init__(self, population_h, population_v, coherence, *, require_unit_trace=True):
+        p_h, p_v, c = float(population_h), float(population_v), complex(coherence)
+        # every check is written so that a NaN fails it; the smallest
+        # eigenvalue takes abs of a complex, the C library's hypot, as
+        # np.hypot in check_density_matrices (math.hypot may round differently)
+        tr = p_h + p_v
+        lowest = tr / 2.0 - abs(complex((p_h - p_v) / 2.0, abs(c)))
         if not lowest >= -PSD_TOL:
             raise ValueError(f"matrix is not positive semidefinite: min eig {lowest}")
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise ValueError(f"trace {tr} outside [0, 1]")
         if require_unit_trace and not abs(tr - 1.0) <= UNIT_TRACE_TOL:
             raise ValueError(f"trace {tr} differs from 1")
-        self._entries, self._m, self._trace = entries, None, tr
+        self._p_h, self._p_v, self._c, self._trace = p_h, p_v, c, tr
 
     @property
     def matrix(self) -> np.ndarray:
-        """The underlying (read-only) 2x2 array, built on first read."""
-        if self._m is None:
-            self._m = np.array(self._entries, dtype=complex).reshape(2, 2)
-        self._m.setflags(write=False)  # numpy unpickles an array writeable
-        return self._m
+        """The 2x2 array, built read-only on each read."""
+        m = np.array([[self._p_h, self._c], [self._c.conjugate(), self._p_v]], dtype=complex)
+        m.setflags(write=False)
+        return m
 
     @property
     def trace(self) -> float:
@@ -242,53 +219,42 @@ class DensityMatrix:
 
     @property
     def population_h(self) -> float:
-        return self._entries[0].real
+        return self._p_h
 
     @property
     def population_v(self) -> float:
-        return self._entries[3].real
+        return self._p_v
 
     @property
     def coherence(self) -> complex:
         """The off-diagonal <H|rho|V> element."""
-        return self._entries[1]
+        return self._c
 
     @property
     def unit_trace(self) -> bool:
         return abs(self._trace - 1.0) <= UNIT_TRACE_TOL
 
     def __repr__(self):
-        return f"DensityMatrix({[list(self._entries[:2]), list(self._entries[2:])]!r})"
+        return f"DensityMatrix({self._p_h!r}, {self._p_v!r}, {self._c!r})"
 
 
-def check_density_matrices(m) -> None:
-    """Raise DensityMatrix's ValueError for the first matrix of the stack
-    m[..., 2, 2] (in C order) that DensityMatrix, unit trace required,
-    rejects.
+def check_density_matrices(population_h, population_v, coherence) -> None:
+    """Raise DensityMatrix's ValueError for the first state, in C order of
+    the broadcast arrays, that DensityMatrix, unit trace required, rejects.
 
     One vectorised mask applies DensityMatrix's checks with its tolerances,
-    each failing on NaN; ``abs`` of a complex entry is taken as the hypot of
-    its parts, as Python's ``abs`` takes it.  The matrices the mask rejects
-    are then built as DensityMatrix in order, and the first one raises.
+    each failing on NaN.  The states the mask rejects are then built as
+    DensityMatrix in order, and the first one raises.
     """
-    m = np.asarray(m, dtype=complex).reshape(-1, 2, 2)
-    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    p_h, p_v, c = (np.asarray(x) for x in (population_h, population_v, coherence))
     # infinite entries give NaN (inf - inf), which the checks reject
     with np.errstate(invalid="ignore"):
-        skew = b - c.conj()
-        tr = a.real + d.real
-        lowest = tr / 2.0 - np.hypot((a.real - d.real) / 2.0, np.hypot(c.real, c.imag))
-    valid = (
-        (2.0 * np.abs(a.imag) <= HERMITICITY_TOL)
-        & (np.hypot(skew.real, skew.imag) <= HERMITICITY_TOL)
-        & (2.0 * np.abs(d.imag) <= HERMITICITY_TOL)
-        & (lowest >= -PSD_TOL)
-        & (-TRACE_TOL <= tr)
-        & (tr <= 1.0 + TRACE_TOL)
-        & (np.abs(tr - 1.0) <= UNIT_TRACE_TOL)
-    )
+        tr = p_h + p_v
+        lowest = tr / 2.0 - np.hypot((p_h - p_v) / 2.0, np.hypot(c.real, c.imag))
+    valid = ((lowest >= -PSD_TOL) & (-TRACE_TOL <= tr) & (tr <= 1.0 + TRACE_TOL)
+             & (np.abs(tr - 1.0) <= UNIT_TRACE_TOL))
     for k in np.flatnonzero(~valid):
-        DensityMatrix(m[k])
+        DensityMatrix(*(np.broadcast_to(x, valid.shape).flat[k] for x in (p_h, p_v, c)))
 
 
 def effective_time(window: InteractionWindow, t):
@@ -323,36 +289,32 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Trace distance (1/2)||a - b||_1 between two unit-trace states.
 
     The difference is Hermitian with trace s and eigenvalues s/2 +- r, where
-    r is read from its lower triangle as for the DensityMatrix check.
+    r is the hypot of its half population difference and its coherence.
     """
     if not a.unit_trace or not b.unit_trace:
         raise ValueError("trace distance requires unit-trace inputs")
-    a00, _, a10, a11 = a._entries
-    b00, _, b10, b11 = b._entries
-    d00, d11 = a00.real - b00.real, a11.real - b11.real
-    half = (d00 + d11) / 2.0
-    r = math.hypot((d00 - d11) / 2.0, abs(a10 - b10))
+    d_h, d_v = a._p_h - b._p_h, a._p_v - b._p_v
+    half = (d_h + d_v) / 2.0
+    r = math.hypot((d_h - d_v) / 2.0, abs(a._c - b._c))
     return 0.5 * (abs(half + r) + abs(half - r))
 
 
-def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """trace_distance of every pair of states in the stacks a[..., 2, 2] and
-    b[..., 2, 2], by the same closed form.
+def trace_distances(a, b) -> np.ndarray:
+    """trace_distance of every pair of states in the broadcast triples
+    a = (p_h, p_v, c) and b, by the same closed form.
 
     Nothing is checked here: validate the states first
     (``check_density_matrices``).
     """
-    d00 = a[..., 0, 0].real - b[..., 0, 0].real
-    d11 = a[..., 1, 1].real - b[..., 1, 1].real
-    d10 = a[..., 1, 0] - b[..., 1, 0]
-    half = (d00 + d11) / 2.0
-    r = np.hypot((d00 - d11) / 2.0, np.hypot(d10.real, d10.imag))
+    d_h, d_v, d_c = (np.subtract(x, y) for x, y in zip(a, b))
+    half = (d_h + d_v) / 2.0
+    r = np.hypot((d_h - d_v) / 2.0, np.hypot(d_c.real, d_c.imag))
     return 0.5 * (np.abs(half + r) + np.abs(half - r))
 
 
 def pure_density(pol: PolarizationState) -> DensityMatrix:
     """Rank-1 projector of a polarization state, relative phase included."""
-    ch = complex(pol.c_h) * np.exp(1j * pol.theta)
+    ch = complex(pol.c_h) * cmath.exp(1j * pol.theta)
     cv = complex(pol.c_v)
-    vec = np.array([ch, cv])
-    return DensityMatrix(np.outer(vec, vec.conj()))
+    return DensityMatrix((ch * ch.conjugate()).real, (cv * cv.conjugate()).real,
+                         ch * cv.conjugate())

@@ -252,25 +252,14 @@ def _state(
     [0, window_out.t_start]."""
     if stage == "inside":
         _check_inside_time(cfg, t)
-    pop_h, pop_v, coh = _entries(cfg, *_closed_form(cfg, stage, conditioning, t, normalized))
-    return DensityMatrix(((pop_h, coh), (coh.conjugate(), pop_v)), require_unit_trace=normalized)
+    return DensityMatrix(*_entries(cfg, *_closed_form(cfg, stage, conditioning, t, normalized)),
+                         require_unit_trace=normalized)
 
 
-def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times) -> np.ndarray:
-    """The normalized closed-form states rho[..., a, b] at a (stage,
-    conditioning) location, one per entry of ``times``."""
-    return _states(*_entries(cfg, *_closed_form(cfg, stage, conditioning, times)))
-
-
-def _states(pop_h: float, pop_v: float, coherence: np.ndarray) -> np.ndarray:
-    """The stack rho[..., a, b] of [[pop_h, coherence], [coherence^*, pop_v]],
-    one matrix per entry of ``coherence``."""
-    rho = np.empty(np.shape(coherence) + (2, 2), dtype=complex)
-    rho[..., 0, 0] = pop_h
-    rho[..., 0, 1] = coherence
-    rho[..., 1, 0] = coherence.conjugate()
-    rho[..., 1, 1] = pop_v
-    return rho
+def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times) -> tuple:
+    """The normalized closed-form states at a (stage, conditioning) location
+    as (pop_h, pop_v, coherence), the coherence one per entry of ``times``."""
+    return _entries(cfg, *_closed_form(cfg, stage, conditioning, times))
 
 
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
@@ -297,6 +286,6 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
         _check_inside_time(cfg, times.min())
         _check_inside_time(cfg, times.max())
     pair = replace(cfg, pol=PolarizationState.plus())
-    states = _closed_form_states(pair, stage, conditioning, times)
-    check_density_matrices(states)
-    return 2.0 * states[..., 0, 1]
+    pop_h, pop_v, coherence = _closed_form_states(pair, stage, conditioning, times)
+    check_density_matrices(pop_h, pop_v, coherence)
+    return 2.0 * np.asarray(coherence)

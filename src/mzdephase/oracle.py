@@ -29,7 +29,7 @@ from .errors import ImpossibleOutcome
 from .interferometer import LOCATION_STAGES, _check_times, _closed_form_states, path_probabilities
 
 DEFAULT_N_FREQ = 2001
-DEFAULT_HALF_WIDTH = 8.0  # in units of sigma
+HALF_WIDTH = 8.0  # of every grid around mu, in units of sigma
 
 # distance, in units of 1/sigma, kept between the largest component delay and
 # the alias period of the trapezoid rule; the alias then weighs exp(-50)
@@ -87,19 +87,14 @@ class FrequencyGrid:
         return (self.omegas[-1] - self.omegas[0]) / (len(self.omegas) - 1)
 
     @classmethod
-    def build(
-        cls,
-        dist: FrequencyDistribution,
-        n: int = DEFAULT_N_FREQ,
-        half_width: float = DEFAULT_HALF_WIDTH,
-    ) -> "FrequencyGrid":
-        """Uniform trapezoid grid over mu +- half_width * sigma.
+    def build(cls, dist: FrequencyDistribution, n: int = DEFAULT_N_FREQ) -> "FrequencyGrid":
+        """Uniform trapezoid grid over mu +- HALF_WIDTH * sigma.
 
         Weights are the Gaussian density times the trapezoid rule, rescaled to
         sum exactly to one so truncation never leaks probability; the uniform
         step is a common factor and drops out.
         """
-        omegas = np.linspace(dist.mu - half_width, dist.mu + half_width, n)
+        omegas = np.linspace(dist.mu - HALF_WIDTH, dist.mu + HALF_WIDTH, n)
         weights = np.exp(-0.5 * (omegas - dist.mu) ** 2)
         weights[[0, -1]] *= 0.5
         weights /= weights.sum()
@@ -188,9 +183,10 @@ def _times_per_chunk(n_freq: int, stage: str) -> int:
 
 def _path_blocks(
     cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray, stage: str
-) -> np.ndarray:
-    """Unnormalized polarization blocks rho[time, path, a, b], summed over
-    frequency, of each inside path or output port at every one of ``times``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized polarization blocks, summed over frequency, of each inside
+    path or output port: the populations [path, polarization] and the H-V
+    coherences [time, path] at every one of ``times``.
 
     Every coupling is diagonal in polarization, so a block's populations,
     sum_w |psi|^2, do not change with time and are summed once.  Its H-V
@@ -223,29 +219,21 @@ def _path_blocks(
         x = delays[lo : lo + per_chunk].T
         sums = _grid_phases(x, grid) @ g
         coherence[lo : lo + per_chunk] = sums.swapaxes(0, 1).reshape(-1, 2)
-    blocks = np.empty((len(times), 2, 2, 2), dtype=complex)
-    blocks[:, :, [0, 1], [0, 1]] = np.sum(psi.real**2 + psi.imag**2, axis=-1)
-    blocks[:, :, 0, 1] = coherence
-    blocks[:, :, 1, 0] = coherence.conj()
-    return blocks
+    return np.sum(psi.real**2 + psi.imag**2, axis=-1), coherence
 
 
-def _conditioned(blocks: np.ndarray, conditionings) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized states rho[time, k, a, b] under each of the
+def _conditioned(blocks, conditionings) -> tuple[tuple, np.ndarray]:
+    """Unnormalized states (p_h[k], p_v[k], c[time, k]) under each of the
     ``conditionings`` (None traces out the path, an integer projects on that
-    one), and the weight of each."""
-    rho = np.stack([blocks.sum(axis=1) if c is None else blocks[:, c] for c in conditionings], 1)
-    return rho, rho[..., 0, 0].real + rho[..., 1, 1].real
+    one), and the weight [k] of each."""
+    populations, coherence = blocks
+    pops = np.stack([populations.sum(0) if c is None else populations[c] for c in conditionings])
+    coh = np.stack([coherence.sum(1) if c is None else coherence[:, c] for c in conditionings], 1)
+    return (pops[:, 0], pops[:, 1], coh), pops[:, 0] + pops[:, 1]
 
 
 def _impossible(norm) -> ImpossibleOutcome:
     return ImpossibleOutcome(f"conditioning weight {float(norm)!r} is zero within tolerance")
-
-
-def _port_weights(blocks: np.ndarray) -> np.ndarray:
-    """Weights [..., port] of the output ports: the trace of each
-    unnormalized block."""
-    return np.real(np.trace(blocks, axis1=-2, axis2=-1))
 
 
 class OracleDeviation(NamedTuple):
@@ -269,11 +257,16 @@ def oracle_compare(
     A stage's states are validated and compared as one batch.  The first
     cell, in (time, location) order and simulated before closed form, that
     DensityMatrix would reject raises its ValueError; a simulated
-    conditioning weight of zero raises ImpossibleOutcome.  The first time
-    that is NaN, infinite or negative, which no stage would take, raises
-    ValueError naming it before anything is compared.
+    conditioning weight of zero raises ImpossibleOutcome.  Before anything
+    is compared, ValueError refuses ``times`` that are empty or not 1-D, and
+    names the first time that is NaN, infinite or negative, which no stage
+    would take.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be 1-D, got shape {times.shape}")
+    if not times.size:
+        raise ValueError("times is empty: there is nothing to compare")
     for t in times[~((times >= 0) & (times < math.inf))].flat:
         _check_times(float(t))
         raise ValueError(f"time {float(t)!r} is negative")
@@ -295,18 +288,20 @@ def oracle_compare(
         if not references:
             continue
         blocks = _path_blocks(cfg, grid, todo, stage)
-        rho, norm = _conditioned(blocks, list(references))
+        (p_h, p_v, c), norm = _conditioned(blocks, list(references))
         impossible = norm < _CONDITION_TOL
-        simulated = rho / np.where(impossible, 1.0, norm)[..., None, None]
-        reference = np.stack(list(references.values()), 1)
+        # one rounded reciprocal scales populations and coherences alike
+        inverse = 1.0 / np.where(impossible, 1.0, norm)
+        simulated = (p_h * inverse, p_v * inverse, c * inverse)
+        reference = [np.array(x).T for x in zip(*references.values())]
         # cells in (time, location) order, the simulated state first
-        cells = np.stack([simulated, reference], axis=2).reshape(-1, 2, 2)
-        first = np.flatnonzero(impossible)
-        if first.size:
-            check_density_matrices(cells[: 2 * first[0]])
-            raise _impossible(norm.flat[first[0]])
-        check_density_matrices(cells)
+        cells = [np.stack(pair, axis=-1) for pair in zip(simulated, reference)]
+        if impossible.any():  # at every time, as populations do not change
+            k = int(np.argmax(impossible))
+            check_density_matrices(cells[0][:k], cells[1][:k], cells[2][0, :k])
+            raise _impossible(norm[k])
+        check_density_matrices(*cells)
         worst_state = max(worst_state, float(np.max(trace_distances(reference, simulated))))
-        if stage == "outside":
-            worst_prob = float(np.max(np.abs(_port_weights(blocks) - path_probabilities(cfg))))
+        if stage == "outside":  # a port's weight is the trace of its block
+            worst_prob = float(np.max(np.abs(blocks[0].sum(1) - path_probabilities(cfg))))
     return OracleDeviation(worst_state, worst_prob)

@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import re
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzdephase.core import (
-    HERMITICITY_TOL,
     PSD_TOL,
     TRACE_TOL,
     UNIT_TRACE_TOL,
@@ -136,8 +134,8 @@ def test_trace_distance_dephased_pair_equals_coherence_modulus():
     rng = np.random.default_rng(5)
     for _ in range(20):
         kappa = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        plus = DensityMatrix([[0.5, 0.5 * kappa], [0.5 * np.conj(kappa), 0.5]])
-        minus = DensityMatrix([[0.5, -0.5 * kappa], [-0.5 * np.conj(kappa), 0.5]])
+        plus = DensityMatrix(0.5, 0.5, 0.5 * kappa)
+        minus = DensityMatrix(0.5, 0.5, -0.5 * kappa)
         assert trace_distance(plus, minus) == pytest.approx(abs(kappa), abs=1e-12)
 
 
@@ -147,7 +145,8 @@ def test_trace_distance_triangle_inequality():
     def random_state():
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         m = raw @ raw.conj().T
-        return DensityMatrix(m / np.trace(m).real)
+        m /= np.trace(m).real
+        return DensityMatrix(m[0, 0].real, m[1, 1].real, m[0, 1])
 
     for _ in range(30):
         a, b, c = random_state(), random_state(), random_state()
@@ -156,7 +155,7 @@ def test_trace_distance_triangle_inequality():
 
 def test_trace_distance_rejects_subnormalized_input():
     rho = pure_density(PolarizationState.plus())
-    sub = DensityMatrix(0.5 * rho.matrix, require_unit_trace=False)
+    sub = DensityMatrix(0.25, 0.25, 0.25, require_unit_trace=False)
     with pytest.raises(ValueError):
         trace_distance(rho, sub)
 
@@ -235,23 +234,18 @@ def test_window_refuses_indices_not_finite(n_h, n_v):
         InteractionWindow(n_h, n_v, 0.0, 1.0)
 
 
-def test_density_matrix_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        DensityMatrix([[0.5, 0.5], [0.1, 0.5]])
-
-
 def test_density_matrix_rejects_negative_eigenvalue():
-    with pytest.raises(ValueError):
-        DensityMatrix([[0.2, 0.5], [0.5, 0.2]])
+    with pytest.raises(ValueError, match="^matrix is not positive semidefinite: min eig -0.3"):
+        DensityMatrix(0.2, 0.2, 0.5)
 
 
 def test_density_matrix_rejects_trace_above_one():
-    with pytest.raises(ValueError):
-        DensityMatrix([[0.8, 0.0], [0.0, 0.8]], require_unit_trace=False)
+    with pytest.raises(ValueError, match=r"^trace 1\.6 outside \[0, 1\]$"):
+        DensityMatrix(0.8, 0.8, 0.0, require_unit_trace=False)
 
 
 def test_density_matrix_allows_subnormalized_when_flagged():
-    rho = DensityMatrix([[0.3, 0.0], [0.0, 0.3]], require_unit_trace=False)
+    rho = DensityMatrix(0.3, 0.3, 0.0, require_unit_trace=False)
     assert rho.trace == pytest.approx(0.6)
     assert not rho.unit_trace
 
@@ -265,33 +259,34 @@ def test_config_requires_output_after_arms():
         InterferometerConfig(dist, w0, w1, w_bad, PolarizationState.plus())
 
 
-@pytest.mark.parametrize("matrix", [
-    [[0.5, math.nan], [math.nan, 0.5]],
-    [[0.5, 0.0], [math.nan, 0.5]],
-    [[0.5, math.nan], [0.0, 0.5]],
-    [[math.nan, 0.0], [0.0, 0.5]],
-    [[complex(0.5, math.nan), 0.0], [0.0, 0.5]],
-    [[0.5, complex(math.inf, 0.0)], [complex(math.inf, 0.0), 0.5]],
+@pytest.mark.parametrize("triple", [
+    (0.5, 0.5, math.nan),
+    (math.nan, 0.5, 0.0),
+    (0.5, math.nan, 0.0),
+    (0.5, 0.5, complex(0.0, math.nan)),
+    (0.5, 0.5, complex(math.inf, 0.0)),
+    (math.inf, 0.5, 0.0),
+    (0.5, -math.inf, 0.0),
+    (math.inf, math.inf, 0.0),
 ])
-def test_density_matrix_rejects_non_finite_entries(matrix):
+def test_density_matrix_rejects_non_finite_entries(triple):
     with pytest.raises(ValueError):
-        DensityMatrix(matrix)
+        DensityMatrix(*triple)
 
 
 # ---------------------------------------------------------------------------
 # closed-form 2x2 kernels against their LAPACK and array references
 # ---------------------------------------------------------------------------
 
-def eigvalsh_verdict(m, require_unit_trace):
-    """The checks DensityMatrix makes, computed with eigvalsh: the first one
-    that fails, or None."""
-    m = np.asarray(m, dtype=complex)
-    # the modulus of each entry of m - m^dag as the correctly rounded hypot
-    # of its parts: numpy's abs of a complex array may be one ulp high, which
-    # flips the verdict on a defect of exactly HERMITICITY_TOL
-    skew = m - m.conj().T
-    if np.max(np.hypot(skew.real, skew.imag)) > HERMITICITY_TOL:
-        return "Hermitian"
+def assembled(p_h, p_v, c):
+    """The 2x2 array [[p_h, c], [c^*, p_v]]."""
+    return np.array([[p_h, c], [np.conj(c), p_v]], dtype=complex)
+
+
+def eigvalsh_verdict(triple, require_unit_trace):
+    """The checks DensityMatrix makes, computed with eigvalsh on the
+    assembled matrix: the first one that fails, or None."""
+    m = assembled(*triple)
     if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
         return "positive semidefinite"
     tr = float(np.real(np.trace(m)))
@@ -302,22 +297,22 @@ def eigvalsh_verdict(m, require_unit_trace):
     return None
 
 
-def as_tuples(m):
-    """The nested 2x2 tuple of Python numbers that DensityMatrix reads
-    without numpy."""
-    return tuple(tuple(row) for row in m)
-
-
-def closed_form_verdict(m, require_unit_trace):
+def scalar_message(triple, require_unit_trace):
     try:
-        DensityMatrix(m, require_unit_trace=require_unit_trace)
+        DensityMatrix(*triple, require_unit_trace=require_unit_trace)
     except ValueError as exc:
-        for reason in ("Hermitian", "positive semidefinite", "outside [0, 1]",
-                       "differs from 1"):
-            if reason in str(exc):
-                return reason
-        raise
+        return str(exc)
     return None
+
+
+def closed_form_verdict(triple, require_unit_trace):
+    message = scalar_message(triple, require_unit_trace)
+    if message is None:
+        return None
+    for reason in ("positive semidefinite", "outside [0, 1]", "differs from 1"):
+        if reason in message:
+            return reason
+    raise AssertionError(message)
 
 
 # a factor that puts a quantity clearly inside or outside its tolerance
@@ -326,16 +321,14 @@ _SIGN = st.sampled_from([-1.0, 1.0])
 
 
 @st.composite
-def matrices_near_the_tolerances(draw):
-    """A 2x2 matrix [[a, b], [c, d]] with prescribed trace, smallest
-    eigenvalue and Hermiticity defect (off the diagonal or in one diagonal
-    entry), each either generic or within a few tolerances of the point where
-    a check flips; and the unit-trace flag."""
-    case = draw(st.sampled_from(["generic", "psd", "trace", "unit", "hermitian"]))
+def triples_near_the_tolerances(draw):
+    """A state (p_h, p_v, c) with prescribed trace and smallest eigenvalue,
+    each either generic or within a few tolerances of the point where a
+    check flips; and the unit-trace flag."""
+    case = draw(st.sampled_from(["generic", "psd", "trace", "unit"]))
     unit = draw(st.booleans())
     tr = draw(st.floats(0.0, 1.0))
     lowest = draw(st.floats(-0.5, 0.5)) * tr
-    defect = draw(st.floats(0.0, 2.0)) * HERMITICITY_TOL
     if case == "psd":
         lowest = -draw(_NEAR) * PSD_TOL
     elif case == "trace":
@@ -346,137 +339,102 @@ def matrices_near_the_tolerances(draw):
         unit = True
         tr = 1.0 + draw(_SIGN) * draw(_NEAR) * UNIT_TRACE_TOL
         lowest = draw(st.floats(0.0, 0.5)) * tr
-    elif case == "hermitian":
-        defect = draw(_NEAR) * HERMITICITY_TOL
     r = max(tr / 2.0 - lowest, 0.0)
     alpha = draw(st.floats(0.0, math.pi))
     phi = draw(st.floats(-math.pi, math.pi))
-    psi = draw(st.floats(-math.pi, math.pi))
-    a = tr / 2.0 + r * math.cos(alpha)
-    d = tr / 2.0 - r * math.cos(alpha)
-    c = r * math.sin(alpha) * complex(math.cos(phi), math.sin(phi))
-    spot = draw(st.sampled_from(["off-diagonal", "a", "d"]))
-    if spot == "off-diagonal":
-        return [[a, c.conjugate() + defect * complex(math.cos(psi), math.sin(psi))],
-                [c, d]], unit
-    # a diagonal entry x misses Hermiticity by |x - x^*| = 2 |Im x|
-    if spot == "a":
-        a = complex(a, defect / 2.0)
-    else:
-        d = complex(d, defect / 2.0)
-    return [[a, c.conjugate()], [c, d]], unit
+    return (tr / 2.0 + r * math.cos(alpha), tr / 2.0 - r * math.cos(alpha),
+            r * math.sin(alpha) * complex(math.cos(phi), math.sin(phi))), unit
 
 
-def closed_form_lowest(m):
-    """The smallest eigenvalue DensityMatrix computes for a Hermitian m, read
-    from the message with which it refuses m lowered by 2 PSD_TOL."""
+def closed_form_lowest(triple):
+    """The smallest eigenvalue DensityMatrix computes for a state, read from
+    the message with which it refuses the state lowered by 2 PSD_TOL."""
+    p_h, p_v, c = triple
     shift = 2.0 * PSD_TOL
     with pytest.raises(ValueError, match="semidefinite") as info:
-        DensityMatrix(np.asarray(m, dtype=complex) - shift * np.eye(2),
-                      require_unit_trace=False)
+        DensityMatrix(p_h - shift, p_v - shift, c, require_unit_trace=False)
     return float(str(info.value).rsplit(" ", 1)[1]) + shift
 
 
 @settings(max_examples=600, deadline=None)
-@given(matrices_near_the_tolerances())
-# Hermitian within tolerance, but only the lower triangle, which eigvalsh
-# reads, puts the smallest eigenvalue below -PSD_TOL
-@example(([[0.5, 0.5 + 0.2e-12], [0.5 + 1.05e-12, 0.5]], True))
-# an off-diagonal defect whose exact modulus, 1.00000000000000005e-12, rounds
-# to HERMITICITY_TOL, and which numpy's complex abs rounds one ulp above it
-@example(([[1.0, -9.792452874065205e-13 + 2.0267872876086712e-13j], [0j, 0.0]], False))
+@given(triples_near_the_tolerances())
 # a smallest eigenvalue 2.2e-17 above -PSD_TOL, which tr/2 - hypot puts
 # 8.9e-17 below it
-@example(([[1.000000000001, 0], [0, -9.999778782798785e-13]], False))
+@example(((1.000000000001, -9.999778782798785e-13, 0j), False))
 def test_density_matrix_checks_agree_with_eigvalsh(case):
-    m, unit = case
-    want = eigvalsh_verdict(m, unit)
-    lowest = np.linalg.eigvalsh(np.asarray(m, dtype=complex))[0]
+    triple, unit = case
+    want = eigvalsh_verdict(triple, unit)
+    lowest = np.linalg.eigvalsh(assembled(*triple))[0]
     # within a few roundings of the trace of -PSD_TOL, the closed form and
     # eigvalsh may fall on opposite sides of it: there their smallest
     # eigenvalues must agree instead
-    band = 4.0 * np.finfo(float).eps * max(abs(np.trace(np.asarray(m)).real), 1.0)
-    got = closed_form_verdict(m, unit)
-    # the tuple form is read without numpy, to the same verdict and message
-    assert closed_form_verdict(as_tuples(m), unit) == got
-    assert scalar_message(as_tuples(m), unit) == scalar_message(m, unit)
-    if want == "Hermitian" or abs(lowest + PSD_TOL) > band:
+    band = 4.0 * np.finfo(float).eps * max(abs(triple[0] + triple[1]), 1.0)
+    got = closed_form_verdict(triple, unit)
+    if abs(lowest + PSD_TOL) > band:
         assert got == want
     else:
         assert got == want or "positive semidefinite" in (got, want)
-        assert abs(closed_form_lowest(m) - lowest) <= band
-
-
-def array_message(matrices):
-    try:
-        check_density_matrices(matrices)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def scalar_message(m, require_unit_trace):
-    try:
-        DensityMatrix(m, require_unit_trace=require_unit_trace)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def assert_same_rejection(got, want):
-    """Both accept, or both reject for the same reason. The smallest
-    eigenvalue a PSD message prints may differ in its last digit, because
-    numpy's hypot and math.hypot may round differently."""
-    if want is None or got is None or "semidefinite" not in want:
-        assert got == want
-    else:
-        prefix = "matrix is not positive semidefinite: min eig "
-        assert got.startswith(prefix) and want.startswith(prefix)
-        g, w = float(got.removeprefix(prefix)), float(want.removeprefix(prefix))
-        assert g == pytest.approx(w, rel=1e-15, abs=1e-300, nan_ok=True)
+        assert abs(closed_form_lowest(triple) - lowest) <= band
 
 
 @st.composite
-def matrices_with_non_finite_entries(draw):
-    """A matrix near the tolerances with one real or imaginary part replaced
-    by NaN or an infinity."""
-    m, unit = draw(matrices_near_the_tolerances())
-    m = np.array(m, dtype=complex)
-    i, j = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+def triples_with_non_finite_entries(draw):
+    """A state near the tolerances with one population, or one part of the
+    coherence, replaced by NaN or an infinity."""
+    (p_h, p_v, c), unit = draw(triples_near_the_tolerances())
     bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    if draw(st.booleans()):
-        m[i, j] = complex(bad, m[i, j].imag)
+    spot = draw(st.sampled_from(["p_h", "p_v", "real", "imag"]))
+    if spot == "p_h":
+        p_h = bad
+    elif spot == "p_v":
+        p_v = bad
+    elif spot == "real":
+        c = complex(bad, c.imag)
     else:
-        m[i, j] = complex(m[i, j].real, bad)
-    return m.tolist(), unit
+        c = complex(c.real, bad)
+    return (p_h, p_v, c), unit
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.one_of(matrices_near_the_tolerances(), matrices_with_non_finite_entries()))
-@example(([[0.5, 0.5 + 0.2e-12], [0.5 + 1.05e-12, 0.5]], True))
+def array_message(p_h, p_v, c):
+    try:
+        check_density_matrices(p_h, p_v, c)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_ANY_TRIPLE = st.one_of(triples_near_the_tolerances(), triples_with_non_finite_entries())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANY_TRIPLE.map(lambda case: case[0]), min_size=1, max_size=6),
+       st.booleans())
 # the smallest eigenvalue cancels to -1.9e-12, so a one-ulp difference between
 # two hypot implementations would show in its fifth digit
-@example((
-    [[0.41438630438862695, 0.27396691810856244], [0.27396691810856244, 0.1811301952353624]],
-    False,
-))
-def test_array_check_rejects_exactly_what_density_matrix_rejects(case):
-    m, _ = case
-    assert_same_rejection(array_message([m]), scalar_message(m, True))
-    assert scalar_message(as_tuples(m), True) == scalar_message(m, True)
+@example([(0.41438630438862695, 0.1811301952353624, 0.27396691810856244)], False)
+def test_array_check_raises_the_message_of_the_first_failing_state(triples, rows):
+    # the first state, in C order, whose DensityMatrix raises, raises the
+    # same message from the array check; as one row, or as two rows when the
+    # count is even
+    want = next((m for m in (scalar_message(t, True) for t in triples) if m), None)
+    shape = (2, -1) if rows and len(triples) % 2 == 0 else (-1,)
+    p_h, p_v, c = (np.reshape(np.array(x), shape) for x in zip(*triples))
+    assert array_message(p_h, p_v, c.astype(complex)) == want
 
 
-def test_array_check_names_the_first_rejected_matrix():
-    good = [[0.5, 0.5], [0.5, 0.5]]
-    not_psd = [[0.5, 0.6], [0.6, 0.5]]
-    not_hermitian = [[0.5, 0.1j], [0.1j, 0.5]]
-    stack = np.array([[good, not_psd], [not_hermitian, good]])
-    assert array_message(stack) == scalar_message(not_psd, True)
-    assert array_message(stack[1:]) == "matrix is not Hermitian"
-    assert array_message(stack[:, :1]) == "matrix is not Hermitian"
-    assert array_message(np.empty((0, 2, 2))) is None
-    half = [[0.25, 0.0], [0.0, 0.25]]
-    assert array_message([good, half]) == "trace 0.5 differs from 1"
+def test_array_check_names_the_first_rejected_state():
+    # a 2x2 grid of states with populations 1/2: [[good, not PSD], [NaN
+    # coherence, good]]
+    p_h = p_v = np.full((2, 2), 0.5)
+    c = np.array([[0.5, 0.6], [math.nan, 0.5]])
+    not_psd = scalar_message((0.5, 0.5, 0.6), True)
+    assert array_message(p_h, p_v, c) == not_psd
+    assert array_message(p_h[1:], p_v[1:], c[1:]) == "matrix is not positive semidefinite: min eig nan"
+    assert array_message(p_h[:, :1], p_v[:, :1], c[:, :1]) == array_message(p_h[1:], p_v[1:], c[1:])
+    # the populations broadcast against the coherences
+    assert array_message(0.5, 0.5, [0.5, 0.6]) == not_psd
+    assert array_message(np.empty(0), np.empty(0), np.empty(0)) is None
+    assert array_message([0.5, 0.25], [0.5, 0.25], [0.5, 0.0]) == "trace 0.5 differs from 1"
 
 
 @st.composite
@@ -486,57 +444,37 @@ def unit_trace_states(draw):
     length = math.sqrt(x * x + y * y + z * z)
     scale = draw(st.floats(0.0, 1.0)) / length if length > 1.0 else 1.0
     x, y, z = x * scale, y * scale, z * scale
-    return DensityMatrix([[(1 + z) / 2, complex(x, -y) / 2], [complex(x, y) / 2, (1 - z) / 2]])
+    return DensityMatrix((1 + z) / 2, (1 - z) / 2, complex(x, -y) / 2)
 
 
 @settings(max_examples=300, deadline=None)
 @given(unit_trace_states(), st.booleans())
-def test_tuple_and_array_forms_build_the_same_state(state, unit):
-    m = state.matrix.tolist()
-    if not unit:
-        m = [[x * 0.5 for x in row] for row in m]
-    from_array = DensityMatrix(np.array(m), require_unit_trace=unit)
-    from_tuple = DensityMatrix(as_tuples(m), require_unit_trace=unit)
-    # copies made before .matrix is first read build it just the same
-    copies = [copy.copy(from_tuple), pickle.loads(pickle.dumps(from_tuple))]
-    for got in [from_tuple, *copies]:
-        assert got.matrix.dtype == complex and got.matrix.shape == (2, 2)
-        assert got.matrix.tobytes() == from_array.matrix.tobytes()
+def test_copies_keep_the_three_numbers_and_a_read_only_matrix(state, unit):
+    scale = 1.0 if unit else 0.5
+    p_h, p_v, c = (scale * x for x in (state.population_h, state.population_v, state.coherence))
+    rho = DensityMatrix(p_h, p_v, c, require_unit_trace=unit)
+    want = assembled(p_h, p_v, c)
+    for got in (rho, copy.copy(rho), pickle.loads(pickle.dumps(rho))):
+        assert got.matrix.dtype == complex and got.matrix.tobytes() == want.tobytes()
         assert not got.matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             got.matrix[0, 1] = 0.0
-        want_repr = f"DensityMatrix({np.array(m, dtype=complex).tolist()!r})"
-        assert repr(got) == repr(from_array) == want_repr
-        assert got.trace == from_array.trace and got.unit_trace == unit
+        assert got.matrix is not got.matrix  # a view of the three numbers
+        assert repr(got) == f"DensityMatrix({p_h!r}, {p_v!r}, {c!r})"
+        assert got.trace == p_h + p_v and got.unit_trace == unit
         assert type(got.population_h) is float and type(got.coherence) is complex
-        assert (got.population_h, got.population_v, got.coherence) == (
-            from_array.population_h, from_array.population_v, from_array.coherence)
-    # and so do copies made after it: no unpickled array is left writeable
-    for read in (copy.copy(from_tuple), pickle.loads(pickle.dumps(from_tuple))):
-        assert read.matrix.tobytes() == from_array.matrix.tobytes()
-        assert not read.matrix.flags.writeable
+        assert (got.population_h, got.population_v, got.coherence) == (p_h, p_v, c)
     with pytest.raises(AttributeError):
-        from_tuple.coherence = 0j
+        rho.coherence = 0j
     with pytest.raises(AttributeError):
-        from_tuple.label = "rho"
+        rho.label = "rho"
 
 
-@pytest.mark.parametrize("matrix, message", [
-    (((0.5, 0.0, 0.0), (0.0, 0.5, 0.0)), "expected a 2x2 matrix, got shape (2, 3)"),
-    (((0.5, 0.0),), "expected a 2x2 matrix, got shape (1, 2)"),
-    ((0.5, 0.5), "expected a 2x2 matrix, got shape (2,)"),
-])
-def test_a_tuple_of_another_shape_is_refused_as_an_array_is(matrix, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        DensityMatrix(matrix)
-
-
-def test_a_tuple_of_numpy_scalars_or_bools_builds_the_array_state():
-    for entries in [(np.float64(0.5), np.complex128(0.5), 0.5 + 0j, 0.5), (True, 0, 0, False)]:
-        matrix = (entries[:2], entries[2:])
-        want = DensityMatrix(np.array(matrix, dtype=complex))
-        got = DensityMatrix(matrix)
-        assert got.matrix.tobytes() == want.matrix.tobytes() and repr(got) == repr(want)
+def test_numpy_and_python_numbers_build_the_same_state():
+    got = DensityMatrix(np.float64(0.5), np.float64(0.5), np.complex128(0.5j))
+    assert (type(got.population_h), type(got.population_v), type(got.coherence)) == (
+        float, float, complex)
+    assert repr(got) == repr(DensityMatrix(0.5, 0.5, 0.5j)) == "DensityMatrix(0.5, 0.5, 0.5j)"
 
 
 @settings(max_examples=400, deadline=None)
@@ -549,8 +487,12 @@ def test_trace_distance_matches_eigvalsh(a, b):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.tuples(unit_trace_states(), unit_trace_states()), min_size=1, max_size=5))
 def test_trace_distances_match_the_scalar_closed_form(pairs):
-    a = np.array([p.matrix for p, _ in pairs])
-    b = np.array([q.matrix for _, q in pairs])
+    def triple(states):
+        return (np.array([s.population_h for s in states]),
+                np.array([s.population_v for s in states]),
+                np.array([s.coherence for s in states]))
+
+    a, b = triple([p for p, _ in pairs]), triple([q for _, q in pairs])
     want = [trace_distance(p, q) for p, q in pairs]
     np.testing.assert_allclose(trace_distances(a, b), want, rtol=1e-15, atol=1e-300)
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,17 +36,27 @@ def _oracle_state(cfg, grid, t, stage, conditioning=None):
     """The oracle's polarization state at time t: the path blocks of the
     stage traced over the path (conditioning None) or projected on one path
     or port, normalized; a conditioning weight of zero raises."""
-    rho, norm = oracle._conditioned(
+    (p_h, p_v, c), norm = oracle._conditioned(
         oracle._path_blocks(cfg, grid, np.array([t]), stage), [conditioning])
-    if norm[0, 0] < oracle._CONDITION_TOL:
-        raise oracle._impossible(norm[0, 0])
-    return DensityMatrix(rho[0, 0] / norm[0, 0])
+    if norm[0] < oracle._CONDITION_TOL:
+        raise oracle._impossible(norm[0])
+    return DensityMatrix(p_h[0] / norm[0], p_v[0] / norm[0], c[0, 0] / norm[0])
 
 
 def _oracle_port_probabilities(cfg, grid, t):
     """The oracle's output-port weights at time t."""
-    p0, p1 = oracle._port_weights(oracle._path_blocks(cfg, grid, np.array([t]), "outside")[0])
+    populations, _ = oracle._path_blocks(cfg, grid, np.array([t]), "outside")
+    p0, p1 = populations.sum(axis=-1)
     return float(p0), float(p1)
+
+
+def _grid_over(dist, n, half_width):
+    """The trapezoid grid of n points over mu +- half_width sigma, as
+    FrequencyGrid.build makes it over mu +- 8 sigma."""
+    omegas = np.linspace(dist.mu - half_width, dist.mu + half_width, n)
+    weights = np.exp(-0.5 * (omegas - dist.mu) ** 2)
+    weights[[0, -1]] *= 0.5
+    return FrequencyGrid(omegas, weights / weights.sum())
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +119,21 @@ def test_compare_names_the_first_time_not_finite_or_negative(times, bad):
     # such a time falls in no stage, and was skipped as if it had passed
     with pytest.raises(ValueError, match=f"^{bad}$"):
         oracle_compare(preset("dtau10"), FrequencyGrid.build(DIST, 201), times)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([], "times is empty: there is nothing to compare"),
+    (np.empty(0), "times is empty: there is nothing to compare"),
+    ([[0.0], [70.0]], "times must be 1-D, got shape (2, 1)"),
+    ([[]], "times must be 1-D, got shape (1, 0)"),
+    (70.0, "times must be 1-D, got shape ()"),
+], ids=["empty-list", "empty-array", "column", "empty-row", "scalar"])
+def test_compare_refuses_times_it_cannot_score(times, message):
+    # an empty times scored a perfect OracleDeviation(0.0, 0.0), and a column
+    # of times was flattened silently
+    cfg = preset("dtau10")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oracle_compare(cfg, FrequencyGrid.build(cfg.dist, 201), times)
 
 
 @pytest.mark.parametrize("n", [3, 4, 51, 201, 2001, 8001])
@@ -260,8 +286,8 @@ def test_random_configs_agree(grid):
 def test_tail_truncation_sensitivity(baseline):
     # Halving the spectral range to +-4 sigma drops ~6e-5 of tail mass, which
     # bounds how much any state can move; measured worst case is ~5e-5.
-    g8 = FrequencyGrid.build(DIST, n=2001, half_width=8.0)
-    g4 = FrequencyGrid.build(DIST, n=1001, half_width=4.0)
+    g8 = FrequencyGrid.build(DIST, n=2001)
+    g4 = _grid_over(DIST, 1001, 4.0)
     worst = 0.0
     times_in = np.linspace(0.0, 60.0, 5)
     times_out = np.linspace(60.0, 2500.0, 9)
@@ -360,9 +386,10 @@ def test_amplitudes_of_a_time_array_match_each_time(grid, baseline):
 
 
 def _reference_blocks(cfg, grid, times, stage):
-    """Blocks of each time straight from its amplitudes: psi psi^H inside;
-    outside, the closed arms mixed by the beam splitter and each polarization
-    multiplied by its own output phase before psi psi^H."""
+    """Blocks rho[time, path, a, b] of each time straight from its
+    amplitudes: psi psi^H inside; outside, the closed arms mixed by the beam
+    splitter and each polarization multiplied by its own output phase before
+    psi psi^H."""
     from mzdephase.oracle import _amplitudes
 
     out = cfg.window_out
@@ -417,9 +444,12 @@ def test_path_blocks_match_per_time_amplitudes(cfg):
     for stage, times in stage_times.items():
         times = times[max_component_delay(cfg, times) <= alias_free_delay(grid)]
         assert len(times) > 5
-        got = _path_blocks(cfg, grid, times, stage)
+        populations, coherence = _path_blocks(cfg, grid, times, stage)
         want = _reference_blocks(cfg, grid, times, stage)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=stage)
+        for at_t in want:
+            np.testing.assert_allclose(
+                at_t[:, [0, 1], [0, 1]], populations, rtol=0, atol=1e-9, err_msg=stage)
+        np.testing.assert_allclose(coherence, want[:, :, 0, 1], rtol=0, atol=1e-9, err_msg=stage)
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +534,24 @@ def _per_cell_inside_error(cfg, blocks, times):
     from mzdephase import interferometer as itf
     from mzdephase.core import DensityMatrix
 
+    populations, coherence = blocks
     closed = (
         lambda t: itf.path_state_inside(cfg, 0, t),
         lambda t: itf.path_state_inside(cfg, 1, t),
         lambda t: itf.joint_state_inside(cfg, t),
     )
     try:
-        for t, at_t in zip(times, blocks):
+        for t, at_t in zip(times, coherence):
             for c, reference in zip((0, 1, None), closed):
-                rho = at_t[0] + at_t[1] if c is None else at_t[c]
-                norm = float(np.real(np.trace(rho)))
+                (p_h, p_v), coh = (
+                    (populations.sum(axis=0), at_t.sum()) if c is None
+                    else (populations[c], at_t[c]))
+                norm = float(p_h + p_v)
                 if norm < 1e-14:
                     raise ImpossibleOutcome(
                         f"conditioning weight {norm!r} is zero within tolerance"
                     )
-                DensityMatrix(rho / norm)
+                DensityMatrix(p_h / norm, p_v / norm, coh / norm)
                 reference(float(t))
     except (ImpossibleOutcome, ValueError) as exc:
         return type(exc), str(exc)
@@ -526,24 +559,25 @@ def _per_cell_inside_error(cfg, blocks, times):
 
 
 @pytest.mark.parametrize("spoil", [
-    {1: (0, "empty")},
-    {1: (0, "empty"), 2: (1, "skew")},
-    {1: (1, "skew"), 2: (0, "empty")},
-    {0: (1, "not_psd")},
-    {3: (0, "empty"), 1: (1, "not_psd")},
-    {2: (0, "empty"), 3: (1, "empty")},
+    ([0], []),
+    ([1], [(0, 0)]),
+    ([1], [(2, 0)]),
+    ([], [(0, 1)]),
+    ([], [(3, 0), (1, 1)]),
+    ([0, 1], []),
 ])
 def test_batched_errors_name_the_first_failing_cell(baseline, grid, monkeypatch, spoil):
+    # the empty paths have zero populations and coherences at every time;
+    # each cell (time, path) not positive semidefinite has its coherence
+    # raised
+    empty, not_psd = spoil
     times = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
-    blocks = oracle._path_blocks(baseline, grid, times, "inside")
-    for k, (path, how) in spoil.items():
-        if how == "empty":
-            blocks[k, path] = 0.0
-        elif how == "skew":
-            blocks[k, path, 0, 1] += 1e-3
-        else:
-            blocks[k, path, 0, 1] += 1.0
-            blocks[k, path, 1, 0] += 1.0
+    populations, coherence = oracle._path_blocks(baseline, grid, times, "inside")
+    for path in empty:
+        populations[path] = coherence[:, path] = 0.0
+    for k, path in not_psd:
+        coherence[k, path] += 1.0
+    blocks = populations, coherence
     monkeypatch.setattr(oracle, "_path_blocks", lambda *args: blocks)
     want = _per_cell_inside_error(baseline, blocks, times)
     assert want is not None
@@ -554,32 +588,35 @@ def test_batched_errors_name_the_first_failing_cell(baseline, grid, monkeypatch,
 
 def test_compare_names_the_impossible_conditioning_weight(baseline, grid, monkeypatch):
     times = np.array([100.0, 200.0])
-    blocks = oracle._path_blocks(baseline, grid, times, "outside")
-    blocks[1, 1] = 0.0
-    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: blocks)
+    populations, coherence = oracle._path_blocks(baseline, grid, times, "outside")
+    populations[1] = coherence[:, 1] = 0.0
+    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: (populations, coherence))
     with pytest.raises(ImpossibleOutcome, match=r"^conditioning weight 0\.0 is zero within tolerance$"):
         oracle_compare(baseline, grid, times)
 
 
 @pytest.mark.parametrize("spoil_simulated, message", [
-    (True, "matrix is not Hermitian"),
-    (False, "matrix is not positive semidefinite"),
+    (True, r"^matrix is not positive semidefinite: min eig -\d"),
+    (False, r"^matrix is not positive semidefinite: min eig nan$"),
 ])
 def test_batched_check_reads_the_simulated_state_first(
     baseline, grid, monkeypatch, spoil_simulated, message
 ):
+    # at the second time both the simulated and the closed-form path0 state
+    # may fail, the closed form with a NaN coherence
     times = np.array([0.0, 10.0])
-    blocks = oracle._path_blocks(baseline, grid, times, "inside")
+    populations, coherence = oracle._path_blocks(baseline, grid, times, "inside")
     if spoil_simulated:
-        blocks[1, 0, 0, 1] += 1e-3
+        coherence[1, 0] += 1.0
     closed = oracle._closed_form_states
 
     def spoiled(cfg, stage, conditioning, at):
-        rho = closed(cfg, stage, conditioning, at)
-        rho[1, 0, 1] = rho[1, 1, 0] = 1.0
-        return rho
+        pop_h, pop_v, coh = closed(cfg, stage, conditioning, at)
+        coh = coh.copy()
+        coh[1] = np.nan
+        return pop_h, pop_v, coh
 
-    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: blocks)
+    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: (populations, coherence))
     monkeypatch.setattr(oracle, "_closed_form_states", spoiled)
     with pytest.raises(ValueError, match=message):
         oracle_compare(baseline, grid, times)
