@@ -21,7 +21,6 @@ from .interferometer import (
     LOCATION_STAGES,
     _check_times,
     _lambda_of_total_time,
-    _lambda_slope,
     averaged_state_outside,
     conditional_state_outside,
     interference_kappas,
@@ -121,18 +120,27 @@ def blp_measure(series: TraceDistanceSeries) -> float:
     return float(inc[inc > RISE_TOL].sum())
 
 
-def _slope_root(slope, a: float, b: float) -> float:
-    """Where |Lambda| stops rising in [a, b]: when ``slope``, d|Lambda|^2/dT,
-    is positive at a and not at b, the last time with a positive slope,
-    bisected on its sign down to adjacent floats; otherwise no such root is
-    bracketed, and a."""
-    if not slope(a) > 0.0 >= slope(b):
-        return a
+def _scaled_slope(terms, cos_mu: float, total: float) -> float:
+    """d|Lambda|^2/dT at total outside interaction time T, times the positive
+    e^(min(x_1^2, x_2^2)) so that its sign survives where |Lambda|^2
+    underflows; from |Lambda|^2 = e^(-x_1^2) + e^(-x_2^2) + 2 C e^(-(x_1^2 +
+    x_2^2) / 2), with x_i = a_i + dn_out T and C = cos(mu (a_2 - a_1))."""
+    x1, x2 = terms.a_1 + terms.dn_out * total, terms.a_2 + terms.dn_out * total
+    s1, s2 = x1 * x1, x2 * x2
+    least = min(s1, s2)
+    return -2.0 * terms.dn_out * (x1 * math.exp(least - s1) + x2 * math.exp(least - s2)
+                                  + cos_mu * (x1 + x2) * math.exp(-0.5 * abs(s1 - s2)))
+
+
+def _hump(terms, cos_mu: float, a: float, b: float) -> float:
+    """Where |Lambda| stops rising in [a, b], on which it rises and then falls
+    (either part may be empty): the sign of _scaled_slope bisected down to
+    adjacent floats, the last time found rising, or a if none is."""
     while True:
         m = a + 0.5 * (b - a)
         if not a < m < b:
             return a
-        if slope(m) > 0.0:
+        if _scaled_slope(terms, cos_mu, m) > 0.0:
             a = m
         else:
             b = m
@@ -144,18 +152,25 @@ def lambda_peak(
     """Locate the global maximum of the cross-term transfer modulus.
 
     Returns (t_max, peak_value) where t_max is the total outside interaction
-    time at the maximum of |Lambda|.  |Lambda| can reach ``PEAK_FLOOR_TOL``
-    only in the two windows of total time where a cross delay x_i is at most
-    ``PEAK_REACH`` in modulus; a coarse scan of |Lambda| over each window,
-    clipped to the range, brackets the candidates: its strict local maxima
-    and the range ends.  |Lambda|^2 is a sum of Gaussians in T whose mean
-    frequency enters only through a constant phase, so it does not oscillate
-    in T: in each bracket the candidate is the root of the closed-form slope
-    d|Lambda|^2/dT, found by bisection down to adjacent floats, or a bracket
-    end where |Lambda| is larger.  Raises PeakNotFound when the signal stays
-    below ``PEAK_FLOOR_TOL`` over the whole range; warns when a second,
-    well-separated candidate comes within 1% of the global maximum.  Raises
-    ValueError, its message led by ``scan_range``, for a range not ordered.
+    time at the maximum of |Lambda|.  With x_i = a_i + dn_out T, the centre
+    T_c = -(a_1 + a_2) / (2 dn_out), d = |a_2 - a_1| / 2, C = cos(mu (a_2 -
+    a_1)) and u = dn_out (T - T_c),
+
+        |Lambda|^2 = 2 e^(-u^2 - d^2) (cosh(2 u d) + C),
+
+    even in u, rising and then falling in |u|: one hump at T_c when
+    2 d^2 <= 1 + C, else two mirror humps of equal height at T_c +- r.  So
+    each side of T_c holds one hump, T_c itself or one found by bisecting
+    the sign of the slope d|Lambda|^2/dT within R = (d + ``PEAK_REACH``) /
+    |dn_out| of T_c (beyond it |Lambda| stays below ``PEAK_FLOOR_TOL``),
+    clipped to the part of the range on its side.  The larger |Lambda| of
+    the two wins; an exact tie goes to
+    the earlier time.  Raises PeakNotFound when the signal stays below
+    ``PEAK_FLOOR_TOL`` over the whole range; warns when the other side's
+    hump, more than two sampling steps of 1/40 of the width 1/|dn_out| (at
+    most 1/100 of the range) away, comes within 1% of the peak.  Raises
+    ValueError, its message led by ``scan_range``, for a range not ordered,
+    and one naming mu when mu (a_2 - a_1) overflows.
     """
     t_lo, t_hi = scan_range
     if not t_lo <= t_hi:  # NaN fails it too
@@ -171,42 +186,32 @@ def lambda_peak(
             raise PeakNotFound("cross-term transfer below floor over the scan range")
         return lo, peak
 
-    # coarse stage at 1/40 of the width 1/|dn'| of each term of |Lambda|
-    coarse_step = min(1.0 / abs(dn_out) / 40.0, (hi - lo) / 100.0)
-    slope = _lambda_slope(cfg)
-    best = []  # (peak value, total time) per candidate
-    for a_i in (terms.a_1, terms.a_2):
-        ends = sorted(((-PEAK_REACH - a_i) / dn_out, (PEAK_REACH - a_i) / dn_out))
-        w_lo, w_hi = max(lo, ends[0]), min(hi, ends[1])
-        if not w_lo <= w_hi:  # the window misses the range
-            continue
-        coarse = np.append(np.arange(w_lo, w_hi, coarse_step), w_hi)
-        modulus = np.abs(_lambda_of_total_time(cfg, coarse))
-        # strict on the left: where |Lambda| underflowed to a flat 0, no
-        # candidates.  A window end inside the range is none either: its own
-        # term is below the floor there, so a hump of the other term there
-        # peaks inside the other window
-        interior = (modulus[1:-1] > modulus[:-2]) & (modulus[1:-1] >= modulus[2:])
-        candidates = [t for t in (w_lo, w_hi) if t in (lo, hi)]
-        for c in candidates + coarse[1:-1][interior].tolist():
-            a, b = max(lo, c - coarse_step), min(hi, c + coarse_step)
-            best.append(max(
-                (abs(_lambda_of_total_time(cfg, t)), t) for t in (a, _slope_root(slope, a, b), b)
-            ))
+    gap = terms.a_2 - terms.a_1
+    if not math.isfinite(cfg.dist.mu * gap):  # math.cos would raise a bare domain error
+        raise ValueError(f"mu {cfg.dist.mu:g} makes the phase mu (a_2 - a_1) overflow")
+    cos_mu = math.cos(cfg.dist.mu * gap)
+    one_hump = gap * gap / 2.0 <= 1.0 + cos_mu  # 2 d^2 <= 1 + C
+    centre = -(terms.a_1 + terms.a_2) / (2.0 * dn_out)
+    reach = (abs(gap) / 2.0 + PEAK_REACH) / abs(dn_out)
+    humps = []  # (peak value, total time), earlier side first
+    for a, b, side_lo, side_hi in ((centre - reach, centre, lo, min(hi, centre)),
+                                   (centre, centre + reach, max(lo, centre), hi)):
+        if side_lo <= side_hi:
+            top = centre if one_hump else _hump(terms, cos_mu, a, b)
+            t = min(max(side_lo, top), side_hi)  # a range end as given
+            humps.append((abs(_lambda_of_total_time(cfg, t)), t))
 
-    best.sort(reverse=True)
-    if not best or best[0][0] < PEAK_FLOOR_TOL:
+    peak_value, t_max = max(humps, key=lambda hump: hump[0])
+    if peak_value < PEAK_FLOOR_TOL:
         raise PeakNotFound("cross-term transfer below floor over the scan range")
-    peak_value, t_max = best[0]
-    for value, where in best[1:]:
-        separated = abs(where - t_max) > 2.0 * coarse_step
-        if separated and value > 0.99 * peak_value:
+    separation = 2.0 * min(1.0 / abs(dn_out) / 40.0, (hi - lo) / 100.0)
+    for value, where in humps:
+        if abs(where - t_max) > separation and value > 0.99 * peak_value:
             warnings.warn(
                 "recoherence peak is ambiguous: a second candidate at total time "
                 f"{where:.6g} reaches {value:.6g} vs {peak_value:.6g}",
                 stacklevel=2,
             )
-            break
     return t_max, peak_value
 
 

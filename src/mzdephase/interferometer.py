@@ -71,29 +71,6 @@ def _lambda_of_total_time(cfg: InterferometerConfig, total):
     return k1 + k2
 
 
-def _lambda_slope(cfg: InterferometerConfig):
-    """The slope d|Lambda|^2/dT of the squared cross-term transfer modulus,
-    as a function of the total outside interaction time T.
-
-    With x_i = a_i + dn_out T and d kappa/dx = kappa (i mu - x), the slope is
-    2 dn_out Re(conj(Lambda) sum_i kappa(x_i) (i mu - x_i)).  The mu part sums
-    to i mu |Lambda|^2, which has no real part, so what is left is
-    -2 dn_out sum_i x_i Re(conj(Lambda) kappa(x_i)).
-    """
-    terms = cfg.outside_terms
-    a1, a2, dn_out = terms.a_1, terms.a_2, terms.dn_out
-    dist, theta = cfg.dist, cfg.pol.theta
-
-    def slope(total):
-        x1, x2 = a1 + dn_out * total, a2 + dn_out * total
-        k1 = kappa_of_delay(dist, theta, x1)
-        k2 = kappa_of_delay(dist, theta, x2)
-        conj_lam = (k1 + k2).conjugate()
-        return -2.0 * dn_out * (x1 * (conj_lam * k1).real + x2 * (conj_lam * k2).real)
-
-    return slope
-
-
 def _check_index(kind: str, j) -> None:
     """Raise ValueError unless j names inside path or output port 0 or 1."""
     if j not in (0, 1):

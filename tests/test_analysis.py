@@ -29,7 +29,6 @@ from mzdephase.core import (
 from mzdephase.errors import EstimatorOutOfRegime, ImpossibleOutcome, PeakNotFound
 from mzdephase.interferometer import (
     _lambda_of_total_time,
-    _lambda_slope,
     coherence_transfer,
     path_probabilities,
 )
@@ -242,24 +241,18 @@ def test_peak_of_dtau10_is_where_its_first_cross_delay_cancels(baseline):
     assert peak == pytest.approx(1.0, abs=1e-15)
 
 
-def test_only_the_hump_inside_a_cancellation_window_is_bisected(baseline, monkeypatch):
+def test_far_humps_are_found_where_the_plain_slope_underflows(baseline):
     # arms of 100 and 20: the cross delays start at 124.4 and -123.3, so
-    # |Lambda| underflows to a flat 0 on most of the range; only the one hump
-    # around the second cancellation point is bisected, and the range ends,
-    # outside both windows, are no candidates
+    # |Lambda|^2 and its plain slope underflow to exactly 0 between the two
+    # humps; the scaled slope keeps its sign there, and the hump around the
+    # second cancellation point is found
     cfg = replace(
         baseline,
         window0=replace(baseline.window0, t_stop=100.0),
         window1=replace(baseline.window1, t_stop=20.0),
         window_out=replace(baseline.window_out, t_start=100.0),
     )
-    brackets = []
-    slope_root = analysis._slope_root
-    monkeypatch.setattr(
-        analysis, "_slope_root", lambda *args: brackets.append(args) or slope_root(*args)
-    )
     assert lambda_peak(cfg, auto_scan_range(cfg)) == (13704.4444444446, 1.0)
-    assert len(brackets) == 1
 
 
 @pytest.mark.parametrize("mu", [1e12, 1e300])
@@ -281,30 +274,76 @@ def test_peak_search_refuses_a_scan_range_not_ordered(baseline, scan_range):
 
 
 def test_peak_search_takes_a_scan_range_of_any_length(baseline):
-    # ~4e19 steps of 1/40 of the width 1/0.009, of which only the two
-    # cancellation windows are scanned
+    # ~4e19 steps of 1/40 of the width 1/0.009, but the humps are bisected
+    # only within a fixed reach of |Lambda|'s centre
     assert lambda_peak(baseline, (60.0, 1e20)) == lambda_peak(baseline, auto_scan_range(baseline))
 
 
-@pytest.mark.parametrize("long_range", [False, True])
-def test_each_coarse_scan_holds_at_most_604_points(baseline, long_range, monkeypatch):
-    # a window is 2 PEAK_REACH widths long, sampled at 40 points a width
-    # and at its closing end
-    assert int(2 * PEAK_REACH * 40) + 2 == 604
-    sizes = []
-    of_total_time = analysis._lambda_of_total_time
+@pytest.mark.parametrize("mu", [6e306, 1e307])
+def test_peak_search_refuses_a_mu_whose_cross_phase_overflows(baseline, mu):
+    # mu (a_2 - a_1) is infinite: C = cos(mu (a_2 - a_1)) has no value
+    cfg = replace(baseline, dist=FrequencyDistribution(mu))
+    with pytest.raises(ValueError, match=r"^mu .* makes the phase mu \(a_2 - a_1\) overflow$"):
+        lambda_peak(cfg, (60.0, 3000.0))
+
+
+def test_each_search_takes_at_most_130_slope_evaluations(baseline, monkeypatch):
+    # at most two bisections down to adjacent floats, each over the reach R
+    # of one side of the centre, whatever the range's length; none for one
+    # hump, such as that of arms with swapped indices, centred at T_c = 0,
+    # towards which a bisection would halve its way through the subnormals
+    calls = []
+    slope = analysis._scaled_slope
     monkeypatch.setattr(
-        analysis, "_lambda_of_total_time",
-        lambda cfg, total: sizes.append(np.size(total)) or of_total_time(cfg, total),
+        analysis, "_scaled_slope", lambda *args: calls.append(args) or slope(*args)
     )
-    for cfg in [baseline] + [random_config(np.random.default_rng(seed)) for seed in range(20)]:
+    swapped = replace(baseline, window1=InteractionWindow(1.544, 1.553, 0.0, 50.0),
+                      window0=InteractionWindow(1.553, 1.544, 0.0, 50.0))
+    t_max, peak = lambda_peak(swapped, (60.0, 3000.0))
+    assert (math.copysign(1.0, t_max), t_max, peak, calls) == (1.0, 0.0, 2.0, [])
+    searches = [(baseline, (60.0, 1e20))]
+    for seed in range(20):
+        cfg = random_config(np.random.default_rng(seed))
+        searches += [(cfg, auto_scan_range(cfg)), (cfg, (60.0, 1e20))]
+    counts = []
+    for cfg, scan_range in searches:
+        calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                lambda_peak(cfg, (60.0, 1e20) if long_range else auto_scan_range(cfg))
+                lambda_peak(cfg, scan_range)
             except PeakNotFound:
                 pass
-    assert max(sizes) == 604
+        counts.append(len(calls))
+    assert 0 < counts[0] and max(counts) <= 130
+
+
+@pytest.mark.parametrize("seed", [99, 237])
+def test_one_hump_near_the_range_start_raises_no_warning(seed):
+    # 2 d^2 <= 1 + C: |Lambda| rises once and falls once, so no other point
+    # of the range competes with its top at the centre T_c, where |Lambda|^2
+    # is 2 e^(-d^2) (1 + C)
+    cfg = random_config(np.random.default_rng(seed))
+    terms = cfg.outside_terms
+    half = abs(terms.a_2 - terms.a_1) / 2.0
+    cos_mu = math.cos(cfg.dist.mu * (terms.a_2 - terms.a_1))
+    assert 2.0 * half**2 <= 1.0 + cos_mu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_max, peak = lambda_peak(cfg, auto_scan_range(cfg))
+    centre = -(terms.a_1 + terms.a_2) / (2.0 * terms.dn_out)
+    assert t_max == pytest.approx(centre, rel=1e-9)
+    assert peak == pytest.approx(math.sqrt(2.0 * math.exp(-half**2) * (1.0 + cos_mu)), abs=1e-12)
+
+
+def test_mirror_humps_of_equal_height_warn_and_the_earlier_wins():
+    # seed 1526: two humps at total times 49.97 and 147.16, mirror images
+    # about the centre T_c = 98.56, both inside the range
+    cfg = random_config(np.random.default_rng(1526))
+    with pytest.warns(UserWarning, match="second candidate at total time 147.158 reaches"):
+        t_max, peak = lambda_peak(cfg, auto_scan_range(cfg))
+    assert t_max == pytest.approx(49.97, abs=0.01)
+    assert peak == pytest.approx(1.11653, abs=1e-5)
 
 
 def test_peak_of_two_humps_of_one_term_pair_is_the_higher_one():
@@ -447,6 +486,38 @@ def test_bisected_peak_is_at_least_the_fine_grid_maximum(search):
         assert abs(t_max - where) <= step
 
 
+@settings(max_examples=60, deadline=None)
+@given(peak_searches(), st.floats(0.0, 1.0))
+def test_abs_lambda_is_mirror_symmetric_and_unimodal_about_its_centre(search, where):
+    doc, _ = search
+    cfg = config_of(doc)
+    terms = cfg.outside_terms
+    dn = abs(terms.dn_out)
+    # the centre T_c of the symmetry and the reach R of each side
+    centre = -(terms.a_1 + terms.a_2) / (2.0 * terms.dn_out)
+    reach = (abs(terms.a_2 - terms.a_1) / 2.0 + PEAK_REACH) / dn
+
+    # |Lambda(T_c + r)| = |Lambda(T_c - r)| up to the rounding of both values,
+    # and of T_c and T_c +- r (4 eps |T_c| + 2 eps r at most), which moves
+    # |Lambda| at a slope of at most 2 e^(-1/2) |dn_out| < 2 |dn_out|
+    r = where * reach
+    ts = (centre + r, centre - r)
+    up, down = (abs(_lambda_of_total_time(cfg, t)) for t in ts)
+    shift = 2.0 * dn * np.finfo(float).eps * (4.0 * abs(centre) + 2.0 * r)
+    assert up == pytest.approx(down, abs=sum(abs_lambda_rounding(doc, t) for t in ts) + shift)
+
+    # on each side of T_c, a dense scan rises and then falls, up to rounding
+    steps = np.linspace(0.0, reach, 2001)
+    for side in (1.0, -1.0):
+        grid = centre + side * steps
+        value = np.abs(_lambda_of_total_time(cfg, grid))
+        tol = np.array([abs_lambda_rounding(doc, t) for t in grid.tolist()])
+        slack = tol[1:] + tol[:-1]
+        top = int(np.argmax(value))
+        assert np.all(np.diff(value[: top + 1]) >= -slack[:top])
+        assert np.all(np.diff(value[top:]) <= slack[top:])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 def test_closed_form_slope_matches_central_differences(seed, where):
@@ -457,7 +528,10 @@ def test_closed_form_slope_matches_central_differences(seed, where):
     # a step of 1e-4 in the cross delays: truncation ~1e-8, phase rounding ~1e-8
     step = 1e-4 / abs(dn)
     up, down = (abs(_lambda_of_total_time(cfg, total + s)) ** 2 for s in (step, -step))
-    slope = _lambda_slope(cfg)(total)
+    # the slope is scaled by e^(min(x_1^2, x_2^2)); undo that
+    x1, x2 = a1 + dn * total, a2 + dn * total
+    cos_mu = math.cos(cfg.dist.mu * (a2 - a1))
+    slope = analysis._scaled_slope(cfg.outside_terms, cos_mu, total) * math.exp(-min(x1**2, x2**2))
     assert slope / dn == pytest.approx((up - down) / (2.0 * step) / dn, abs=1e-6)
 
 

@@ -576,8 +576,8 @@ def test_estimate_takes_a_mu_of_any_size(tmp_path, mu, capsys):
     ([], {"grid": "60:1e20:1e19"}),
 ])
 def test_estimate_takes_a_scan_range_of_any_length(tmp_path, flag, run, capsys):
-    # eleven grid times, but ~4e19 steps of 1/40 of the width 1/0.009, of
-    # which the peak search samples only the two cancellation windows
+    # eleven grid times, but ~4e19 steps of 1/40 of the width 1/0.009; the
+    # peak search bisects only within a fixed reach of |Lambda|'s centre
     assert main(["estimate", "--config", write_config(tmp_path, BASELINE)]) == 0
     want = capsys.readouterr().out
     path = write_config(tmp_path, dict(BASELINE, run=run))
