@@ -170,7 +170,7 @@ def lambda_peak(
     hump, more than two sampling steps of 1/40 of the width 1/|dn_out| (at
     most 1/100 of the range) away, comes within 1% of the peak.  Raises
     ValueError, its message led by ``scan_range``, for a range not ordered,
-    and one naming mu when mu (a_2 - a_1) overflows.
+    and ``cfg.outside_terms``'s one naming mu when mu (a_2 - a_1) overflows.
     """
     t_lo, t_hi = scan_range
     if not t_lo <= t_hi:  # NaN fails it too
@@ -187,8 +187,6 @@ def lambda_peak(
         return lo, peak
 
     gap = terms.a_2 - terms.a_1
-    if not math.isfinite(cfg.dist.mu * gap):  # math.cos would raise a bare domain error
-        raise ValueError(f"mu {cfg.dist.mu:g} makes the phase mu (a_2 - a_1) overflow")
     cos_mu = math.cos(cfg.dist.mu * gap)
     one_hump = gap * gap / 2.0 <= 1.0 + cos_mu  # 2 d^2 <= 1 + C
     centre = -(terms.a_1 + terms.a_2) / (2.0 * dn_out)

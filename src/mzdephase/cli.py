@@ -148,6 +148,10 @@ def build_config(data: dict) -> tuple[InterferometerConfig, dict]:
             problems.append(f"output.t_start: {exc}")
     if problems or cfg is None:
         raise ConfigError(problems or ["config could not be constructed"])
+    # an arm's delays, which the interference weights take at every time,
+    # before anything reads them (cfg.outside_terms)
+    for section, window in (("arm0", cfg.window0), ("arm1", cfg.window1)):
+        _check_window_delays(cfg, section, window, window.duration)
     return cfg, run
 
 
@@ -201,27 +205,27 @@ def parse_grid(spec: str, min_points: int = 1, field: str = "grid") -> np.ndarra
 _MAX_DELAY = math.sqrt(sys.float_info.max) / 4.0
 
 
+def _check_window_delays(cfg: InterferometerConfig, section: str, window: InteractionWindow,
+                         t: float) -> None:
+    """Refuse a delay n * t that a coupling accumulates over a coupling time
+    t: one beyond ``_MAX_DELAY`` under its index, or one that mu turns into a
+    phase that overflows at the largest oracle frequency."""
+    for key in ("n_h", "n_v"):
+        delay = getattr(window, key) * t
+        if not delay <= _MAX_DELAY:
+            raise ConfigError([f"{section}.{key}: delay {delay:g} overflows when squared"])
+        if not math.isfinite((abs(cfg.dist.mu) + oracle.HALF_WIDTH) * 2.0 * delay):
+            raise ConfigError([
+                f"distribution.mu_over_sigma: {cfg.dist.mu:g} turns the delay {delay:g} "
+                f"of {section}.{key} into a phase that overflows"
+            ])
+
+
 def _check_delays(cfg: InterferometerConfig, t_last: float) -> None:
-    """Refuse a delay n * t that a coupling accumulates by t_last, an arm's
-    over its whole duration, which the interference weights take at every
-    time: one beyond ``_MAX_DELAY`` under its index, arms first, or one that
-    mu turns into a phase that overflows at the largest oracle frequency."""
+    """_check_window_delays of the output coupling by laboratory time t_last;
+    build_config checks the arms' over their whole durations."""
     out = cfg.window_out
-    t_out = effective_time(out, float(t_last))
-    for section, window, t in (
-        ("arm0", cfg.window0, cfg.window0.duration),
-        ("arm1", cfg.window1, cfg.window1.duration),
-        ("output", out, t_out),
-    ):
-        for key in ("n_h", "n_v"):
-            delay = getattr(window, key) * t
-            if not delay <= _MAX_DELAY:
-                raise ConfigError([f"{section}.{key}: delay {delay:g} overflows when squared"])
-            if not math.isfinite((abs(cfg.dist.mu) + oracle.HALF_WIDTH) * 2.0 * delay):
-                raise ConfigError([
-                    f"distribution.mu_over_sigma: {cfg.dist.mu:g} turns the delay {delay:g} "
-                    f"of {section}.{key} into a phase that overflows"
-                ])
+    _check_window_delays(cfg, "output", out, effective_time(out, float(t_last)))
 
 
 _FLOAT_CELL = "{:.17g}"

@@ -163,15 +163,21 @@ class InterferometerConfig:
     @cached_property
     def outside_terms(self) -> OutsideTerms:
         """OutsideTerms, computed on first use and kept; == and hash ignore
-        them.  The weights are Python floats."""
+        them.  The weights are Python floats.  Raises ValueError naming mu
+        when mu times an interference delay, or times a_2 - a_1, overflows."""
         w0, w1 = self.window0, self.window1
         t0, t1 = w0.duration, w1.duration
-        kh = 2.0 * kappa_of_delay(self.dist, 0.0, w0.n_h * t0 - w1.n_h * t1).real
-        kv = 2.0 * kappa_of_delay(self.dist, 0.0, w0.n_v * t0 - w1.n_v * t1).real
+        x_h, x_v = w0.n_h * t0 - w1.n_h * t1, w0.n_v * t0 - w1.n_v * t1
+        a_1, a_2 = w0.n_h * t0 - w1.n_v * t1, w1.n_h * t1 - w0.n_v * t0
+        for name, delay in (("n_h0 tau_0 - n_h1 tau_1", x_h), ("n_v0 tau_0 - n_v1 tau_1", x_v),
+                            ("a_2 - a_1", a_2 - a_1)):
+            if not math.isfinite(self.dist.mu * delay):
+                raise ValueError(f"mu {self.dist.mu:g} makes the phase mu ({name}) overflow")
+        kh = 2.0 * kappa_of_delay(self.dist, 0.0, x_h).real
+        kv = 2.0 * kappa_of_delay(self.dist, 0.0, x_v).real
         p0 = float((2.0 + abs(self.pol.c_h) ** 2 * kh + abs(self.pol.c_v) ** 2 * kv) / 4.0)
         return OutsideTerms(
-            d_0=w0.delta_n * t0, d_1=w1.delta_n * t1,
-            a_1=w0.n_h * t0 - w1.n_v * t1, a_2=w1.n_h * t1 - w0.n_v * t0,
+            d_0=w0.delta_n * t0, d_1=w1.delta_n * t1, a_1=a_1, a_2=a_2,
             dn_out=self.window_out.delta_n, kappa_h=kh, kappa_v=kv,
             port_weights=(((2.0 + kh) / 4.0, (2.0 + kv) / 4.0),
                           ((2.0 - kh) / 4.0, (2.0 - kv) / 4.0)),
@@ -184,14 +190,13 @@ class DensityMatrix:
     {H, V} basis, held as its three numbers: the populations p_h and p_v, as
     Python floats, and the coherence c = <H|rho|V>, a Python complex.
 
-    Positive semidefiniteness and the trace bounds are enforced at
-    construction.  Trace below one is only admitted for explicitly
-    unnormalized conditional states (``require_unit_trace=False``).
+    Positive semidefiniteness, the trace bounds and unit trace are enforced
+    at construction.
     """
 
-    __slots__ = ("_p_h", "_p_v", "_c", "_trace")
+    __slots__ = ("_p_h", "_p_v", "_c")
 
-    def __init__(self, population_h, population_v, coherence, *, require_unit_trace=True):
+    def __init__(self, population_h, population_v, coherence):
         p_h, p_v, c = float(population_h), float(population_v), complex(coherence)
         # every check is written so that a NaN fails it; the smallest
         # eigenvalue takes abs of a complex, the C library's hypot, as
@@ -202,9 +207,9 @@ class DensityMatrix:
             raise ValueError(f"matrix is not positive semidefinite: min eig {lowest}")
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise ValueError(f"trace {tr} outside [0, 1]")
-        if require_unit_trace and not abs(tr - 1.0) <= UNIT_TRACE_TOL:
+        if not abs(tr - 1.0) <= UNIT_TRACE_TOL:
             raise ValueError(f"trace {tr} differs from 1")
-        self._p_h, self._p_v, self._c, self._trace = p_h, p_v, c, tr
+        self._p_h, self._p_v, self._c = p_h, p_v, c
 
     @property
     def matrix(self) -> np.ndarray:
@@ -215,7 +220,7 @@ class DensityMatrix:
 
     @property
     def trace(self) -> float:
-        return self._trace
+        return self._p_h + self._p_v
 
     @property
     def population_h(self) -> float:
@@ -230,17 +235,13 @@ class DensityMatrix:
         """The off-diagonal <H|rho|V> element."""
         return self._c
 
-    @property
-    def unit_trace(self) -> bool:
-        return abs(self._trace - 1.0) <= UNIT_TRACE_TOL
-
     def __repr__(self):
         return f"DensityMatrix({self._p_h!r}, {self._p_v!r}, {self._c!r})"
 
 
 def check_density_matrices(population_h, population_v, coherence) -> None:
     """Raise DensityMatrix's ValueError for the first state, in C order of
-    the broadcast arrays, that DensityMatrix, unit trace required, rejects.
+    the broadcast arrays, that DensityMatrix rejects.
 
     One vectorised mask applies DensityMatrix's checks with its tolerances,
     each failing on NaN.  The states the mask rejects are then built as
@@ -286,13 +287,11 @@ def kappa_of_delay(dist: FrequencyDistribution, theta: float, x):
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Trace distance (1/2)||a - b||_1 between two unit-trace states.
+    """Trace distance (1/2)||a - b||_1 between two states.
 
     The difference is Hermitian with trace s and eigenvalues s/2 +- r, where
     r is the hypot of its half population difference and its coherence.
     """
-    if not a.unit_trace or not b.unit_trace:
-        raise ValueError("trace distance requires unit-trace inputs")
     d_h, d_v = a._p_h - b._p_h, a._p_v - b._p_v
     half = (d_h + d_v) / 2.0
     r = math.hypot((d_h - d_v) / 2.0, abs(a._c - b._c))

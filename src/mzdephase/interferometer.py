@@ -149,22 +149,16 @@ def _bright_port(cfg: InterferometerConfig, jp: int) -> float:
     return prob
 
 
-def conditional_state_outside(
-    cfg: InterferometerConfig,
-    jp: int,
-    t: float,
-    normalized: bool = True,
-) -> DensityMatrix:
+def conditional_state_outside(cfg: InterferometerConfig, jp: int, t: float) -> DensityMatrix:
     """State on output port jp at laboratory time t.
 
     Before the outside coupling opens the accumulated outside delay is zero,
-    so the same expression also gives the state right at the exit.  The
-    unnormalized variant omits the division by the port probability and is
-    trace-non-increasing; its populations (and the normalized ones) are
-    time-independent because only dephasing acts after the output beam
-    splitter.
+    so the same expression also gives the state right at the exit.  Its
+    populations are time-independent because only dephasing acts after the
+    output beam splitter.  The port's evolution before the division by its
+    probability, trace-non-increasing, is ``maps.kraus_conditional``.
     """
-    return _state(cfg, "outside", jp, t, normalized)
+    return _state(cfg, "outside", jp, t)
 
 
 def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
@@ -177,19 +171,17 @@ def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix
     return _state(cfg, "outside", None, t)
 
 
-def _closed_form(
-    cfg: InterferometerConfig, stage: str, conditioning, times, normalized: bool = True
-):
-    """(transfer, weight_h, weight_v, prob) of the closed-form state at a
-    (stage, conditioning) location, the transfer a scalar or an array as
-    ``times`` is.
+def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
+    """(transfer, weight_h, weight_v) of the closed-form state at a (stage,
+    conditioning) location before the division by its conditioning
+    probability, the transfer a scalar or an array as ``times`` is.
 
     The state is [[weight_h |c_h|^2, c_h c_v^* transfer], [conjugate,
-    weight_v |c_v|^2]] / prob.  Weights and prob are one except on an output
-    port, where they are its interference weights and, when ``normalized``,
-    its probability; a dark port then raises ImpossibleOutcome, and a port
-    without H-V coherence (_lacks_coherence) has a transfer of exactly zero.
-    An index other than 0 or 1, or a time not finite, raises ValueError.
+    weight_v |c_v|^2]].  The weights are one except on an output port, where
+    they are its interference weights and the trace is its probability; a
+    port without H-V coherence (_lacks_coherence) has a transfer of exactly
+    zero.  An index other than 0 or 1, or a time not finite, raises
+    ValueError.
     """
     if stage == "inside" or conditioning is None:
         _check_times(times)  # coherence_transfer checks a port's
@@ -198,62 +190,57 @@ def _closed_form(
         if conditioning is not None:
             _check_index("path", conditioning)
             window = (cfg.window0, cfg.window1)[conditioning]
-            return single_path_kappa(window, cfg.dist, theta, times), 1.0, 1.0, 1.0
+            return single_path_kappa(window, cfg.dist, theta, times), 1.0, 1.0
         k0 = single_path_kappa(cfg.window0, cfg.dist, theta, times)
         k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
-        return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
+        return (k0 + k1) / 2.0, 1.0, 1.0
     if conditioning is None:
         total, terms = effective_time(cfg.window_out, times), cfg.outside_terms
         k0, k1 = _shifted_kappas(cfg, total, (terms.d_0, terms.d_1))
-        return (k0 + k1) / 2.0, 1.0, 1.0, 1.0
+        return (k0 + k1) / 2.0, 1.0, 1.0
     transfer = coherence_transfer(cfg, conditioning, times)
     weight_h, weight_v = cfg.outside_terms.port_weights[conditioning]
     if _lacks_coherence(weight_h, weight_v):
         transfer = np.zeros_like(transfer)  # not its roundoff
-    prob = _bright_port(cfg, conditioning) if normalized else 1.0
-    return transfer, weight_h, weight_v, prob
+    return transfer, weight_h, weight_v
 
 
-def _entries(cfg: InterferometerConfig, transfer, weight_h, weight_v, prob):
-    """(pop_h, pop_v, coherence) of the closed-form state of these terms."""
-    pol, scale = cfg.pol, 1.0 / prob
+def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times) -> tuple:
+    """The closed-form states, of unit trace, at a (stage, conditioning)
+    location as (pop_h, pop_v, coherence), the coherence one per entry of
+    ``times``: _closed_form's state divided by its conditioning probability,
+    which is one except on an output port, where a dark port raises
+    ImpossibleOutcome."""
+    transfer, weight_h, weight_v = _closed_form(cfg, stage, conditioning, times)
+    on_port = stage == "outside" and conditioning is not None
+    pol, scale = cfg.pol, 1.0 / (_bright_port(cfg, conditioning) if on_port else 1.0)
     return (weight_h * abs(pol.c_h) ** 2 * scale, weight_v * abs(pol.c_v) ** 2 * scale,
             pol.c_h * pol.c_v.conjugate() * transfer * scale)
 
 
-def _state(
-    cfg: InterferometerConfig, stage: str, conditioning, t: float, normalized=True
-) -> DensityMatrix:
-    """The closed-form state at a (stage, conditioning) location at one time,
-    built from _closed_form's scalar terms.  Inside, t must lie in
-    [0, window_out.t_start]."""
+def _state(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> DensityMatrix:
+    """The closed-form state at a (stage, conditioning) location at one time.
+    Inside, t must lie in [0, window_out.t_start]."""
     if stage == "inside":
         _check_inside_time(cfg, t)
-    return DensityMatrix(*_entries(cfg, *_closed_form(cfg, stage, conditioning, t, normalized)),
-                         require_unit_trace=normalized)
-
-
-def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times) -> tuple:
-    """The normalized closed-form states at a (stage, conditioning) location
-    as (pop_h, pop_v, coherence), the coherence one per entry of ``times``."""
-    return _entries(cfg, *_closed_form(cfg, stage, conditioning, times))
+    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, t))
 
 
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
     """Coherence factor of the |+> / |-> pair at a location, at every time.
 
-    The off-diagonal element <H|rho_+ - rho_-|V> of the pair's normalized
-    states: 2 c_h c_v^* (one, up to rounding) times the coherence transfer
-    divided by the pair's conditioning probability, that is kappa_j on inside
-    path j, (kappa_0 + kappa_1) / 2 jointly inside, f_jp / p_jp on output
-    port jp, and the mean of the two shifted path factors jointly outside.
-    Its modulus is the pair's trace distance.  The configured polarization
-    is replaced by the pair.
+    The off-diagonal element <H|rho_+ - rho_-|V> of the pair's states: 2 c_h
+    c_v^* (one, up to rounding) times the coherence transfer divided by the
+    pair's conditioning probability, that is kappa_j on inside path j,
+    (kappa_0 + kappa_1) / 2 jointly inside, f_jp / p_jp on output port jp,
+    and the mean of the two shifted path factors jointly outside.  Its
+    modulus is the pair's trace distance.  The configured polarization is
+    replaced by the pair.
 
-    Every normalized pair state is checked against the tolerances that
-    DensityMatrix enforces, and a violation raises ValueError, as do inside
-    locations at times outside [0, window_out.t_start].  A dark output port
-    raises ImpossibleOutcome.
+    Every pair state is checked against the tolerances that DensityMatrix
+    enforces, and a violation raises ValueError, as do inside locations at
+    times outside [0, window_out.t_start].  A dark output port raises
+    ImpossibleOutcome.
     """
     if location not in LOCATION_STAGES:
         raise ValueError(f"unknown location {location!r}")

@@ -106,18 +106,20 @@ def _port_terms(cfg: InterferometerConfig, jp: int, times):
     """(f, h, v) of port jp: its coherence transfer at ``times`` and its
     interference weights.  A port that the interferometer module finds
     without H-V coherence raises ZeroCoherenceFactor."""
-    f, h, v, _ = _closed_form(cfg, "outside", jp, times, normalized=False)
+    f, h, v = _closed_form(cfg, "outside", jp, times)
     if _lacks_coherence(h, v):
         raise ZeroCoherenceFactor(f"port {jp} has no H-V coherence: weights ({h!r}, {v!r})")
     return f, h, v
 
 
 def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOperation:
-    """The (unnormalized) conditional evolution on port jp, whose Kraus form
-    is its ``kraus``.
+    """The conditional evolution on port jp at laboratory time t, before the
+    division by the port probability, whose Kraus form is its ``kraus``.
 
     Applied to the initial polarization projector the operation reproduces
-    the unnormalized conditional output state.
+    p_jp times the port state, ``path_probabilities(cfg)[jp]`` times
+    ``conditional_state_outside(cfg, jp, t)``: its trace is the port
+    probability.
     """
     f, h, v = _port_terms(cfg, jp, t)
     return conditional_operation(h, v, complex(f), cfg.pol.theta)

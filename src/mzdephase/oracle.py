@@ -7,11 +7,11 @@ coupling phases explicitly, then traces out (or conditions on) frequency and
 path.  Since every coupling is diagonal in polarization, the frequency sum of
 a path or port is one Fourier sum of its H-V coherence, taken for a whole
 chunk of times at once; every state, conditional state and port weight at a
-time is read from the same unnormalized per-path polarization blocks.  On the
-uniform grid each phase exp(i x omega) factorises into a coarse and a fine
-one, so a time costs about 2 sqrt(n) cos/sin, not n: the phases are formed
-as a rows x w outer product, padded by fewer than w = isqrt(n - 1) + 1
-entries, and cut to n.
+time is read from the same per-path polarization blocks, each of trace its
+probability.  On the uniform grid each phase exp(i x omega) factorises into a
+coarse and a fine one, so a time costs about 2 sqrt(n) cos/sin, not n: the
+phases are formed as a rows x w outer product, padded by fewer than
+w = isqrt(n - 1) + 1 entries, and cut to n.
 Nothing here uses the closed-form interferometer expressions; only the
 comparison harness does, to quantify their agreement.
 """
@@ -53,9 +53,8 @@ class FrequencyGrid:
     """Quadrature discretization of the Gaussian spectrum.
 
     ``omegas`` are the sample frequencies, uniform within a few ulps, and
-    ``weights`` the corresponding probability weights, normalized to unit
-    total mass.  The canonical grid uses at least 201 points over
-    mu +- 8 sigma.
+    ``weights`` the corresponding probability weights, which sum to one.
+    The canonical grid uses at least 201 points over mu +- 8 sigma.
     """
 
     omegas: np.ndarray
@@ -184,9 +183,10 @@ def _times_per_chunk(n_freq: int, stage: str) -> int:
 def _path_blocks(
     cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray, stage: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized polarization blocks, summed over frequency, of each inside
-    path or output port: the populations [path, polarization] and the H-V
-    coherences [time, path] at every one of ``times``.
+    """Polarization blocks, summed over frequency, each of trace its
+    probability, of each inside path or output port: the populations [path,
+    polarization] and the H-V coherences [time, path] at every one of
+    ``times``.
 
     Every coupling is diagonal in polarization, so a block's populations,
     sum_w |psi|^2, do not change with time and are summed once.  Its H-V
@@ -223,9 +223,9 @@ def _path_blocks(
 
 
 def _conditioned(blocks, conditionings) -> tuple[tuple, np.ndarray]:
-    """Unnormalized states (p_h[k], p_v[k], c[time, k]) under each of the
-    ``conditionings`` (None traces out the path, an integer projects on that
-    one), and the weight [k] of each."""
+    """States (p_h[k], p_v[k], c[time, k]) under each of the ``conditionings``
+    (None traces out the path, an integer projects on that one), not yet
+    divided by the weight [k] of each, which is also returned."""
     populations, coherence = blocks
     pops = np.stack([populations.sum(0) if c is None else populations[c] for c in conditionings])
     coh = np.stack([coherence.sum(1) if c is None else coherence[:, c] for c in conditionings], 1)

@@ -195,7 +195,7 @@ def test_a8_kraus_consistency():
             reconstruction = kraus_conditional(cfg, jp, t).apply(rho0)
         except ZeroCoherenceFactor:
             continue
-        target = conditional_state_outside(cfg, jp, t, normalized=False).matrix
+        target = path_probabilities(cfg)[jp] * conditional_state_outside(cfg, jp, t).matrix
         worst_recon = max(worst_recon, float(np.max(np.abs(reconstruction - target))))
 
         lhs = propagator(cfg, jp, t1, t2).apply(

@@ -29,6 +29,7 @@ from mzdephase.core import (
 from mzdephase.errors import EstimatorOutOfRegime, ImpossibleOutcome, PeakNotFound
 from mzdephase.interferometer import (
     _lambda_of_total_time,
+    coherence_factors,
     coherence_transfer,
     path_probabilities,
 )
@@ -285,6 +286,19 @@ def test_peak_search_refuses_a_mu_whose_cross_phase_overflows(baseline, mu):
     cfg = replace(baseline, dist=FrequencyDistribution(mu))
     with pytest.raises(ValueError, match=r"^mu .* makes the phase mu \(a_2 - a_1\) overflow$"):
         lambda_peak(cfg, (60.0, 3000.0))
+
+
+def test_a_mu_whose_interference_phase_overflows_is_named():
+    # mu times the dtau10 delay n_h0 tau_0 - n_h1 tau_1 = -15.53 is beyond the
+    # float range: every reader of cfg.outside_terms raised a bare math domain
+    # error
+    cfg = replace(preset("dtau10"), dist=FrequencyDistribution(1e308))
+    want = r"^mu 1e\+308 makes the phase mu \(n_h0 tau_0 - n_h1 tau_1\) overflow$"
+    for call in (lambda: path_probabilities(cfg),
+                 lambda: coherence_factors(cfg, "path0_out", [60.0, 100.0]),
+                 lambda: lambda_peak(cfg, (60.0, 3000.0))):
+        with pytest.raises(ValueError, match=want):
+            call()
 
 
 def test_each_search_takes_at_most_130_slope_evaluations(baseline, monkeypatch):

@@ -935,6 +935,17 @@ def test_a_phase_that_overflows_exits_2(tmp_path, command, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["estimate", "oracle-check"])
+def test_a_phase_that_overflows_on_the_default_range_exits_2(tmp_path, command, capsys):
+    # without --grid both commands read the interference weights for their
+    # default range; mu times the arm delay 77.65 is beyond the float range
+    doc = dict(BASELINE, distribution={"mu_over_sigma": 1e308})
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr() == ("", (
+        "config error: distribution.mu_over_sigma: 1e+308 turns the delay 77.65 "
+        "of arm0.n_h into a phase that overflows\n"))
+
+
 def test_missing_config_file_exits_2(capsys):
     assert main(["sweep", "--config", "/nonexistent.json", "--grid", "0:1:1"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -153,13 +153,6 @@ def test_trace_distance_triangle_inequality():
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
 
 
-def test_trace_distance_rejects_subnormalized_input():
-    rho = pure_density(PolarizationState.plus())
-    sub = DensityMatrix(0.25, 0.25, 0.25, require_unit_trace=False)
-    with pytest.raises(ValueError):
-        trace_distance(rho, sub)
-
-
 # ---------------------------------------------------------------------------
 # pure_density
 # ---------------------------------------------------------------------------
@@ -241,13 +234,14 @@ def test_density_matrix_rejects_negative_eigenvalue():
 
 def test_density_matrix_rejects_trace_above_one():
     with pytest.raises(ValueError, match=r"^trace 1\.6 outside \[0, 1\]$"):
-        DensityMatrix(0.8, 0.8, 0.0, require_unit_trace=False)
+        DensityMatrix(0.8, 0.8, 0.0)
 
 
-def test_density_matrix_allows_subnormalized_when_flagged():
-    rho = DensityMatrix(0.3, 0.3, 0.0, require_unit_trace=False)
-    assert rho.trace == pytest.approx(0.6)
-    assert not rho.unit_trace
+def test_density_matrix_rejects_trace_below_one():
+    # a port state before the division by its probability is a Kraus map's
+    # output (maps.kraus_conditional), not a DensityMatrix
+    with pytest.raises(ValueError, match=r"^trace 0\.6 differs from 1$"):
+        DensityMatrix(0.3, 0.3, 0.0)
 
 
 def test_config_requires_output_after_arms():
@@ -283,7 +277,7 @@ def assembled(p_h, p_v, c):
     return np.array([[p_h, c], [np.conj(c), p_v]], dtype=complex)
 
 
-def eigvalsh_verdict(triple, require_unit_trace):
+def eigvalsh_verdict(triple):
     """The checks DensityMatrix makes, computed with eigvalsh on the
     assembled matrix: the first one that fails, or None."""
     m = assembled(*triple)
@@ -292,21 +286,21 @@ def eigvalsh_verdict(triple, require_unit_trace):
     tr = float(np.real(np.trace(m)))
     if tr < -TRACE_TOL or tr > 1.0 + TRACE_TOL:
         return "outside [0, 1]"
-    if require_unit_trace and abs(tr - 1.0) > UNIT_TRACE_TOL:
+    if abs(tr - 1.0) > UNIT_TRACE_TOL:
         return "differs from 1"
     return None
 
 
-def scalar_message(triple, require_unit_trace):
+def scalar_message(triple):
     try:
-        DensityMatrix(*triple, require_unit_trace=require_unit_trace)
+        DensityMatrix(*triple)
     except ValueError as exc:
         return str(exc)
     return None
 
 
-def closed_form_verdict(triple, require_unit_trace):
-    message = scalar_message(triple, require_unit_trace)
+def closed_form_verdict(triple):
+    message = scalar_message(triple)
     if message is None:
         return None
     for reason in ("positive semidefinite", "outside [0, 1]", "differs from 1"):
@@ -323,27 +317,24 @@ _SIGN = st.sampled_from([-1.0, 1.0])
 @st.composite
 def triples_near_the_tolerances(draw):
     """A state (p_h, p_v, c) with prescribed trace and smallest eigenvalue,
-    each either generic or within a few tolerances of the point where a
-    check flips; and the unit-trace flag."""
+    each either generic (a trace of one, or any in [0, 1]) or within a few
+    tolerances of the point where a check flips."""
     case = draw(st.sampled_from(["generic", "psd", "trace", "unit"]))
-    unit = draw(st.booleans())
-    tr = draw(st.floats(0.0, 1.0))
+    tr = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
     lowest = draw(st.floats(-0.5, 0.5)) * tr
     if case == "psd":
         lowest = -draw(_NEAR) * PSD_TOL
     elif case == "trace":
-        unit = False
         tr = draw(st.sampled_from([1.0 + draw(_NEAR) * TRACE_TOL, -draw(_NEAR) * TRACE_TOL]))
         lowest = min(tr / 2.0, 0.0)
     elif case == "unit":
-        unit = True
         tr = 1.0 + draw(_SIGN) * draw(_NEAR) * UNIT_TRACE_TOL
         lowest = draw(st.floats(0.0, 0.5)) * tr
     r = max(tr / 2.0 - lowest, 0.0)
     alpha = draw(st.floats(0.0, math.pi))
     phi = draw(st.floats(-math.pi, math.pi))
     return (tr / 2.0 + r * math.cos(alpha), tr / 2.0 - r * math.cos(alpha),
-            r * math.sin(alpha) * complex(math.cos(phi), math.sin(phi))), unit
+            r * math.sin(alpha) * complex(math.cos(phi), math.sin(phi)))
 
 
 def closed_form_lowest(triple):
@@ -352,7 +343,7 @@ def closed_form_lowest(triple):
     p_h, p_v, c = triple
     shift = 2.0 * PSD_TOL
     with pytest.raises(ValueError, match="semidefinite") as info:
-        DensityMatrix(p_h - shift, p_v - shift, c, require_unit_trace=False)
+        DensityMatrix(p_h - shift, p_v - shift, c)
     return float(str(info.value).rsplit(" ", 1)[1]) + shift
 
 
@@ -360,16 +351,15 @@ def closed_form_lowest(triple):
 @given(triples_near_the_tolerances())
 # a smallest eigenvalue 2.2e-17 above -PSD_TOL, which tr/2 - hypot puts
 # 8.9e-17 below it
-@example(((1.000000000001, -9.999778782798785e-13, 0j), False))
-def test_density_matrix_checks_agree_with_eigvalsh(case):
-    triple, unit = case
-    want = eigvalsh_verdict(triple, unit)
+@example((1.000000000001, -9.999778782798785e-13, 0j))
+def test_density_matrix_checks_agree_with_eigvalsh(triple):
+    want = eigvalsh_verdict(triple)
     lowest = np.linalg.eigvalsh(assembled(*triple))[0]
     # within a few roundings of the trace of -PSD_TOL, the closed form and
     # eigvalsh may fall on opposite sides of it: there their smallest
     # eigenvalues must agree instead
     band = 4.0 * np.finfo(float).eps * max(abs(triple[0] + triple[1]), 1.0)
-    got = closed_form_verdict(triple, unit)
+    got = closed_form_verdict(triple)
     if abs(lowest + PSD_TOL) > band:
         assert got == want
     else:
@@ -381,7 +371,7 @@ def test_density_matrix_checks_agree_with_eigvalsh(case):
 def triples_with_non_finite_entries(draw):
     """A state near the tolerances with one population, or one part of the
     coherence, replaced by NaN or an infinity."""
-    (p_h, p_v, c), unit = draw(triples_near_the_tolerances())
+    p_h, p_v, c = draw(triples_near_the_tolerances())
     bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     spot = draw(st.sampled_from(["p_h", "p_v", "real", "imag"]))
     if spot == "p_h":
@@ -392,7 +382,7 @@ def triples_with_non_finite_entries(draw):
         c = complex(bad, c.imag)
     else:
         c = complex(c.real, bad)
-    return (p_h, p_v, c), unit
+    return p_h, p_v, c
 
 
 def array_message(p_h, p_v, c):
@@ -407,7 +397,7 @@ _ANY_TRIPLE = st.one_of(triples_near_the_tolerances(), triples_with_non_finite_e
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ANY_TRIPLE.map(lambda case: case[0]), min_size=1, max_size=6),
+@given(st.lists(_ANY_TRIPLE, min_size=1, max_size=6),
        st.booleans())
 # the smallest eigenvalue cancels to -1.9e-12, so a one-ulp difference between
 # two hypot implementations would show in its fifth digit
@@ -416,7 +406,7 @@ def test_array_check_raises_the_message_of_the_first_failing_state(triples, rows
     # the first state, in C order, whose DensityMatrix raises, raises the
     # same message from the array check; as one row, or as two rows when the
     # count is even
-    want = next((m for m in (scalar_message(t, True) for t in triples) if m), None)
+    want = next((m for m in (scalar_message(t) for t in triples) if m), None)
     shape = (2, -1) if rows and len(triples) % 2 == 0 else (-1,)
     p_h, p_v, c = (np.reshape(np.array(x), shape) for x in zip(*triples))
     assert array_message(p_h, p_v, c.astype(complex)) == want
@@ -427,7 +417,7 @@ def test_array_check_names_the_first_rejected_state():
     # coherence, good]]
     p_h = p_v = np.full((2, 2), 0.5)
     c = np.array([[0.5, 0.6], [math.nan, 0.5]])
-    not_psd = scalar_message((0.5, 0.5, 0.6), True)
+    not_psd = scalar_message((0.5, 0.5, 0.6))
     assert array_message(p_h, p_v, c) == not_psd
     assert array_message(p_h[1:], p_v[1:], c[1:]) == "matrix is not positive semidefinite: min eig nan"
     assert array_message(p_h[:, :1], p_v[:, :1], c[:, :1]) == array_message(p_h[1:], p_v[1:], c[1:])
@@ -448,11 +438,10 @@ def unit_trace_states(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(unit_trace_states(), st.booleans())
-def test_copies_keep_the_three_numbers_and_a_read_only_matrix(state, unit):
-    scale = 1.0 if unit else 0.5
-    p_h, p_v, c = (scale * x for x in (state.population_h, state.population_v, state.coherence))
-    rho = DensityMatrix(p_h, p_v, c, require_unit_trace=unit)
+@given(unit_trace_states())
+def test_copies_keep_the_three_numbers_and_a_read_only_matrix(state):
+    p_h, p_v, c = state.population_h, state.population_v, state.coherence
+    rho = DensityMatrix(p_h, p_v, c)
     want = assembled(p_h, p_v, c)
     for got in (rho, copy.copy(rho), pickle.loads(pickle.dumps(rho))):
         assert got.matrix.dtype == complex and got.matrix.tobytes() == want.tobytes()
@@ -461,7 +450,7 @@ def test_copies_keep_the_three_numbers_and_a_read_only_matrix(state, unit):
             got.matrix[0, 1] = 0.0
         assert got.matrix is not got.matrix  # a view of the three numbers
         assert repr(got) == f"DensityMatrix({p_h!r}, {p_v!r}, {c!r})"
-        assert got.trace == p_h + p_v and got.unit_trace == unit
+        assert got.trace == p_h + p_v
         assert type(got.population_h) is float and type(got.coherence) is complex
         assert (got.population_h, got.population_v, got.coherence) == (p_h, p_v, c)
     with pytest.raises(AttributeError):

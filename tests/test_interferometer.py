@@ -318,11 +318,6 @@ def test_dark_port_conditioning_raises():
         match=r"^output port 1 has probability 0\.0; cannot condition on it$",
     ):
         conditional_state_outside(numpy_plus, 1, 80.0)
-    # the unnormalized state of the dark port still constructs, with trace 0
-    dark = conditional_state_outside(cfg, 1, 80.0, normalized=False)
-    assert isinstance(dark, DensityMatrix)
-    assert dark.trace == 0.0 and not dark.unit_trace
-    assert dark.coherence == 0.0
 
 
 def test_a_bright_port_without_h_v_coherence_has_exactly_zero_coherence():
@@ -331,8 +326,7 @@ def test_a_bright_port_without_h_v_coherence_has_exactly_zero_coherence():
     times = np.arange(10.0, 3000.0, 1.0)
     assert np.all(coherence_factors(cfg, "path1_out", times) == 0.0)
     assert abs(coherence_factors(cfg, "path0_out", times[:1])[0]) > 0.5
-    for normalized in (True, False):
-        assert conditional_state_outside(cfg, 1, 11.0, normalized).coherence == 0.0
+    assert conditional_state_outside(cfg, 1, 11.0).coherence == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +376,6 @@ def test_a_time_not_finite_is_refused_by_name(t):
     start = cfg.window_out.t_start
     calls = {
         "conditional_state_outside": lambda: conditional_state_outside(cfg, 0, t),
-        "unnormalized": lambda: conditional_state_outside(cfg, 1, t, normalized=False),
         "averaged_state_outside": lambda: averaged_state_outside(cfg, t),
         "path_state_inside": lambda: path_state_inside(cfg, 1, t),
         "joint_state_inside": lambda: joint_state_inside(cfg, t),
@@ -482,21 +475,13 @@ def test_quantum_erasure_decomposition():
         np.testing.assert_allclose(total, avg, atol=1e-12)
 
 
-def test_unnormalized_decomposition_identity(baseline):
-    rng = np.random.default_rng(35)
-    for t in rng.uniform(60.0, 2000.0, size=50):
-        avg = averaged_state_outside(baseline, t).matrix
-        total = sum(
-            conditional_state_outside(baseline, jp, t, normalized=False).matrix
-            for jp in (0, 1)
-        )
-        np.testing.assert_allclose(total, avg, atol=1e-12)
-
-
 def test_unnormalized_conditional_trace_is_port_probability(baseline):
+    # the port's evolution before the division by its probability is its
+    # Kraus map, applied to the input projector
+    rho0 = pure_density(baseline.pol).matrix
     for jp in (0, 1):
-        rho = conditional_state_outside(baseline, jp, 100.0, normalized=False)
-        assert rho.trace == pytest.approx(path_probabilities(baseline)[jp], abs=1e-12)
+        rho = maps.kraus_conditional(baseline, jp, 100.0).apply(rho0)
+        assert np.trace(rho).real == pytest.approx(path_probabilities(baseline)[jp], abs=1e-12)
 
 
 def test_averaged_outside_late_time_decay(baseline):

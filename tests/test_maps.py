@@ -21,6 +21,7 @@ from mzdephase.interferometer import (
     coherence_transfer,
     conditional_state_outside,
     interference_kappas,
+    path_probabilities,
     path_state_inside,
 )
 from mzdephase.maps import (
@@ -150,11 +151,13 @@ def test_scaled_kraus_list_is_invalid():
 
 
 def test_reconstruction_identity_baseline(baseline):
+    # the Kraus map reproduces p_0 times the port-0 state
     rng = np.random.default_rng(42)
     rho0 = pure_density(baseline.pol).matrix
+    p0 = path_probabilities(baseline)[0]
     for t in rng.uniform(60.0, 2500.0, size=20):
         op = kraus_conditional(baseline, 0, t)
-        want = conditional_state_outside(baseline, 0, t, normalized=False).matrix
+        want = p0 * conditional_state_outside(baseline, 0, t).matrix
         np.testing.assert_allclose(op.apply(rho0), want, atol=1e-12)
 
 
@@ -168,7 +171,7 @@ def test_reconstruction_identity_random_configs_any_phase():
         if abs(coherence_transfer(cfg, jp, t)) < 1e-12:
             continue
         op = kraus_conditional(cfg, jp, t)
-        want = conditional_state_outside(cfg, jp, t, normalized=False).matrix
+        want = path_probabilities(cfg)[jp] * conditional_state_outside(cfg, jp, t).matrix
         np.testing.assert_allclose(op.apply(pure_density(cfg.pol).matrix), want, atol=1e-12)
         done += 1
 
@@ -246,7 +249,7 @@ def test_zero_birefringence_ports_have_finite_cp_kraus_forms():
             assert op.kraus is not None
             assert np.all(np.isfinite(op.kraus))
             assert is_completely_positive(op)
-            want = conditional_state_outside(cfg, jp, t, normalized=False).matrix
+            want = path_probabilities(cfg)[jp] * conditional_state_outside(cfg, jp, t).matrix
             np.testing.assert_allclose(op.apply(rho0), want, rtol=0, atol=1e-12)
 
 
@@ -408,13 +411,12 @@ def test_a_step_within_cp_tol_of_the_boundary_has_a_kraus_form(baseline):
 @pytest.mark.parametrize("call", [
     lambda cfg, j: path_state_inside(cfg, j, 30.0),
     lambda cfg, j: conditional_state_outside(cfg, j, 500.0),
-    lambda cfg, j: conditional_state_outside(cfg, j, 500.0, normalized=False),
     lambda cfg, j: coherence_transfer(cfg, j, 500.0),
     lambda cfg, j: kraus_conditional(cfg, j, 500.0),
     lambda cfg, j: propagator(cfg, j, 100.0, 300.0),
     lambda cfg, j: divisibility_scan(cfg, j, [100.0, 200.0, 300.0]),
-], ids=["path_state_inside", "conditional_state_outside", "unnormalized",
-        "coherence_transfer", "kraus_conditional", "propagator", "divisibility_scan"])
+], ids=["path_state_inside", "conditional_state_outside", "coherence_transfer",
+        "kraus_conditional", "propagator", "divisibility_scan"])
 def test_index_other_than_0_or_1_is_rejected(baseline, call, index):
     with pytest.raises(ValueError, match=f"index {index} is neither 0 nor 1"):
         call(baseline, index)
