@@ -49,7 +49,6 @@ from .interferometer import (
 from .maps import (
     QuantumOperation,
     TraceCharacter,
-    conditional_operation,
     divisibility_scan,
     is_completely_positive,
     kraus_conditional,
@@ -97,7 +96,6 @@ __all__ = [
     "path_state_inside",
     "QuantumOperation",
     "TraceCharacter",
-    "conditional_operation",
     "divisibility_scan",
     "is_completely_positive",
     "kraus_conditional",

@@ -174,8 +174,9 @@ def load_config(path) -> tuple[InterferometerConfig, dict]:
 
 def parse_grid(spec: str, min_points: int = 1, field: str = "grid") -> np.ndarray:
     """Parse START:STOP:STEP into an inclusive, deterministic time grid of at
-    least ``min_points`` and at most ``MAX_GRID_POINTS`` times.  Problems are
-    reported under ``field``."""
+    least ``min_points`` and at most ``MAX_GRID_POINTS`` times, strictly
+    increasing: a spec whose points round onto each other is refused.
+    Problems are reported under ``field``."""
     parts = spec.split(":") if isinstance(spec, str) else []
     if len(parts) != 3:
         raise ConfigError([f"{field}: expected START:STOP:STEP, got {spec!r}"])
@@ -197,7 +198,10 @@ def parse_grid(spec: str, min_points: int = 1, field: str = "grid") -> np.ndarra
         raise ConfigError(
             [f"{field}: {spec!r} has {count} point(s), at least {min_points} needed"]
         )
-    return start + step * np.arange(count)
+    grid = start + step * np.arange(count)
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError([f"{field}: points of {spec!r} round onto each other"])
+    return grid
 
 
 # largest delay n * t that one coupling may accumulate: the closed forms

@@ -42,12 +42,8 @@ class FrequencyDistribution:
 
 @dataclass(frozen=True)
 class PolarizationState:
-    """Qubit amplitudes for H and V plus their constant relative phase theta.
-
-    theta is stored reduced to [-pi, pi] by the IEEE remainder, which is
-    exact and leaves a theta already in that range unchanged; a huge theta
-    would otherwise swallow every mu * x added to it.
-    """
+    """Qubit amplitudes for H and V plus their constant relative phase theta,
+    which must be finite: the input coherence is c_h e^(i theta) c_v^*."""
 
     c_h: complex
     c_v: complex
@@ -56,7 +52,6 @@ class PolarizationState:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        object.__setattr__(self, "theta", math.remainder(self.theta, math.tau))
         try:
             norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
         except OverflowError:  # an amplitude beyond the float range
@@ -163,18 +158,23 @@ class InterferometerConfig:
     @cached_property
     def outside_terms(self) -> OutsideTerms:
         """OutsideTerms, computed on first use and kept; == and hash ignore
-        them.  The weights are Python floats.  Raises ValueError naming mu
-        when mu times an interference delay, or times a_2 - a_1, overflows."""
+        them.  The weights are Python floats.  Raises ValueError naming the
+        first arm delay n tau that overflows, then naming mu when mu times an
+        interference delay, or times a_2 - a_1, overflows."""
         w0, w1 = self.window0, self.window1
         t0, t1 = w0.duration, w1.duration
+        for name, n, t in (("n_h0 tau_0", w0.n_h, t0), ("n_v0 tau_0", w0.n_v, t0),
+                           ("n_h1 tau_1", w1.n_h, t1), ("n_v1 tau_1", w1.n_v, t1)):
+            if not math.isfinite(n * t):
+                raise ValueError(f"the arm delay {name} = {n:g} * {t:g} overflows")
         x_h, x_v = w0.n_h * t0 - w1.n_h * t1, w0.n_v * t0 - w1.n_v * t1
         a_1, a_2 = w0.n_h * t0 - w1.n_v * t1, w1.n_h * t1 - w0.n_v * t0
         for name, delay in (("n_h0 tau_0 - n_h1 tau_1", x_h), ("n_v0 tau_0 - n_v1 tau_1", x_v),
                             ("a_2 - a_1", a_2 - a_1)):
             if not math.isfinite(self.dist.mu * delay):
                 raise ValueError(f"mu {self.dist.mu:g} makes the phase mu ({name}) overflow")
-        kh = 2.0 * kappa_of_delay(self.dist, 0.0, x_h).real
-        kv = 2.0 * kappa_of_delay(self.dist, 0.0, x_v).real
+        kh = 2.0 * kappa_of_delay(self.dist, x_h).real
+        kv = 2.0 * kappa_of_delay(self.dist, x_v).real
         p0 = float((2.0 + abs(self.pol.c_h) ** 2 * kh + abs(self.pol.c_v) ** 2 * kv) / 4.0)
         return OutsideTerms(
             d_0=w0.delta_n * t0, d_1=w1.delta_n * t1, a_1=a_1, a_2=a_2,
@@ -270,19 +270,19 @@ def effective_time(window: InteractionWindow, t):
     return np.clip(t, window.t_start, window.t_stop) - window.t_start
 
 
-def kappa_of_delay(dist: FrequencyDistribution, theta: float, x):
+def kappa_of_delay(dist: FrequencyDistribution, x):
     """Decoherence factor for an accumulated birefringent delay x.
 
     Averaging e^(i*omega*x) over the Gaussian spectrum gives
-    exp[i(theta + mu*x) - x^2 / 2]: the modulus decays like a Gaussian in the
-    delay while the phase rotates at the mean frequency.  Accepts scalar or
-    array x; a float x is evaluated without numpy.
+    exp(i mu x - x^2 / 2): the modulus decays like a Gaussian in the delay
+    while the phase rotates at the mean frequency.  Accepts scalar or array
+    x; a float x is evaluated without numpy.
     """
     if isinstance(x, float):
         x = float(x)
-        return cmath.exp(complex(-0.5 * (x * x), theta + dist.mu * x))
+        return cmath.exp(complex(-0.5 * (x * x), dist.mu * x))
     x = np.asarray(x, dtype=float)
-    out = np.exp(1j * (theta + dist.mu * x) - 0.5 * x**2)
+    out = np.exp(1j * (dist.mu * x) - 0.5 * x**2)
     return out if out.ndim else complex(out)
 
 

@@ -9,6 +9,7 @@ factor; the brute-force cross-check lives in the oracle module.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -57,10 +58,10 @@ def _shifted_kappas(cfg: InterferometerConfig, total, delays) -> list:
     """Decoherence factors after a total outside interaction time: the
     outside delay added on top of each of the given full inside delays."""
     shift = cfg.outside_terms.dn_out * total
-    dist, theta = cfg.dist, cfg.pol.theta
+    dist = cfg.dist
     kappas = []
-    for x in delays:
-        kappas.append(kappa_of_delay(dist, theta, x + shift))
+    for x in delays:  # not a comprehension, which is one more call per use
+        kappas.append(kappa_of_delay(dist, x + shift))
     return kappas
 
 
@@ -88,7 +89,9 @@ def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
     """Conditional coherence transfer factor f_jp of output port jp.
 
     A quarter of the two shifted path factors plus (port 0) or minus (port 1)
-    the cross-term transfer, at scalar or array laboratory times.  A port
+    the cross-term transfer, at scalar or array laboratory times.  It is the
+    coherence factor g of the port's Kraus map (``maps.kraus_conditional``),
+    which multiplies the input coherence c_h e^(i theta) c_v^*.  A port
     index other than 0 or 1, or a time that is not finite, raises ValueError.
     """
     _check_index("port", jp)
@@ -176,23 +179,22 @@ def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
     conditioning) location before the division by its conditioning
     probability, the transfer a scalar or an array as ``times`` is.
 
-    The state is [[weight_h |c_h|^2, c_h c_v^* transfer], [conjugate,
-    weight_v |c_v|^2]].  The weights are one except on an output port, where
-    they are its interference weights and the trace is its probability; a
-    port without H-V coherence (_lacks_coherence) has a transfer of exactly
-    zero.  An index other than 0 or 1, or a time not finite, raises
+    The state is [[weight_h |c_h|^2, c_h e^(i theta) c_v^* transfer],
+    [conjugate, weight_v |c_v|^2]].  The weights are one except on an output
+    port, where they are its interference weights and the trace is its
+    probability; a port without H-V coherence (_lacks_coherence) has a
+    transfer of exactly zero.  An index other than 0 or 1, or a time not finite, raises
     ValueError.
     """
     if stage == "inside" or conditioning is None:
         _check_times(times)  # coherence_transfer checks a port's
     if stage == "inside":
-        theta = cfg.pol.theta
         if conditioning is not None:
             _check_index("path", conditioning)
             window = (cfg.window0, cfg.window1)[conditioning]
-            return single_path_kappa(window, cfg.dist, theta, times), 1.0, 1.0
-        k0 = single_path_kappa(cfg.window0, cfg.dist, theta, times)
-        k1 = single_path_kappa(cfg.window1, cfg.dist, theta, times)
+            return single_path_kappa(window, cfg.dist, times), 1.0, 1.0
+        k0 = single_path_kappa(cfg.window0, cfg.dist, times)
+        k1 = single_path_kappa(cfg.window1, cfg.dist, times)
         return (k0 + k1) / 2.0, 1.0, 1.0
     if conditioning is None:
         total, terms = effective_time(cfg.window_out, times), cfg.outside_terms
@@ -214,8 +216,9 @@ def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, tim
     transfer, weight_h, weight_v = _closed_form(cfg, stage, conditioning, times)
     on_port = stage == "outside" and conditioning is not None
     pol, scale = cfg.pol, 1.0 / (_bright_port(cfg, conditioning) if on_port else 1.0)
+    coherence = pol.c_h * cmath.exp(1j * pol.theta) * pol.c_v.conjugate()
     return (weight_h * abs(pol.c_h) ** 2 * scale, weight_v * abs(pol.c_v) ** 2 * scale,
-            pol.c_h * pol.c_v.conjugate() * transfer * scale)
+            coherence * transfer * scale)
 
 
 def _state(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> DensityMatrix:

@@ -83,25 +83,6 @@ def _check_finite(**arguments) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def conditional_operation(
-    h: float, v: float, f: complex, theta: float = 0.0
-) -> QuantumOperation:
-    """Conditional-evolution operation for given population weights h, v and
-    coherence transfer factor f.
-
-    Applied to the initial polarization projector the operation scales the
-    populations by h and v and multiplies the coherence by f.  The phase of f
-    is taken relative to the initial relative phase theta so that this holds
-    for any input phase convention.  It is CP exactly when |f|^2 <= h v; f = 0
-    gives the full-dephasing map.  A NaN or infinite argument raises
-    ValueError naming it, as does h or v <= 0.
-    """
-    _check_finite(h=h, v=v, f=f, theta=theta)
-    if not (h > 0 and v > 0):
-        raise ValueError(f"population weights ({h!r}, {v!r}) must be positive")
-    return QuantumOperation(h, v, complex(f) * cmath.exp(-1j * theta))
-
-
 def _port_terms(cfg: InterferometerConfig, jp: int, times):
     """(f, h, v) of port jp: its coherence transfer at ``times`` and its
     interference weights.  A port that the interferometer module finds
@@ -114,7 +95,8 @@ def _port_terms(cfg: InterferometerConfig, jp: int, times):
 
 def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOperation:
     """The conditional evolution on port jp at laboratory time t, before the
-    division by the port probability, whose Kraus form is its ``kraus``.
+    division by the port probability, whose Kraus form is its ``kraus``:
+    (h, v, f), the port's interference weights and its coherence transfer.
 
     Applied to the initial polarization projector the operation reproduces
     p_jp times the port state, ``path_probabilities(cfg)[jp]`` times
@@ -122,7 +104,7 @@ def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOp
     probability.
     """
     f, h, v = _port_terms(cfg, jp, t)
-    return conditional_operation(h, v, complex(f), cfg.pol.theta)
+    return QuantumOperation(h, v, f)
 
 
 def propagator(

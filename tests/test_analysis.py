@@ -109,7 +109,7 @@ def test_pathwise_series_equals_kappa_modulus_and_is_monotone(baseline):
 
     grid = np.linspace(0.0, 60.0, 201)
     series = trace_distance_series(baseline, "path0", grid)
-    want = np.abs(single_path_kappa(baseline.window0, baseline.dist, 0.0, grid))
+    want = np.abs(single_path_kappa(baseline.window0, baseline.dist, grid))
     np.testing.assert_allclose(series.values, want, atol=1e-12)
     assert np.all(np.diff(series.values) <= 1e-15)
     assert series.values[0] == pytest.approx(1.0, abs=1e-15)
@@ -301,6 +301,19 @@ def test_a_mu_whose_interference_phase_overflows_is_named():
             call()
 
 
+@pytest.mark.parametrize("arm, window, name", [
+    ("window0", InteractionWindow(1e307, 1.544, 0.0, 50.0), r"n_h0 tau_0 = 1e\+307 \* 50"),
+    ("window1", InteractionWindow(1.553, -1e307, 0.0, 60.0), r"n_v1 tau_1 = -1e\+307 \* 60"),
+], ids=["arm0", "arm1"])
+def test_an_arm_delay_that_overflows_is_named_before_mu(arm, window, name):
+    # the infinite delay made the interference phase overflow, and mu was
+    # blamed for it
+    cfg = replace(preset("dtau10"), **{arm: window})
+    for call in (lambda: path_probabilities(cfg), lambda: lambda_peak(cfg, (60.0, 3000.0))):
+        with pytest.raises(ValueError, match=f"^the arm delay {name} overflows$"):
+            call()
+
+
 def test_each_search_takes_at_most_130_slope_evaluations(baseline, monkeypatch):
     # at most two bisections down to adjacent floats, each over the reach R
     # of one side of the centre, whatever the range's length; none for one
@@ -371,11 +384,12 @@ def test_peak_of_two_humps_of_one_term_pair_is_the_higher_one():
 
 def reference_abs_lambda(doc, total):
     """|Lambda| at total outside times, from the config numbers: the sum of
-    exp(i (theta + mu x) - x^2 / 2) over the two cross delays x."""
-    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, theta = doc
+    exp(i mu x - x^2 / 2) over the two cross delays x; the input's theta
+    is not part of it."""
+    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, _ = doc
     total = np.asarray(total, dtype=float)
     return np.abs(sum(
-        np.exp(1j * (theta + mu * x) - 0.5 * x**2)
+        np.exp(1j * (mu * x) - 0.5 * x**2)
         for x in (n0h * t0 - n1v * t1 + (nh - nv) * total,
                   n1h * t1 - n0v * t0 + (nh - nv) * total)
     ))
@@ -384,25 +398,24 @@ def reference_abs_lambda(doc, total):
 def abs_lambda_rounding(doc, total):
     """A bound on the rounding error of |Lambda| at total time T, as
     lambda_peak and reference_abs_lambda evaluate it: x_i = a_i + dn T, then
-    k_i = exp(i (theta + mu x_i) - x_i^2 / 2), then |k_1 + k_2|.
+    k_i = exp(i mu x_i - x_i^2 / 2), then |k_1 + k_2|.
 
     Every evaluation reads the same rounded a_i and dn, so only what depends
     on T counts; u = eps / 2 is the unit roundoff.  The product dn T and the
     sum x_i are rounded once each: |dx_i| <= u (|x_i| + |dn T|).  The phase
-    adds mu dx_i, u |mu x_i| and u |theta + mu x_i|, so
-    |dphase_i| <= u (|theta| + 3 |mu| (|x_i| + |dn T|)); the exponent is off
-    by at most 2 u |x_i| (|x_i| + |dn T|).  A phase error moves |k_1 + k_2|
-    by at most min(|k_1|, |k_2|) times it, an exponent error by |k_i| times
-    it.  exp, cos, sin, the two products by exp, the sum and abs are seven
-    operations of at most one ulp (2 u) each, 14 u |k_i|.  So c = 8 in units
-    of eps, 16 u, covers every coefficient.
+    adds mu dx_i and u |mu x_i|, so |dphase_i| <= 2 u |mu| (|x_i| + |dn T|);
+    the exponent is off by at most 2 u |x_i| (|x_i| + |dn T|).  A phase
+    error moves |k_1 + k_2| by at most min(|k_1|, |k_2|) times it, an
+    exponent error by |k_i| times it.  exp, cos, sin, the two products by
+    exp, the sum and abs are seven operations of at most one ulp (2 u) each,
+    14 u |k_i|.  So c = 8 in units of eps, 16 u, covers every coefficient.
     """
-    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, theta = doc
+    (n0h, n0v, t0), (n1h, n1v, t1), (nh, nv), mu, _ = doc
     dn = nh - nv
     shift = abs(dn * total)
     xs = [n0h * t0 - n1v * t1 + dn * total, n1h * t1 - n0v * t0 + dn * total]
     ks = [math.exp(-0.5 * x * x) for x in xs]
-    phase = sum(abs(theta) + abs(mu) * (abs(x) + shift) for x in xs)
+    phase = sum(abs(mu) * (abs(x) + shift) for x in xs)
     exponent = sum(k * (1.0 + abs(x) * (abs(x) + shift)) for k, x in zip(ks, xs))
     return 8.0 * np.finfo(float).eps * (min(ks) * phase + exponent)
 

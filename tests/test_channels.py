@@ -44,15 +44,15 @@ def test_saturated_coherence_modulus():
 
 
 def test_kappa_at_zero_time_and_zero_birefringence():
-    assert single_path_kappa(WINDOW0, DIST, 0.4, 0.0) == pytest.approx(np.exp(0.4j))
+    assert single_path_kappa(WINDOW0, DIST, 0.0) == 1.0
     flat = InteractionWindow(1.55, 1.55, 0.0, 50.0)
     for t in (0.0, 25.0, 80.0):
-        assert single_path_kappa(flat, DIST, 0.4, t) == pytest.approx(np.exp(0.4j))
+        assert single_path_kappa(flat, DIST, t) == 1.0
 
 
 def test_kappa_modulus_at_window_close():
     # exp(-(0.45)^2 / 2), frozen against the quadrature oracle
-    k = single_path_kappa(WINDOW0, DIST, 0.0, 50.0)
+    k = single_path_kappa(WINDOW0, DIST, 50.0)
     assert abs(k) == pytest.approx(0.9037070778731982, rel=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_coherence_monotone_on_random_windows():
         delta = rng.uniform(-0.05, 0.05)
         w = InteractionWindow(1.5 + delta, 1.5, 0.0, rng.uniform(10, 80))
         ts = np.linspace(0.0, 120.0, 200)
-        mods = np.abs(single_path_kappa(w, DIST, 0.0, ts))
+        mods = np.abs(single_path_kappa(w, DIST, ts))
         assert np.all(np.diff(mods) <= 1e-15)
 
 
@@ -86,5 +86,5 @@ def test_pair_trace_distance_equals_kappa_modulus():
     for t in ts:
         plus = _path_state(PolarizationState.plus(), WINDOW1, DIST, t)
         minus = _path_state(PolarizationState.minus(), WINDOW1, DIST, t)
-        expected = abs(single_path_kappa(WINDOW1, DIST, 0.0, t))
+        expected = abs(single_path_kappa(WINDOW1, DIST, t))
         assert trace_distance(plus, minus) == pytest.approx(expected, abs=1e-12)

@@ -466,6 +466,27 @@ def test_parse_grid_caps_the_number_of_points():
             parse_grid(bad)
 
 
+_ROUNDED = "1e16:1.000000000000001e16:0.5"
+
+
+def test_parse_grid_refuses_points_that_round_onto_each_other():
+    # floats near 1e16 are 2 apart: steps of 0.5 land on the same time
+    with pytest.raises(ConfigError) as refused:
+        parse_grid(_ROUNDED, field="run.grid")
+    assert refused.value.problems == [f"run.grid: points of {_ROUNDED!r} round onto each other"]
+    # a step of one float spacing keeps every point
+    np.testing.assert_array_equal(np.diff(parse_grid("1e16:1.000000000000001e16:2")), 2.0)
+
+
+@pytest.mark.parametrize("command", ["sweep", "divisibility"])
+def test_a_grid_whose_points_round_onto_each_other_exits_2(command, capsys):
+    # the commands crashed on their own strictly-increasing checks
+    assert main([command, "--config", "preset:dtau10", "--grid", _ROUNDED]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: grid: points of {_ROUNDED!r} round onto each other\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["sweep", "divisibility", "oracle-check"])
 @pytest.mark.parametrize("spec", ["60:1e300:1", f"0:{MAX_GRID_POINTS}:1"])
 def test_oversized_grid_exits_2(command, spec, capsys):
@@ -737,8 +758,8 @@ def test_oracle_check_honours_run_n_freq(tmp_path, capsys):
 
 @pytest.mark.parametrize("theta", [1.7e308, 7.0])
 def test_oracle_check_passes_at_a_theta_beyond_pi(tmp_path, theta, capsys):
-    # theta is reduced to [-pi, pi]; unreduced, 1.7e308 swallowed every
-    # mu * x added to it
+    # theta is only the phase of the input coherence, c_h e^(i theta) c_v^*;
+    # it is never added to a phase mu * x, which 1.7e308 would swallow
     doc = json.loads(json.dumps(BASELINE))
     doc["polarization"]["theta"] = theta
     assert main(["oracle-check", "--config", write_config(tmp_path, doc)]) == 0
@@ -922,6 +943,15 @@ def test_a_delay_whose_square_overflows_on_the_default_range_names_its_arm(
     assert capsys.readouterr().err == (
         "config error: arm0.n_h: delay 5e+301 overflows when squared\n"
     )
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_an_infinite_arm_delay_is_named_by_its_field(tmp_path, command, capsys):
+    # 1e307 * 50 is already infinite before it is squared
+    doc = dict(BASELINE, arm0={**BASELINE["arm0"], "n_h": 1e307})
+    argv = [command, "--config", write_config(tmp_path, doc), "--grid", "60:100:1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: arm0.n_h: delay inf overflows when squared\n"
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)

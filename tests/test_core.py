@@ -27,7 +27,7 @@ from mzdephase.core import (
 DIST = FrequencyDistribution(mu=400.0)
 
 
-def quadrature_kappa(dist, theta, x, n=2001, half=8.0):
+def quadrature_kappa(dist, x, n=2001, half=8.0):
     """Independent check: trapezoid quadrature of the spectral average."""
     om = np.linspace(dist.mu - half, dist.mu + half, n)
     pdf = np.exp(-0.5 * (om - dist.mu) ** 2)
@@ -35,7 +35,7 @@ def quadrature_kappa(dist, theta, x, n=2001, half=8.0):
     values = pdf * np.exp(1j * om * x)
     # the trapezoid rule written out: np.trapezoid needs numpy >= 2.0
     integral = (om[1] - om[0]) * (values.sum() - 0.5 * (values[0] + values[-1]))
-    return np.exp(1j * theta) * integral
+    return integral
 
 
 # ---------------------------------------------------------------------------
@@ -69,40 +69,38 @@ def test_effective_time_lipschitz_and_saturation():
 # ---------------------------------------------------------------------------
 
 def test_kappa_zero_delay_is_pure_phase():
-    for theta in (0.0, 1.0, -2.5):
-        k = kappa_of_delay(DIST, theta, 0.0)
-        assert k == pytest.approx(np.exp(1j * theta), abs=1e-15)
+    # no delay, no phase: the input's theta is not the kernel's
+    assert kappa_of_delay(DIST, 0.0) == 1.0
+    np.testing.assert_array_equal(kappa_of_delay(DIST, np.zeros(3)), np.ones(3))
 
 
 def test_kappa_unit_delay_frozen_values():
     # frozen from quadrature of the spectral average on a 2001-point grid
-    k = kappa_of_delay(DIST, 0.0, 1.0)
+    k = kappa_of_delay(DIST, 1.0)
     assert abs(k) == pytest.approx(0.6065306597126334, rel=1e-12)
     assert np.angle(k) == pytest.approx(-2.123859659493535, abs=1e-12)
-    assert abs(k - quadrature_kappa(DIST, 0.0, 1.0)) < 1e-9
+    assert abs(k - quadrature_kappa(DIST, 1.0)) < 1e-9
 
 
 def test_kappa_gaussian_tail_vanishes():
-    assert abs(kappa_of_delay(DIST, 0.3, 12.0)) < 1e-31
-    assert abs(kappa_of_delay(DIST, 0.0, 20.0)) < 1e-80
+    assert abs(kappa_of_delay(DIST, 12.0)) < 1e-31
+    assert abs(kappa_of_delay(DIST, 20.0)) < 1e-80
 
 
 def test_kappa_matches_quadrature_on_random_delays():
     rng = np.random.default_rng(3)
     for x in rng.uniform(0.0, 4.0, size=50):
-        theta = rng.uniform(-np.pi, np.pi)
-        closed = kappa_of_delay(DIST, theta, x)
-        assert abs(closed - quadrature_kappa(DIST, theta, x)) < 1e-6
+        assert abs(kappa_of_delay(DIST, x) - quadrature_kappa(DIST, x)) < 1e-6
 
 
 def test_kappa_modulus_multiplicativity():
     rng = np.random.default_rng(4)
     for _ in range(50):
         x1, x2 = rng.uniform(-3.0, 3.0, size=2)
-        lhs = abs(kappa_of_delay(DIST, 0.0, x1 + x2))
+        lhs = abs(kappa_of_delay(DIST, x1 + x2))
         rhs = (
-            abs(kappa_of_delay(DIST, 0.0, x1))
-            * abs(kappa_of_delay(DIST, 0.0, x2))
+            abs(kappa_of_delay(DIST, x1))
+            * abs(kappa_of_delay(DIST, x2))
             * np.exp(-x1 * x2)
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -110,9 +108,9 @@ def test_kappa_modulus_multiplicativity():
 
 def test_kappa_vectorized():
     xs = np.array([0.0, 0.5, 1.0])
-    ks = kappa_of_delay(DIST, 0.0, xs)
+    ks = kappa_of_delay(DIST, xs)
     assert ks.shape == (3,)
-    assert ks[2] == pytest.approx(kappa_of_delay(DIST, 0.0, 1.0))
+    assert ks[2] == pytest.approx(kappa_of_delay(DIST, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +187,9 @@ def test_polarization_keeps_a_theta_within_pi(theta):
     assert PolarizationState(1.0, 0.0, theta).theta == theta
 
 
-@pytest.mark.parametrize("theta, reduced", [
-    (7.0, 7.0 - 2.0 * math.pi),
-    (-7.0, 2.0 * math.pi - 7.0),
-    (1.7e308, math.remainder(1.7e308, 2.0 * math.pi)),
-])
-def test_polarization_reduces_theta_beyond_pi(theta, reduced):
-    got = PolarizationState(1.0, 0.0, theta).theta
-    assert -math.pi <= got <= math.pi
-    assert got == pytest.approx(reduced, abs=1e-15)
+@pytest.mark.parametrize("theta", [7.0, -7.0, 1.7e308])
+def test_polarization_keeps_a_theta_beyond_pi(theta):
+    assert PolarizationState(1.0, 0.0, theta).theta == theta
 
 
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
@@ -501,8 +493,8 @@ def windows_and_edge_times(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(windows_and_edge_times(), st.floats(50.0, 600.0), st.floats(-math.pi, math.pi))
-def test_scalar_and_array_kernels_agree(window_and_t, mu, theta):
+@given(windows_and_edge_times(), st.floats(50.0, 600.0))
+def test_scalar_and_array_kernels_agree(window_and_t, mu):
     window, t = window_and_t
     dist = FrequencyDistribution(mu=mu)
     for scalar_t in (t, np.float64(t)):
@@ -510,6 +502,6 @@ def test_scalar_and_array_kernels_agree(window_and_t, mu, theta):
         assert type(eff) is float
         assert abs(eff - effective_time(window, np.array([t]))[0]) <= 1e-15
         x = window.delta_n * eff
-        kappa = kappa_of_delay(dist, theta, x)
+        kappa = kappa_of_delay(dist, x)
         assert type(kappa) is complex
-        assert abs(kappa - kappa_of_delay(dist, theta, np.array([x]))[0]) <= 1e-15
+        assert abs(kappa - kappa_of_delay(dist, np.array([x]))[0]) <= 1e-15

@@ -1,7 +1,9 @@
+import cmath
 import copy
 import math
 import pickle
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from mzdephase import channels, core, interferometer, maps
 
-from mzdephase.analysis import LOCATIONS, trace_distance_series
+from mzdephase.analysis import LOCATIONS, auto_scan_range, lambda_peak, trace_distance_series
 from mzdephase.cli import build_config
 from mzdephase.core import (
     DensityMatrix,
@@ -25,7 +27,7 @@ from mzdephase.core import (
     kappa_of_delay,
     pure_density,
 )
-from mzdephase.errors import ImpossibleOutcome
+from mzdephase.errors import ImpossibleOutcome, PeakNotFound
 from mzdephase.interferometer import (
     _lambda_of_total_time,
     _shifted_kappas,
@@ -87,12 +89,14 @@ def test_joint_inside_rejects_times_past_output_start(baseline):
 
 def test_path_state_inside_matches_single_path(baseline):
     # the pure-dephasing state of one medium, from its decoherence factor
-    pol = baseline.pol
+    # times the input coherence c_h e^(i theta) c_v^*
+    pol = PolarizationState(0.6, 0.8j, 0.7)
+    cfg = replace(baseline, pol=pol)
     rng = np.random.default_rng(31)
     for t in rng.uniform(0.0, 60.0, size=100):
-        got = path_state_inside(baseline, 0, t)
-        kappa = channels.single_path_kappa(baseline.window0, baseline.dist, pol.theta, t)
-        coh = pol.c_h * pol.c_v.conjugate() * kappa
+        got = path_state_inside(cfg, 0, t)
+        kappa = channels.single_path_kappa(cfg.window0, cfg.dist, t)
+        coh = pol.c_h * cmath.exp(1j * pol.theta) * pol.c_v.conjugate() * kappa
         want = DensityMatrix(abs(pol.c_h) ** 2, abs(pol.c_v) ** 2, coh)
         np.testing.assert_array_equal(got.matrix, want.matrix)
 
@@ -141,7 +145,7 @@ def test_lambda_collapses_for_symmetric_arms():
     cfg = symmetric_config(stop=40.0)
     # output delay still zero
     lam = _lambda_of_total_time(cfg, effective_time(cfg.window_out, 40.0))
-    want = 2.0 * kappa_of_delay(DIST, 0.0, cfg.window0.delta_n * 40.0)
+    want = 2.0 * kappa_of_delay(DIST, cfg.window0.delta_n * 40.0)
     assert lam == pytest.approx(want, abs=1e-10)
 
 
@@ -182,8 +186,8 @@ def expected_terms(cfg):
     spectrum and the polarization."""
     w0, w1, out, pol = cfg.window0, cfg.window1, cfg.window_out, cfg.pol
     t0, t1 = w0.t_stop - w0.t_start, w1.t_stop - w1.t_start
-    kh = 2.0 * kappa_of_delay(cfg.dist, 0.0, w0.n_h * t0 - w1.n_h * t1).real
-    kv = 2.0 * kappa_of_delay(cfg.dist, 0.0, w0.n_v * t0 - w1.n_v * t1).real
+    kh = 2.0 * kappa_of_delay(cfg.dist, w0.n_h * t0 - w1.n_h * t1).real
+    kv = 2.0 * kappa_of_delay(cfg.dist, w0.n_v * t0 - w1.n_v * t1).real
     p0 = (2.0 + abs(pol.c_h) ** 2 * kh + abs(pol.c_v) ** 2 * kv) / 4.0
     return {
         "d_0": (w0.n_h - w0.n_v) * t0,
@@ -245,6 +249,34 @@ def _counted_kernel(monkeypatch) -> list:
     return calls
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_the_environment_does_not_read_theta(seed, theta_a, theta_b):
+    # theta is the phase of the input coherence, not of the decoherence
+    # kernel: every factor and every verdict built on it is bit for bit the
+    # same for any two theta
+    cfg = random_config(np.random.default_rng(seed))
+    a, b = (replace(cfg, pol=replace(cfg.pol, theta=theta)) for theta in (theta_a, theta_b))
+    start = cfg.window_out.t_start
+    grid = np.linspace(start, start + 300.0, 301)
+    for jp in (0, 1):
+        np.testing.assert_array_equal(coherence_transfer(a, jp, grid),
+                                      coherence_transfer(b, jp, grid))
+        assert coherence_transfer(a, jp, start + 7.0) == coherence_transfer(b, jp, start + 7.0)
+        assert maps.divisibility_scan(a, jp, grid) == maps.divisibility_scan(b, jp, grid)
+
+    def peak(c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an ambiguous peak warns alike for both
+            try:
+                return lambda_peak(c, auto_scan_range(c))
+            except PeakNotFound as exc:
+                return str(exc)
+
+    assert peak(a) == peak(b)
+
+
 def test_a_warm_config_evaluates_only_the_transfer_terms(monkeypatch, baseline):
     calls = _counted_kernel(monkeypatch)
     conditional_state_outside(baseline, 0, 500.0)
@@ -273,7 +305,7 @@ def test_interference_kappas_are_python_floats_from_the_kernel():
                                          (cfg.window0.n_v, cfg.window1.n_v))):
             d = n0 * t0 - n1 * t1
             assert type(value) is float
-            assert value == 2.0 * kappa_of_delay(cfg.dist, 0.0, d).real
+            assert value == 2.0 * kappa_of_delay(cfg.dist, d).real
 
 
 def test_path_probabilities_full_interference():
@@ -449,7 +481,7 @@ def test_identical_arms_conditional_is_concatenated_single_path():
         delay = cfg.window0.delta_n * 50.0 + cfg.window_out.delta_n * effective_time(
             cfg.window_out, t
         )
-        want_coh = 0.5 * kappa_of_delay(cfg.dist, 0.0, delay)
+        want_coh = 0.5 * kappa_of_delay(cfg.dist, delay)
         assert got.coherence == pytest.approx(want_coh, abs=1e-10)
         assert got.population_h == pytest.approx(0.5, abs=1e-13)
 
