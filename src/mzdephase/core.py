@@ -23,6 +23,10 @@ NORMALIZATION_TOL = 1e-12
 # largest number of points one grid may hold: a time grid or a frequency grid
 MAX_GRID_POINTS = 1_000_000
 
+# a delay x beyond which the decoherence factor exp(i mu x - x^2 / 2) is 0
+# in double precision (already beyond 40); its square stays finite
+FAR_DELAY = 1e150
+
 
 @dataclass(frozen=True)
 class FrequencyDistribution:
@@ -43,7 +47,12 @@ class FrequencyDistribution:
 @dataclass(frozen=True)
 class PolarizationState:
     """Qubit amplitudes for H and V plus their constant relative phase theta,
-    which must be finite: the input coherence is c_h e^(i theta) c_v^*."""
+    which must be finite: the input coherence is c_h e^(i theta) c_v^*.
+
+    The input coherence (``coherence``) and the populations |c_h|^2 and
+    |c_v|^2 (``population_h``, ``population_v``) are computed once, at
+    construction; == and hash read only the three fields.
+    """
 
     c_h: complex
     c_v: complex
@@ -58,6 +67,10 @@ class PolarizationState:
             norm = math.inf
         if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails it too
             raise ValueError(f"|c_h|^2 + |c_v|^2 = {norm!r}, expected 1")
+        object.__setattr__(self, "coherence",
+                           self.c_h * cmath.exp(1j * self.theta) * self.c_v.conjugate())
+        object.__setattr__(self, "population_h", abs(self.c_h) ** 2)
+        object.__setattr__(self, "population_v", abs(self.c_v) ** 2)
 
     @classmethod
     def plus(cls) -> "PolarizationState":
@@ -119,7 +132,14 @@ class OutsideTerms(NamedTuple):
     dn_out T after a total outside interaction time T; the interference
     weights, twice the real decoherence factor at the optical path difference
     of each polarization; each port's population weights (2 +- kappa) / 4;
-    and the port probabilities, which sum to one."""
+    the port probabilities, which sum to one; and the transfer weights.
+
+    After a total outside time T every outside coherence transfer is
+    e^(i mu s) sum_i w_i e^(-(b_i + s)^2 / 2), with s = dn_out T and the
+    centres b = (d_0, d_1, a_1, a_2).  ``transfer_weights`` holds the
+    constant complex weights w_i = c_i e^(i mu b_i) of port 0 (c = (1, 1, 1,
+    1) / 4), port 1 (c = (1, 1, -1, -1) / 4) and the port average (c = (1, 1,
+    0, 0) / 2), in that order; they read neither time nor the polarization."""
 
     d_0: float
     d_1: float
@@ -130,6 +150,7 @@ class OutsideTerms(NamedTuple):
     kappa_v: float
     port_weights: tuple[tuple[float, float], tuple[float, float]]
     port_probabilities: tuple[float, float]
+    transfer_weights: tuple[tuple[complex, complex, complex, complex], ...]
 
 
 @dataclass(frozen=True)
@@ -158,9 +179,10 @@ class InterferometerConfig:
     @cached_property
     def outside_terms(self) -> OutsideTerms:
         """OutsideTerms, computed on first use and kept; == and hash ignore
-        them.  The weights are Python floats.  Raises ValueError naming the
-        first arm delay n tau that overflows, then naming mu when mu times an
-        interference delay, or times a_2 - a_1, overflows."""
+        them.  The interference and population weights are Python floats.
+        Raises ValueError naming the first arm delay n tau that overflows,
+        then naming mu when mu times an interference delay, a_2 - a_1 or a
+        centre b_i overflows."""
         w0, w1 = self.window0, self.window1
         t0, t1 = w0.duration, w1.duration
         for name, n, t in (("n_h0 tau_0", w0.n_h, t0), ("n_v0 tau_0", w0.n_v, t0),
@@ -168,20 +190,27 @@ class InterferometerConfig:
             if not math.isfinite(n * t):
                 raise ValueError(f"the arm delay {name} = {n:g} * {t:g} overflows")
         x_h, x_v = w0.n_h * t0 - w1.n_h * t1, w0.n_v * t0 - w1.n_v * t1
+        d_0, d_1 = w0.delta_n * t0, w1.delta_n * t1
         a_1, a_2 = w0.n_h * t0 - w1.n_v * t1, w1.n_h * t1 - w0.n_v * t0
         for name, delay in (("n_h0 tau_0 - n_h1 tau_1", x_h), ("n_v0 tau_0 - n_v1 tau_1", x_v),
-                            ("a_2 - a_1", a_2 - a_1)):
+                            ("a_2 - a_1", a_2 - a_1), ("dn_0 tau_0", d_0),
+                            ("dn_1 tau_1", d_1), ("n_h0 tau_0 - n_v1 tau_1", a_1),
+                            ("n_h1 tau_1 - n_v0 tau_0", a_2)):
             if not math.isfinite(self.dist.mu * delay):
                 raise ValueError(f"mu {self.dist.mu:g} makes the phase mu ({name}) overflow")
         kh = 2.0 * kappa_of_delay(self.dist, x_h).real
         kv = 2.0 * kappa_of_delay(self.dist, x_v).real
-        p0 = float((2.0 + abs(self.pol.c_h) ** 2 * kh + abs(self.pol.c_v) ** 2 * kv) / 4.0)
+        p0 = float((2.0 + self.pol.population_h * kh + self.pol.population_v * kv) / 4.0)
+        e_0, e_1, e_2, e_3 = (cmath.exp(1j * (self.dist.mu * b)) for b in (d_0, d_1, a_1, a_2))
         return OutsideTerms(
-            d_0=w0.delta_n * t0, d_1=w1.delta_n * t1, a_1=a_1, a_2=a_2,
+            d_0=d_0, d_1=d_1, a_1=a_1, a_2=a_2,
             dn_out=self.window_out.delta_n, kappa_h=kh, kappa_v=kv,
             port_weights=(((2.0 + kh) / 4.0, (2.0 + kv) / 4.0),
                           ((2.0 - kh) / 4.0, (2.0 - kv) / 4.0)),
             port_probabilities=(p0, 1.0 - p0),
+            transfer_weights=((e_0 / 4.0, e_1 / 4.0, e_2 / 4.0, e_3 / 4.0),
+                              (e_0 / 4.0, e_1 / 4.0, -e_2 / 4.0, -e_3 / 4.0),
+                              (e_0 / 2.0, e_1 / 2.0, 0j, 0j)),
         )
 
 
@@ -266,7 +295,11 @@ def effective_time(window: InteractionWindow, t):
     or array t; a float t gives a float.
     """
     if isinstance(t, float):
-        return min(max(float(t), window.t_start), window.t_stop) - window.t_start
+        # min(max(t, t_start), t_stop), bit for bit, without the builtins'
+        # call cost
+        t, start, stop = float(t), window.t_start, window.t_stop
+        t = start if start > t else t
+        return (stop if stop < t else t) - start
     return np.clip(t, window.t_start, window.t_stop) - window.t_start
 
 
@@ -281,7 +314,9 @@ def kappa_of_delay(dist: FrequencyDistribution, x):
     if isinstance(x, float):
         x = float(x)
         return cmath.exp(complex(-0.5 * (x * x), dist.mu * x))
-    x = np.asarray(x, dtype=float)
+    # beyond FAR_DELAY the factor is 0, as the float form gives it; clamped
+    # there, x^2 stays finite, and so does mu x for any |mu| below 1e158
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), -FAR_DELAY), FAR_DELAY)
     out = np.exp(1j * (dist.mu * x) - 0.5 * x**2)
     return out if out.ndim else complex(out)
 
@@ -313,7 +348,4 @@ def trace_distances(a, b) -> np.ndarray:
 
 def pure_density(pol: PolarizationState) -> DensityMatrix:
     """Rank-1 projector of a polarization state, relative phase included."""
-    ch = complex(pol.c_h) * cmath.exp(1j * pol.theta)
-    cv = complex(pol.c_v)
-    return DensityMatrix((ch * ch.conjugate()).real, (cv * cv.conjugate()).real,
-                         ch * cv.conjugate())
+    return DensityMatrix(pol.population_h, pol.population_v, pol.coherence)

@@ -54,22 +54,37 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     return cfg.outside_terms.kappa_h, cfg.outside_terms.kappa_v
 
 
-def _shifted_kappas(cfg: InterferometerConfig, total, delays) -> list:
-    """Decoherence factors after a total outside interaction time: the
-    outside delay added on top of each of the given full inside delays."""
-    shift = cfg.outside_terms.dn_out * total
-    dist = cfg.dist
-    kappas = []
-    for x in delays:  # not a comprehension, which is one more call per use
-        kappas.append(kappa_of_delay(dist, x + shift))
-    return kappas
+def _transfer(cfg: InterferometerConfig, weights, t):
+    """The outside coherence transfer with one row of
+    ``cfg.outside_terms.transfer_weights`` at scalar or array laboratory
+    times t: e^(i mu s) sum_i w_i e^(-(b_i + s)^2 / 2) over the centres b =
+    (d_0, d_1, a_1, a_2), with s = dn_out T after a total outside
+    interaction time T.  A float t is evaluated without numpy.  Where every
+    Gaussian underflows the transfer is exactly 0, also where mu s
+    overflows."""
+    terms = cfg.outside_terms
+    s = terms.dn_out * effective_time(cfg.window_out, t)
+    b0, b1, b2, b3 = terms.d_0, terms.d_1, terms.a_1, terms.a_2
+    w0, w1, w2, w3 = weights
+    if type(s) is float:
+        x0, x1, x2, x3 = b0 + s, b1 + s, b2 + s, b3 + s
+        m = (w0 * math.exp(-0.5 * (x0 * x0)) + w1 * math.exp(-0.5 * (x1 * x1))
+             + w2 * math.exp(-0.5 * (x2 * x2)) + w3 * math.exp(-0.5 * (x3 * x3)))
+        return cmath.exp(1j * (cfg.dist.mu * s)) * m if m else 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0, g1, g2, g3 = np.exp(-0.5 * np.square(np.add.outer((b0, b1, b2, b3), s)))
+        m = w0 * g0 + w1 * g1 + w2 * g2 + w3 * g3
+        out = np.where(m == 0.0, 0j, np.exp(1j * (cfg.dist.mu * s)) * m)
+    return out if out.ndim else complex(out)
 
 
 def _lambda_of_total_time(cfg: InterferometerConfig, total):
     """Cross-term transfer after a total outside interaction time, whose
-    cancelling cross delays produce the recoherence peak."""
-    k1, k2 = _shifted_kappas(cfg, total, (cfg.outside_terms.a_1, cfg.outside_terms.a_2))
-    return k1 + k2
+    cancelling cross delays produce the recoherence peak: the sum of the
+    decoherence factors at the two shifted cross delays."""
+    terms, dist = cfg.outside_terms, cfg.dist
+    shift = terms.dn_out * total
+    return kappa_of_delay(dist, terms.a_1 + shift) + kappa_of_delay(dist, terms.a_2 + shift)
 
 
 def _check_index(kind: str, j) -> None:
@@ -89,16 +104,16 @@ def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
     """Conditional coherence transfer factor f_jp of output port jp.
 
     A quarter of the two shifted path factors plus (port 0) or minus (port 1)
-    the cross-term transfer, at scalar or array laboratory times.  It is the
-    coherence factor g of the port's Kraus map (``maps.kraus_conditional``),
-    which multiplies the input coherence c_h e^(i theta) c_v^*.  A port
-    index other than 0 or 1, or a time that is not finite, raises ValueError.
+    the cross-term transfer, at scalar or array laboratory times, evaluated
+    as one Gaussian sum of the port's row of ``cfg.outside_terms``'
+    ``transfer_weights``.  It is the coherence factor g of the port's Kraus
+    map (``maps.kraus_conditional``), which multiplies the input coherence
+    c_h e^(i theta) c_v^*.  A port index other than 0 or 1, or a time that
+    is not finite, raises ValueError.
     """
     _check_index("port", jp)
     _check_times(t)
-    terms, total = cfg.outside_terms, effective_time(cfg.window_out, t)
-    k0, k1, l1, l2 = _shifted_kappas(cfg, total, (terms.d_0, terms.d_1, terms.a_1, terms.a_2))
-    return (k0 + k1 + (l1 + l2)) / 4.0 if jp == 0 else (k0 + k1 - (l1 + l2)) / 4.0
+    return _transfer(cfg, cfg.outside_terms.transfer_weights[jp], t)
 
 
 def _check_inside_time(cfg: InterferometerConfig, t: float):
@@ -139,7 +154,7 @@ def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
 def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
     """Whether a port with these interference weights carries no H-V
     coherence: a weight below ZERO_F_TOL takes no light of its polarization."""
-    return min(weight_h, weight_v) < ZERO_F_TOL
+    return weight_h < ZERO_F_TOL or weight_v < ZERO_F_TOL
 
 
 def _bright_port(cfg: InterferometerConfig, jp: int) -> float:
@@ -197,9 +212,7 @@ def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
         k1 = single_path_kappa(cfg.window1, cfg.dist, times)
         return (k0 + k1) / 2.0, 1.0, 1.0
     if conditioning is None:
-        total, terms = effective_time(cfg.window_out, times), cfg.outside_terms
-        k0, k1 = _shifted_kappas(cfg, total, (terms.d_0, terms.d_1))
-        return (k0 + k1) / 2.0, 1.0, 1.0
+        return _transfer(cfg, cfg.outside_terms.transfer_weights[2], times), 1.0, 1.0
     transfer = coherence_transfer(cfg, conditioning, times)
     weight_h, weight_v = cfg.outside_terms.port_weights[conditioning]
     if _lacks_coherence(weight_h, weight_v):
@@ -216,9 +229,8 @@ def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, tim
     transfer, weight_h, weight_v = _closed_form(cfg, stage, conditioning, times)
     on_port = stage == "outside" and conditioning is not None
     pol, scale = cfg.pol, 1.0 / (_bright_port(cfg, conditioning) if on_port else 1.0)
-    coherence = pol.c_h * cmath.exp(1j * pol.theta) * pol.c_v.conjugate()
-    return (weight_h * abs(pol.c_h) ** 2 * scale, weight_v * abs(pol.c_v) ** 2 * scale,
-            coherence * transfer * scale)
+    return (weight_h * pol.population_h * scale, weight_v * pol.population_v * scale,
+            pol.coherence * transfer * scale)
 
 
 def _state(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> DensityMatrix:

@@ -301,6 +301,31 @@ def test_a_mu_whose_interference_phase_overflows_is_named():
             call()
 
 
+@pytest.mark.parametrize("d_0, x_h, x_v, name", [
+    (2.0, 0.0, 0.0, "dn_0 tau_0"),
+    (1.5, 0.0, 0.4, "dn_1 tau_1"),
+    (1.5, 0.5, 0.5, "n_h0 tau_0 - n_v1 tau_1"),
+    (1.5, -0.5, -0.5, "n_h1 tau_1 - n_v0 tau_0"),
+], ids=["d_0", "d_1", "a_1", "a_2"])
+def test_a_centre_whose_phase_overflows_is_named(d_0, x_h, x_v, name):
+    # arms of unit duration with these birefringence and interference
+    # delays; mu times every delay checked before is finite, and mu times
+    # the named centre of the transfer sum is not: its term used to be 0
+    # far from its centre and a bare math domain error near it
+    n_v0 = 2.0
+    window0 = InteractionWindow(n_v0 + d_0, n_v0, 0.0, 1.0)
+    window1 = InteractionWindow(n_v0 + d_0 - x_h, n_v0 - x_v, 0.0, 1.0)
+    cfg = InterferometerConfig(FrequencyDistribution(1e308), window0, window1,
+                               InteractionWindow(1.553, 1.544, 1.0, math.inf),
+                               PolarizationState.plus())
+    want = rf"^mu 1e\+308 makes the phase mu \({name}\) overflow$"
+    for call in (lambda: path_probabilities(cfg),
+                 lambda: coherence_transfer(cfg, 0, 1e5),
+                 lambda: trace_distance_series(cfg, "joint_out", [1.0, 1e5])):
+        with pytest.raises(ValueError, match=want):
+            call()
+
+
 @pytest.mark.parametrize("arm, window, name", [
     ("window0", InteractionWindow(1e307, 1.544, 0.0, 50.0), r"n_h0 tau_0 = 1e\+307 \* 50"),
     ("window1", InteractionWindow(1.553, -1e307, 0.0, 60.0), r"n_v1 tau_1 = -1e\+307 \* 60"),

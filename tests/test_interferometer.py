@@ -30,7 +30,6 @@ from mzdephase.core import (
 from mzdephase.errors import ImpossibleOutcome, PeakNotFound
 from mzdephase.interferometer import (
     _lambda_of_total_time,
-    _shifted_kappas,
     averaged_state_outside,
     coherence_factors,
     conditional_state_outside,
@@ -170,7 +169,8 @@ def test_output_functions_invariants():
         lam = _lambda_of_total_time(cfg, total)
         assert np.all(np.abs(lam) <= 2.0 + 1e-12)
         terms = cfg.outside_terms
-        k0, k1 = _shifted_kappas(cfg, total, (terms.d_0, terms.d_1))
+        k0, k1 = (kappa_of_delay(cfg.dist, x + terms.dn_out * total)
+                  for x in (terms.d_0, terms.d_1))
         for jp in (0, 1):
             lhs = 4.0 * coherence_transfer(cfg, jp, ts)
             rhs = k0 + k1 + (-1) ** jp * lam
@@ -189,6 +189,8 @@ def expected_terms(cfg):
     kh = 2.0 * kappa_of_delay(cfg.dist, w0.n_h * t0 - w1.n_h * t1).real
     kv = 2.0 * kappa_of_delay(cfg.dist, w0.n_v * t0 - w1.n_v * t1).real
     p0 = (2.0 + abs(pol.c_h) ** 2 * kh + abs(pol.c_v) ** 2 * kv) / 4.0
+    centres = ((w0.n_h - w0.n_v) * t0, (w1.n_h - w1.n_v) * t1,
+               w0.n_h * t0 - w1.n_v * t1, w1.n_h * t1 - w0.n_v * t0)
     return {
         "d_0": (w0.n_h - w0.n_v) * t0,
         "d_1": (w1.n_h - w1.n_v) * t1,
@@ -200,6 +202,10 @@ def expected_terms(cfg):
         "port_weights": (((2.0 + kh) / 4.0, (2.0 + kv) / 4.0),
                          ((2.0 - kh) / 4.0, (2.0 - kv) / 4.0)),
         "port_probabilities": (p0, 1.0 - p0),
+        "transfer_weights": tuple(
+            tuple(c * cmath.exp(1j * (cfg.dist.mu * b)) for c, b in zip(row, centres))
+            for row in ((0.25, 0.25, 0.25, 0.25), (0.25, 0.25, -0.25, -0.25), (0.5, 0.5, 0.0, 0.0))
+        ),
     }
 
 
@@ -235,17 +241,18 @@ def test_outside_terms_are_their_formulas_and_follow_every_field(seed, field):
     assert changed.outside_terms is not terms
 
 
-def _counted_kernel(monkeypatch) -> list:
-    """Record every kappa_of_delay call, wherever the package looks it up."""
+def _counted(monkeypatch, name, modules) -> list:
+    """Record every call of the function ``name``, wherever the package
+    looks it up among ``modules``."""
     calls = []
-    kernel = core.kappa_of_delay
+    kernel = getattr(modules[0], name)
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    for module in (core, channels, interferometer):
-        monkeypatch.setattr(module, "kappa_of_delay", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -277,19 +284,132 @@ def test_the_environment_does_not_read_theta(seed, theta_a, theta_b):
     assert peak(a) == peak(b)
 
 
+# the coefficients c_i of each row of OutsideTerms.transfer_weights: port 0,
+# port 1 and the port average, over the centres (d_0, d_1, a_1, a_2)
+TRANSFER_ROWS = ((0.25, 0.25, 0.25, 0.25), (0.25, 0.25, -0.25, -0.25), (0.5, 0.5, 0.0, 0.0))
+
+
+def _centres(cfg):
+    terms = cfg.outside_terms
+    return terms.d_0, terms.d_1, terms.a_1, terms.a_2
+
+
+def per_term_transfer(cfg, row, t):
+    """The transfer of one row as the sum of the four decoherence factors
+    kappa_of_delay(b_i + s), each with its coefficient."""
+    s = cfg.outside_terms.dn_out * effective_time(cfg.window_out, t)
+    return sum(c * kappa_of_delay(cfg.dist, b + s)
+               for c, b in zip(TRANSFER_ROWS[row], _centres(cfg)))
+
+
+def transfer_rounding(cfg, row, t):
+    """A bound on the difference between the table's transfer of one row and
+    per_term_transfer, at laboratory time t.
+
+    Both read the same rounded centres b_i and shift s = dn_out T, so only
+    the operations after them count; u = eps / 2 is the unit roundoff, g_i
+    = e^(-x_i^2 / 2) and |c_i| weighs every error of term i.  Both round
+    x_i = b_i + s (|dx_i| <= u |x_i|), which moves a phase by u |mu x_i| and
+    an exponent by u x_i^2.  The per-term sum then rounds mu x_i (u |mu
+    x_i|) and x_i^2 / 2 (u x_i^2 / 2); cmath.exp adds at most 8 u, the
+    three sums 4 u.  The table rounds mu b_i (u |mu b_i|) once per config,
+    x_i^2 / 2 (u x_i^2 / 2) and mu s (u |mu s|) per time, and adds at most
+    8 u in each of two cmath.exp, 2 u in math.exp, 2 u in w_i g_i, 4 u in
+    the three sums and 4 u in the product by the phase: 28 u.  So the
+    difference is at most sum_i |c_i| g_i (u (2 |mu x_i| + |mu b_i| +
+    |mu s|) + 3 u x_i^2 + 40 u); rounded up to whole multiples of eps, and
+    with an absolute floor for Gaussians that underflow into subnormals.
+    """
+    mu, s = abs(cfg.dist.mu), cfg.outside_terms.dn_out * effective_time(cfg.window_out, t)
+    total = 0.0
+    for c, b in zip(TRANSFER_ROWS[row], _centres(cfg)):
+        x = b + s
+        total += abs(c) * math.exp(-0.5 * x * x) * (mu * (2.0 * abs(x) + abs(b) + abs(s))
+                                                     + 2.0 * x * x + 20.0)
+    return np.finfo(float).eps * total + 1e-300
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(1.0, 1e9))
+def test_the_transfer_table_is_the_per_term_sum_within_its_rounding(seed, mu):
+    # every outside coherence is one Gaussian sum of constant weights, read
+    # by coherence_transfer (ports) and _closed_form (the port average), in
+    # a float and an array form
+    cfg = replace(random_config(np.random.default_rng(seed)), dist=FrequencyDistribution(mu))
+    start = cfg.window_out.t_start
+    grid = np.concatenate((np.linspace(start - 5.0, start + 300.0, 61),
+                           np.random.default_rng(seed).uniform(start, start + 3000.0, 20)))
+    eps = np.finfo(float).eps
+    for row in (0, 1, 2):
+        def table(t):
+            if row == 2:
+                return interferometer._closed_form(cfg, "outside", None, t)[0]
+            return coherence_transfer(cfg, row, t)
+
+        array = table(grid)
+        for k, t in enumerate(grid.tolist()):
+            scalar = table(t)
+            assert type(scalar) is complex
+            assert abs(scalar - per_term_transfer(cfg, row, t)) <= transfer_rounding(cfg, row, t)
+            # the two forms differ only in their exp, cos and sin
+            gaussians = sum(abs(c) * math.exp(-0.5 * (b + cfg.outside_terms.dn_out
+                                                      * effective_time(cfg.window_out, t)) ** 2)
+                            for c, b in zip(TRANSFER_ROWS[row], _centres(cfg)))
+            assert abs(scalar - array[k]) <= 16.0 * eps * gaussians
+
+
+def test_the_transfer_weights_are_the_centre_phases():
+    for cfg in [preset(name) for name in PRESETS] + [symmetric_config()]:
+        mu = cfg.dist.mu
+        for row, weights in zip(TRANSFER_ROWS, cfg.outside_terms.transfer_weights):
+            assert all(type(w) is complex for w in weights)
+            assert weights == tuple(c * cmath.exp(1j * (mu * b))
+                                    for c, b in zip(row, _centres(cfg)))
+
+
+@pytest.mark.parametrize("t", [1e300, 1.7e308])
+def test_every_outside_form_is_zero_far_out_without_a_warning(t):
+    # far out every Gaussian of the transfer underflows: (b + s)^2 overflows,
+    # and at 1.7e308 so does mu s; the float forms gave 0 while the array
+    # forms raised RuntimeWarnings (an error under the test settings)
+    cfg = preset("dtau10")
+    times = [t, 1.75e308 if t > 1e308 else 2.0 * t]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for jp in (0, 1):
+            assert coherence_transfer(cfg, jp, t) == 0
+            np.testing.assert_array_equal(coherence_transfer(cfg, jp, np.array(times)), 0)
+            assert maps.divisibility_scan(cfg, jp, times) == []
+        for location in ("path0_out", "path1_out", "joint_out"):
+            np.testing.assert_array_equal(trace_distance_series(cfg, location, times).values, 0)
+            np.testing.assert_array_equal(coherence_factors(cfg, location, times), 0)
+        assert averaged_state_outside(cfg, t).coherence == 0
+        np.testing.assert_array_equal(_lambda_of_total_time(cfg, np.array(times)), 0)
+        np.testing.assert_array_equal(kappa_of_delay(cfg.dist, np.array(times)), 0)
+        assert kappa_of_delay(cfg.dist, np.array(t)) == kappa_of_delay(cfg.dist, t) == 0
+        with pytest.raises(PeakNotFound):
+            lambda_peak(cfg, (t, t))
+
+
 def test_a_warm_config_evaluates_only_the_transfer_terms(monkeypatch, baseline):
-    calls = _counted_kernel(monkeypatch)
+    kernel = _counted(monkeypatch, "kappa_of_delay", (core, channels, interferometer))
+    sums = _counted(monkeypatch, "_transfer", (interferometer,))
     conditional_state_outside(baseline, 0, 500.0)
-    # the table's two interference weights, once, and the four transfer terms
-    assert len(calls) == 6
-    for jp, t in ((0, 700.0), (1, 1665.0)):
-        calls.clear()
-        conditional_state_outside(baseline, jp, t)
-        assert len(calls) == 4
-    calls.clear()
+    # the table's two interference weights, once, and one Gaussian sum of the
+    # port's transfer weights per state
+    assert len(kernel) == 2 and len(sums) == 1
+    for jp, t in ((0, 700.0), (1, 1665.0), (None, 900.0)):
+        kernel.clear(), sums.clear()
+        if jp is None:
+            averaged_state_outside(baseline, t)
+        else:
+            conditional_state_outside(baseline, jp, t)
+        assert kernel == [] and len(sums) == 1
+        assert sums[0][1] is baseline.outside_terms.transfer_weights[2 if jp is None else jp]
+    kernel.clear(), sums.clear()
     interference_kappas(baseline)
     path_probabilities(baseline)
-    assert calls == []
+    assert kernel == [] and sums == []
 
 
 # ---------------------------------------------------------------------------
