@@ -204,7 +204,7 @@ def expected_terms(cfg):
         "port_probabilities": (p0, 1.0 - p0),
         "transfer_weights": tuple(
             tuple(c * cmath.exp(1j * (cfg.dist.mu * b)) for c, b in zip(row, centres))
-            for row in ((0.25, 0.25, 0.25, 0.25), (0.25, 0.25, -0.25, -0.25), (0.5, 0.5, 0.0, 0.0))
+            for row in TRANSFER_ROWS
         ),
     }
 
@@ -229,6 +229,7 @@ def test_outside_terms_are_their_formulas_and_follow_every_field(seed, field):
     terms = cfg.outside_terms
     assert terms._asdict() == expected_terms(cfg)
     assert all(type(x) is float for x in (terms.kappa_h, terms.kappa_v, *terms.port_probabilities))
+    assert all(type(w) is complex for row in terms.transfer_weights for w in row)
     # the table is neither compared nor hashed, and is computed once
     assert cfg == twin and hash(cfg) == hash(twin) == key
     assert cfg.outside_terms is terms
@@ -356,15 +357,6 @@ def test_the_transfer_table_is_the_per_term_sum_within_its_rounding(seed, mu):
                                                       * effective_time(cfg.window_out, t)) ** 2)
                             for c, b in zip(TRANSFER_ROWS[row], _centres(cfg)))
             assert abs(scalar - array[k]) <= 16.0 * eps * gaussians
-
-
-def test_the_transfer_weights_are_the_centre_phases():
-    for cfg in [preset(name) for name in PRESETS] + [symmetric_config()]:
-        mu = cfg.dist.mu
-        for row, weights in zip(TRANSFER_ROWS, cfg.outside_terms.transfer_weights):
-            assert all(type(w) is complex for w in weights)
-            assert weights == tuple(c * cmath.exp(1j * (mu * b))
-                                    for c, b in zip(row, _centres(cfg)))
 
 
 @pytest.mark.parametrize("t", [1e300, 1.7e308])
