@@ -132,7 +132,8 @@ class OutsideTerms(NamedTuple):
     dn_out T after a total outside interaction time T; the interference
     weights, twice the real decoherence factor at the optical path difference
     of each polarization; each port's population weights (2 +- kappa) / 4;
-    the port probabilities, which sum to one; and the transfer weights.
+    and the transfer weights.  They are fixed by the spectrum and the four
+    windows: the polarization, the open system, reads none of them.
 
     After a total outside time T every outside coherence transfer is
     e^(i mu s) sum_i w_i e^(-(b_i + s)^2 / 2), with s = dn_out T and the
@@ -149,8 +150,16 @@ class OutsideTerms(NamedTuple):
     kappa_h: float
     kappa_v: float
     port_weights: tuple[tuple[float, float], tuple[float, float]]
-    port_probabilities: tuple[float, float]
     transfer_weights: tuple[tuple[complex, complex, complex, complex], ...]
+
+
+def _port_probabilities(terms: OutsideTerms, pol: PolarizationState) -> tuple[float, float]:
+    """Detection probabilities of the two output ports for the input pol:
+    the interference weights of ``terms``, weighted by its populations, on
+    top of the balanced 1/2 background.  They sum to one and are Python
+    floats, also for amplitudes given as numpy scalars."""
+    p0 = float((2.0 + pol.population_h * terms.kappa_h + pol.population_v * terms.kappa_v) / 4.0)
+    return p0, 1.0 - p0
 
 
 @dataclass(frozen=True)
@@ -179,7 +188,8 @@ class InterferometerConfig:
     @cached_property
     def outside_terms(self) -> OutsideTerms:
         """OutsideTerms, computed on first use and kept; == and hash ignore
-        them.  The interference and population weights are Python floats.
+        them, and a copy that differs only in ``pol`` computes an equal
+        table.  The interference and population weights are Python floats.
         Raises ValueError naming the first arm delay n tau that overflows,
         then naming mu when mu times an interference delay, a_2 - a_1 or a
         centre b_i overflows."""
@@ -200,18 +210,21 @@ class InterferometerConfig:
                 raise ValueError(f"mu {self.dist.mu:g} makes the phase mu ({name}) overflow")
         kh = 2.0 * kappa_of_delay(self.dist, x_h).real
         kv = 2.0 * kappa_of_delay(self.dist, x_v).real
-        p0 = float((2.0 + self.pol.population_h * kh + self.pol.population_v * kv) / 4.0)
         e_0, e_1, e_2, e_3 = (cmath.exp(1j * (self.dist.mu * b)) for b in (d_0, d_1, a_1, a_2))
         return OutsideTerms(
             d_0=d_0, d_1=d_1, a_1=a_1, a_2=a_2,
             dn_out=self.window_out.delta_n, kappa_h=kh, kappa_v=kv,
             port_weights=(((2.0 + kh) / 4.0, (2.0 + kv) / 4.0),
                           ((2.0 - kh) / 4.0, (2.0 - kv) / 4.0)),
-            port_probabilities=(p0, 1.0 - p0),
             transfer_weights=((e_0 / 4.0, e_1 / 4.0, e_2 / 4.0, e_3 / 4.0),
                               (e_0 / 4.0, e_1 / 4.0, -e_2 / 4.0, -e_3 / 4.0),
                               (e_0 / 2.0, e_1 / 2.0, 0j, 0j)),
         )
+
+    @cached_property
+    def _probabilities(self) -> tuple[float, float]:
+        """The port probabilities of ``pol``, computed on first use and kept."""
+        return _port_probabilities(self.outside_terms, self.pol)
 
 
 class DensityMatrix:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .core import (
     DensityMatrix,
     InterferometerConfig,
     PolarizationState,
+    _port_probabilities,
     check_density_matrices,
     effective_time,
     kappa_of_delay,
@@ -148,7 +148,7 @@ def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
     Interference weights, weighted by the input populations, on top of the
     balanced 1/2 background (``cfg.outside_terms``); they sum to one.
     """
-    return cfg.outside_terms.port_probabilities
+    return cfg._probabilities
 
 
 def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
@@ -157,9 +157,14 @@ def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
     return weight_h < ZERO_F_TOL or weight_v < ZERO_F_TOL
 
 
-def _bright_port(cfg: InterferometerConfig, jp: int) -> float:
-    """The conditioning probability of port jp; a dark port raises."""
-    prob = cfg.outside_terms.port_probabilities[jp]
+def _bright_port(cfg: InterferometerConfig, jp: int, pol: PolarizationState) -> float:
+    """The conditioning probability of port jp for the input pol; a dark port
+    raises.  The configured polarization's is read from the config, which
+    keeps its probabilities."""
+    if pol is cfg.pol:
+        prob = cfg._probabilities[jp]
+    else:
+        prob = _port_probabilities(cfg.outside_terms, pol)[jp]
     if prob < DARK_PORT_TOL:
         raise ImpossibleOutcome(
             f"output port {jp} has probability {prob!r}; cannot condition on it"
@@ -220,15 +225,17 @@ def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
     return transfer, weight_h, weight_v
 
 
-def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times) -> tuple:
-    """The closed-form states, of unit trace, at a (stage, conditioning)
-    location as (pop_h, pop_v, coherence), the coherence one per entry of
-    ``times``: _closed_form's state divided by its conditioning probability,
-    which is one except on an output port, where a dark port raises
-    ImpossibleOutcome."""
+def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times,
+                        pol: PolarizationState) -> tuple:
+    """The closed-form states, of unit trace, of the input pol at a (stage,
+    conditioning) location as (pop_h, pop_v, coherence), the coherence one
+    per entry of ``times``: _closed_form's state divided by its conditioning
+    probability, which is one except on an output port, where a dark port
+    raises ImpossibleOutcome.  Only the input populations, coherence and
+    port probabilities read pol."""
     transfer, weight_h, weight_v = _closed_form(cfg, stage, conditioning, times)
     on_port = stage == "outside" and conditioning is not None
-    pol, scale = cfg.pol, 1.0 / (_bright_port(cfg, conditioning) if on_port else 1.0)
+    scale = 1.0 / (_bright_port(cfg, conditioning, pol) if on_port else 1.0)
     return (weight_h * pol.population_h * scale, weight_v * pol.population_v * scale,
             pol.coherence * transfer * scale)
 
@@ -238,7 +245,7 @@ def _state(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> Den
     Inside, t must lie in [0, window_out.t_start]."""
     if stage == "inside":
         _check_inside_time(cfg, t)
-    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, t))
+    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, t, cfg.pol))
 
 
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
@@ -249,8 +256,7 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
     pair's conditioning probability, that is kappa_j on inside path j,
     (kappa_0 + kappa_1) / 2 jointly inside, f_jp / p_jp on output port jp,
     and the mean of the two shifted path factors jointly outside.  Its
-    modulus is the pair's trace distance.  The configured polarization is
-    replaced by the pair.
+    modulus is the pair's trace distance.
 
     Every pair state is checked against the tolerances that DensityMatrix
     enforces, and a violation raises ValueError, as do inside locations at
@@ -264,7 +270,7 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
     if stage == "inside" and times.size:
         _check_inside_time(cfg, times.min())
         _check_inside_time(cfg, times.max())
-    pair = replace(cfg, pol=PolarizationState.plus())
-    pop_h, pop_v, coherence = _closed_form_states(pair, stage, conditioning, times)
+    pop_h, pop_v, coherence = _closed_form_states(cfg, stage, conditioning, times,
+                                                  PolarizationState.plus())
     check_density_matrices(pop_h, pop_v, coherence)
     return 2.0 * np.asarray(coherence)

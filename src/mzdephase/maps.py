@@ -72,8 +72,12 @@ class QuantumOperation:
         return [np.sqrt(l) * vecs[:, i].reshape(2, 2) for i, l in enumerate(eigs) if l > CP_TOL]
 
     def apply(self, rho) -> np.ndarray:
-        """Apply the operation to a 2x2 matrix."""
-        return np.asarray(rho, dtype=complex) * [[self.h, self.g], [self.g.conjugate(), self.v]]
+        """Apply the operation to a 2x2 matrix; any other shape raises
+        ValueError naming it."""
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (2, 2):
+            raise ValueError(f"rho must be 2x2, got shape {rho.shape}")
+        return rho * [[self.h, self.g], [self.g.conjugate(), self.v]]
 
 
 def _check_finite(**arguments) -> None:

@@ -282,7 +282,7 @@ def oracle_compare(
         for here, c in LOCATION_STAGES.values():
             if here == stage and len(todo):
                 try:
-                    references[c] = _closed_form_states(cfg, stage, c, todo)
+                    references[c] = _closed_form_states(cfg, stage, c, todo, cfg.pol)
                 except ImpossibleOutcome:
                     pass
         if not references:

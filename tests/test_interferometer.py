@@ -182,13 +182,12 @@ def test_output_functions_invariants():
 # ---------------------------------------------------------------------------
 
 def expected_terms(cfg):
-    """Every entry of cfg.outside_terms recomputed from the windows, the
-    spectrum and the polarization."""
-    w0, w1, out, pol = cfg.window0, cfg.window1, cfg.window_out, cfg.pol
+    """Every entry of cfg.outside_terms recomputed from the windows and the
+    spectrum."""
+    w0, w1, out = cfg.window0, cfg.window1, cfg.window_out
     t0, t1 = w0.t_stop - w0.t_start, w1.t_stop - w1.t_start
     kh = 2.0 * kappa_of_delay(cfg.dist, w0.n_h * t0 - w1.n_h * t1).real
     kv = 2.0 * kappa_of_delay(cfg.dist, w0.n_v * t0 - w1.n_v * t1).real
-    p0 = (2.0 + abs(pol.c_h) ** 2 * kh + abs(pol.c_v) ** 2 * kv) / 4.0
     centres = ((w0.n_h - w0.n_v) * t0, (w1.n_h - w1.n_v) * t1,
                w0.n_h * t0 - w1.n_v * t1, w1.n_h * t1 - w0.n_v * t0)
     return {
@@ -201,7 +200,6 @@ def expected_terms(cfg):
         "kappa_v": kv,
         "port_weights": (((2.0 + kh) / 4.0, (2.0 + kv) / 4.0),
                          ((2.0 - kh) / 4.0, (2.0 - kv) / 4.0)),
-        "port_probabilities": (p0, 1.0 - p0),
         "transfer_weights": tuple(
             tuple(c * cmath.exp(1j * (cfg.dist.mu * b)) for c, b in zip(row, centres))
             for row in TRANSFER_ROWS
@@ -228,7 +226,7 @@ def test_outside_terms_are_their_formulas_and_follow_every_field(seed, field):
     key = hash(cfg)
     terms = cfg.outside_terms
     assert terms._asdict() == expected_terms(cfg)
-    assert all(type(x) is float for x in (terms.kappa_h, terms.kappa_v, *terms.port_probabilities))
+    assert all(type(x) is float for x in (terms.kappa_h, terms.kappa_v))
     assert all(type(w) is complex for row in terms.transfer_weights for w in row)
     # the table is neither compared nor hashed, and is computed once
     assert cfg == twin and hash(cfg) == hash(twin) == key
@@ -240,6 +238,10 @@ def test_outside_terms_are_their_formulas_and_follow_every_field(seed, field):
     assert changed != cfg
     assert changed.outside_terms._asdict() == expected_terms(changed)
     assert changed.outside_terms is not terms
+    # the polarization is the open system: a copy that changes only it
+    # computes an equal table
+    if field == "pol":
+        assert changed.outside_terms == terms
 
 
 def _counted(monkeypatch, name, modules) -> list:
@@ -257,15 +259,24 @@ def _counted(monkeypatch, name, modules) -> list:
     return calls
 
 
+# any input polarization: amplitudes cos(a) e^(i phi_h) and sin(a) e^(i
+# phi_v), pure H and pure V included, and any finite theta
+_POLARIZATIONS = st.builds(
+    lambda a, phi_h, phi_v, theta: PolarizationState(
+        math.cos(a) * cmath.exp(1j * phi_h), math.sin(a) * cmath.exp(1j * phi_v), theta),
+    st.floats(0.0, math.pi / 2), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(allow_nan=False, allow_infinity=False),
-       st.floats(allow_nan=False, allow_infinity=False))
-def test_the_environment_does_not_read_theta(seed, theta_a, theta_b):
-    # theta is the phase of the input coherence, not of the decoherence
-    # kernel: every factor and every verdict built on it is bit for bit the
-    # same for any two theta
+@given(st.integers(0, 2**32 - 1), _POLARIZATIONS, _POLARIZATIONS)
+def test_the_environment_does_not_read_theta(seed, pol_a, pol_b):
+    # the polarization, theta included, is the open system, not the
+    # environment: the table, and every factor and verdict built on it, is
+    # bit for bit the same for any two inputs
     cfg = random_config(np.random.default_rng(seed))
-    a, b = (replace(cfg, pol=replace(cfg.pol, theta=theta)) for theta in (theta_a, theta_b))
+    a, b = replace(cfg, pol=pol_a), replace(cfg, pol=pol_b)
+    assert a.outside_terms == b.outside_terms == cfg.outside_terms
     start = cfg.window_out.t_start
     grid = np.linspace(start, start + 300.0, 301)
     for jp in (0, 1):
@@ -273,6 +284,11 @@ def test_the_environment_does_not_read_theta(seed, theta_a, theta_b):
                                       coherence_transfer(b, jp, grid))
         assert coherence_transfer(a, jp, start + 7.0) == coherence_transfer(b, jp, start + 7.0)
         assert maps.divisibility_scan(a, jp, grid) == maps.divisibility_scan(b, jp, grid)
+    inside = np.linspace(0.0, start, 61)
+    for location in LOCATIONS:
+        times = inside if interferometer.LOCATION_STAGES[location][0] == "inside" else grid
+        np.testing.assert_array_equal(coherence_factors(a, location, times),
+                                      coherence_factors(b, location, times))
 
     def peak(c):
         with warnings.catch_warnings():
@@ -402,6 +418,14 @@ def test_a_warm_config_evaluates_only_the_transfer_terms(monkeypatch, baseline):
     interference_kappas(baseline)
     path_probabilities(baseline)
     assert kernel == [] and sums == []
+    # the |+>/|-> pair is an argument of the closed forms, not a config copy
+    # with a table of its own: one Gaussian sum per location, no kernel call
+    grid = np.linspace(60.0, 3000.0, 50)
+    for row, location in enumerate(("path0_out", "path1_out", "joint_out")):
+        sums.clear()
+        coherence_factors(baseline, location, grid)
+        assert kernel == [] and len(sums) == 1
+        assert sums[0][1] is baseline.outside_terms.transfer_weights[row]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +480,7 @@ def test_dark_port_conditioning_raises():
         conditional_state_outside(cfg, 1, 80.0)
     # amplitudes given as numpy scalars leave the probability a Python float
     numpy_plus = replace(cfg, pol=PolarizationState(1 / np.sqrt(2), 1 / np.sqrt(2)))
-    assert all(type(p) is float for p in numpy_plus.outside_terms.port_probabilities)
+    assert all(type(p) is float for p in path_probabilities(numpy_plus))
     with pytest.raises(
         ImpossibleOutcome,
         match=r"^output port 1 has probability 0\.0; cannot condition on it$",

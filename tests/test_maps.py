@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -52,6 +53,15 @@ def test_coherence_growth_is_not_cp_but_trace_preserving():
     assert not is_completely_positive(op)
     assert op.kraus is None
     assert trace_character(op) is TraceCharacter.TRACE_PRESERVING
+
+
+@pytest.mark.parametrize("rho, shape", [
+    ([1.0, 0.0], "(2,)"), (2.0, "()"), (np.eye(3), "(3, 3)"), (np.zeros((1, 2, 2)), "(1, 2, 2)"),
+])
+def test_apply_refuses_anything_but_a_2x2_matrix(rho, shape):
+    op = QuantumOperation(0.5, 0.5, 0.3)
+    with pytest.raises(ValueError, match=rf"^rho must be 2x2, got shape {re.escape(shape)}$"):
+        op.apply(rho)
 
 
 _RHO = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])

@@ -610,8 +610,8 @@ def test_batched_check_reads_the_simulated_state_first(
         coherence[1, 0] += 1.0
     closed = oracle._closed_form_states
 
-    def spoiled(cfg, stage, conditioning, at):
-        pop_h, pop_v, coh = closed(cfg, stage, conditioning, at)
+    def spoiled(cfg, stage, conditioning, at, pol):
+        pop_h, pop_v, coh = closed(cfg, stage, conditioning, at, pol)
         coh = coh.copy()
         coh[1] = np.nan
         return pop_h, pop_v, coh
