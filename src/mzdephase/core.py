@@ -305,15 +305,16 @@ def effective_time(window: InteractionWindow, t):
 
     Piecewise linear and non-decreasing: zero before the window opens, grows
     at unit rate inside, and saturates at the window duration.  Accepts scalar
-    or array t; a float t gives a float.
+    or array t, evaluated in float64 whatever its float type; a float or
+    numpy floating t gives a float.
     """
-    if isinstance(t, float):
+    if isinstance(t, (float, np.floating)):
         # min(max(t, t_start), t_stop), bit for bit, without the builtins'
         # call cost
         t, start, stop = float(t), window.t_start, window.t_stop
         t = start if start > t else t
         return (stop if stop < t else t) - start
-    return np.clip(t, window.t_start, window.t_stop) - window.t_start
+    return np.clip(np.asarray(t, dtype=float), window.t_start, window.t_stop) - window.t_start
 
 
 def kappa_of_delay(dist: FrequencyDistribution, x):

@@ -9,9 +9,11 @@ a path or port is one Fourier sum of its H-V coherence, taken for a whole
 chunk of times at once; every state, conditional state and port weight at a
 time is read from the same per-path polarization blocks, each of trace its
 probability.  On the uniform grid each phase exp(i x omega) factorises into a
-coarse and a fine one, so a time costs about 2 sqrt(n) cos/sin, not n: the
-phases are formed as a rows x w outer product, padded by fewer than
-w = isqrt(n - 1) + 1 entries, and cut to n.
+coarse and a fine one, with k = a w + b and w = isqrt(n - 1) + 1, so a time
+costs about 2 sqrt(n) cos/sin, not n.  A Fourier sum never forms the n
+phases: the weights, zero-padded to rows x w, are folded once into a
+(w, rows) matrix per block, the fine phases of a chunk multiply it in one
+matrix product, and the coarse phases weight the rows of the product.
 Nothing here uses the closed-form interferometer expressions; only the
 comparison harness does, to quantify their agreement.
 """
@@ -35,10 +37,10 @@ HALF_WIDTH = 8.0  # of every grid around mu, in units of sigma
 # the alias period of the trapezoid rule; the alias then weighs exp(-50)
 ALIAS_MARGIN = 10.0
 
-# complex phases exp(i x omega) per chunk of times: 512 KiB, two times inside
-# and four outside at n_freq=8001, 81 and 163 at n_freq=201; the rows x w
-# outer product behind them pads each time by fewer than sqrt(n_freq) + 1
-# entries, 0.1% more at n_freq=8001 and 4.5% at 201
+# complex entries of the folded product per chunk of delays, delays x rows x
+# blocks: 512 KiB, 184 times of both inside paths or both output ports at
+# n_freq=8001 and 1170 at n_freq=201; the fine and coarse phases of a chunk
+# are about as large again
 CHUNK_ELEMENTS = 2 ** 15
 
 _CONDITION_TOL = 1e-14
@@ -134,23 +136,63 @@ def _phase(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_phases(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """exp(i x omega) at every grid frequency, of shape x.shape + (n,), from
-    about 2 sqrt(n) cos/sin per x.
-
-    With k = a w + b and w = isqrt(n - 1) + 1, omega_k = omega_0 + a w h + b h
-    on the uniform grid, so the phases are the outer product of the coarse
-    exp(i x omega_0) exp(i x a w h) and the fine exp(i x b h), rows x w of
-    them, cut to n.  The rounding of x omega_0, the largest argument, is then
-    one phase common to all frequencies.
-    """
-    n = len(grid.omegas)
+def _fold(n: int) -> tuple[int, int]:
+    """The split k = a w + b of n grid indices: the fine length
+    w = isqrt(n - 1) + 1 and the number of coarse rows, ceil(n / w)."""
     w = math.isqrt(n - 1) + 1
-    rows = -(-n // w)
+    return w, -(-n // w)
+
+
+def _coarse_fine(x: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse phases exp(i x omega_0) exp(i x a w h), of shape
+    x.shape + (rows,), and the fine phases exp(i x b h), of shape
+    x.shape + (w,), whose product is exp(i x omega_k) at k = a w + b.
+
+    The rounding of x omega_0, the largest argument, is one phase common to
+    all frequencies.
+    """
+    w, rows = _fold(len(grid.omegas))
     x = x[..., None]
     coarse = _phase(x * grid.omegas[0]) * _phase(x * (w * grid.step * np.arange(rows)))
-    fine = _phase(x * (grid.step * np.arange(w)))
-    return (coarse[..., None] * fine[..., None, :]).reshape(*x.shape[:-1], -1)[..., :n]
+    return coarse, _phase(x * (grid.step * np.arange(w)))
+
+
+def _grid_phases(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """exp(i x omega) at every grid frequency, of shape x.shape + (n,), from
+    about 2 sqrt(n) cos/sin per x: the rows x w outer product of the coarse
+    and the fine phases, cut to n."""
+    coarse, fine = _coarse_fine(x, grid)
+    return (coarse[..., None] * fine[..., None, :]).reshape(*x.shape, -1)[..., : len(grid.omegas)]
+
+
+def _delays_per_chunk(n: int, blocks: int) -> int:
+    """Delays summed per chunk: each adds rows x blocks entries to the folded
+    product, and a chunk holds at most ``CHUNK_ELEMENTS``."""
+    return max(1, CHUNK_ELEMENTS // (_fold(n)[1] * blocks))
+
+
+def _fourier_sums(x: np.ndarray, g: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """sum_k g[k, j] exp(i x omega_k) of each block j at every delay of the
+    1-D ``x``, of shape (len(x), blocks), without forming the n phases.
+
+    With k = a w + b the sum is sum_a coarse_a(x) sum_b fine_b(x) g[a w + b]:
+    g, zero-padded to rows x w, is folded once into the (w, rows x blocks)
+    matrix of the inner sums, and each chunk of delays takes one matrix
+    product with its fine phases, weighted by its coarse ones and summed over
+    the rows.
+    """
+    n, blocks = g.shape
+    w, rows = _fold(n)
+    folded = np.zeros((rows * w, blocks), dtype=complex)
+    folded[:n] = g
+    folded = folded.reshape(rows, w, blocks).swapaxes(0, 1).reshape(w, rows * blocks)
+    sums = np.empty((len(x), blocks), dtype=complex)
+    per_chunk = _delays_per_chunk(n, blocks)
+    for lo in range(0, len(x), per_chunk):
+        coarse, fine = _coarse_fine(x[lo : lo + per_chunk], grid)
+        inner = (fine @ folded).reshape(len(fine), rows, blocks)
+        sums[lo : lo + per_chunk] = (coarse[:, None] @ inner)[:, 0]
+    return sums
 
 
 def _initial_amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid) -> np.ndarray:
@@ -173,13 +215,6 @@ def _amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarra
     return psi
 
 
-def _times_per_chunk(n_freq: int, stage: str) -> int:
-    """Times evolved per chunk: each adds n_freq phases per inside path, or
-    n_freq shared by both output ports, and a chunk holds at most
-    ``CHUNK_ELEMENTS`` phases."""
-    return max(1, CHUNK_ELEMENTS // ((2 if stage == "inside" else 1) * n_freq))
-
-
 def _path_blocks(
     cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray, stage: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,30 +231,25 @@ def _path_blocks(
     output coupling opens: each port starts from the amplitudes at the output
     start mixed by the beam splitter, and x = (n_h - n_v) times the output
     coupling time, the same for both ports.  The sums run over chunks of
-    times, each one phase array through one matrix product.
+    delays, each one folded matrix product (``_fourier_sums``).
     """
     if stage == "inside":
-        psi = np.stack([_initial_amplitudes(cfg, grid)] * 2)
+        # both paths start from the same amplitudes: one block, two delays
+        psi = _initial_amplitudes(cfg, grid)[None]
         windows = (cfg.window0, cfg.window1)
         delays = np.stack([w.delta_n * effective_time(w, times) for w in windows], axis=1)
     elif stage == "outside":
+        # both ports share one delay: two blocks
         out = cfg.window_out
         psi = _amplitudes(cfg, grid, np.array([out.t_start]))[0]
         psi = np.stack([psi[0] + psi[1], psi[0] - psi[1]]) / np.sqrt(2.0)
-        delays = out.delta_n * effective_time(out, times)[:, None]
+        delays = out.delta_n * effective_time(out, times)
     else:
         raise ValueError(f"unknown stage {stage!r}")
-    n = len(grid.omegas)
-    # g[delay, w, block]: one column of delays per inside path, or one column
-    # shared by both output ports
-    g = (psi[:, 0] * psi[:, 1].conj()).reshape(delays.shape[1], -1, n).swapaxes(1, 2)
-    coherence = np.empty((len(times), 2), dtype=complex)
-    per_chunk = _times_per_chunk(n, stage)
-    for lo in range(0, len(times), per_chunk):
-        x = delays[lo : lo + per_chunk].T
-        sums = _grid_phases(x, grid) @ g
-        coherence[lo : lo + per_chunk] = sums.swapaxes(0, 1).reshape(-1, 2)
-    return np.sum(psi.real**2 + psi.imag**2, axis=-1), coherence
+    g = (psi[:, 0] * psi[:, 1].conj()).T
+    coherence = _fourier_sums(delays.ravel(), g, grid).reshape(len(times), 2)
+    populations = np.sum(psi.real**2 + psi.imag**2, axis=-1)
+    return np.broadcast_to(populations, (2, 2)).copy(), coherence
 
 
 def _conditioned(blocks, conditionings) -> tuple[tuple, np.ndarray]:

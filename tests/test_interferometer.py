@@ -564,6 +564,42 @@ def test_a_time_not_finite_is_refused_by_name(t):
             call()
 
 
+def _bits(value) -> bytes:
+    """The bytes of every number in a kernel's result, as complex128."""
+    if isinstance(value, DensityMatrix):
+        value = (value.population_h, value.population_v, value.coherence)
+    elif isinstance(value, maps.QuantumOperation):
+        value = (value.h, value.v, value.g)
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+def test_a_float32_time_is_evaluated_in_float64():
+    # the times are exact in float32, so a float32 copy is the same time; at
+    # 3500 the port-0 transfer is of order 1e-56, below float32's range
+    cfg = preset("dtau10")
+    grid = np.arange(60.0, 3000.0, 0.5)
+    calls = {
+        "coherence_transfer": lambda f: coherence_transfer(cfg, 0, f(3500.0)),
+        "coherence_transfer array": lambda f: coherence_transfer(cfg, 1, f([60.0, 100.5, 3500.0])),
+        "path_state_inside": lambda f: path_state_inside(cfg, 0, f(20.0)),
+        "conditional_state_outside": lambda f: conditional_state_outside(cfg, 0, f(300.0)),
+        "kraus_conditional": lambda f: maps.kraus_conditional(cfg, 0, f(300.0)),
+        "propagator": lambda f: maps.propagator(cfg, 0, f(300.0), f(3500.0)),
+        "divisibility_scan": lambda f: maps.divisibility_scan(cfg, 0, f(grid)),
+    }
+    for location in LOCATIONS:
+        times = [60.0, 300.0, 3500.0] if location.endswith("_out") else [0.0, 20.0, 60.0]
+        calls[f"coherence_factors {location}"] = (
+            lambda f, location=location, times=times: coherence_factors(cfg, location, f(times)))
+    for name, call in calls.items():
+        want = call(lambda t: np.array(t, dtype=np.float64)[()])
+        got = call(lambda t: np.array(t, dtype=np.float32)[()])
+        if name == "divisibility_scan":
+            assert got == want, name
+        else:
+            assert _bits(got) == _bits(want), name
+
+
 def test_pair_state_check_rejects_what_density_matrix_rejects():
     # populations (a, b) and off-diagonal modulus r, on either side of the
     # PSD and unit-trace tolerances by a factor of two

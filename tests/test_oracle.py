@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import PRESETS, preset, random_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzdephase import oracle
 from mzdephase.core import (
@@ -360,9 +362,11 @@ def test_fused_compare_matches_per_cell_random_configs():
 
 @pytest.mark.parametrize("n", [51, 8001])
 def test_fused_compare_spans_several_chunks(baseline, n):
-    from mzdephase.oracle import _times_per_chunk
+    # a chunk holds _delays_per_chunk(n, blocks) delays: inside two per time,
+    # one per path, of one block; outside one per time of two blocks, the ports
+    from mzdephase.oracle import _delays_per_chunk
 
-    count = max(_times_per_chunk(n, stage) for stage in ("inside", "outside")) + 3
+    count = max(_delays_per_chunk(n, 1) // 2, _delays_per_chunk(n, 2)) + 3
     start = baseline.window_out.t_start
     times = [*np.linspace(0.0, start, count), *np.linspace(start, 2000.0, count)]
     _assert_fused_matches_per_cell(baseline, FrequencyGrid.build(baseline.dist, n=n), times)
@@ -507,6 +511,33 @@ def test_grid_phases_match_complex_exp(n, mu):
     want = np.exp(1j * x[..., None] * grid.omegas)
     bound = 8.0 * np.finfo(float).eps * period * np.max(np.abs(grid.omegas))
     assert np.max(np.abs(got - want)) <= bound
+
+
+_FOLD_SIZES = st.one_of(
+    st.sampled_from([3, 4, 2001, 8001]),
+    # w^2 folds into w rows of w; w^2 - 1 and w^2 + 1 are zero-padded
+    st.integers(2, 60).flatmap(lambda w: st.sampled_from([w * w - 1, w * w, w * w + 1])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_FOLD_SIZES, mu=st.floats(1.0, 1e3), blocks=st.sampled_from([1, 2]),
+       count=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_fourier_sums_match_direct_sums(n, mu, blocks, count, seed):
+    # the folded product against one complex exp per (delay, frequency); at
+    # n=8001 two blocks and more than 184 delays span two chunks
+    from mzdephase.oracle import _fourier_sums
+
+    grid = FrequencyGrid.build(FrequencyDistribution(mu), n)
+    period = 2.0 * np.pi / grid.step
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-period, period, count)
+    g = rng.normal(size=(n, blocks)) + 1j * rng.normal(size=(n, blocks))
+    got = _fourier_sums(x, g, grid)
+    assert got.shape == (count, blocks)
+    want = np.exp(1j * x[:, None] * grid.omegas) @ g
+    bound = 8.0 * np.finfo(float).eps * period * np.max(np.abs(grid.omegas))
+    assert np.all(np.abs(got - want) <= bound * np.sum(np.abs(g), axis=0))
 
 
 def test_oracle_evaluates_few_phases(monkeypatch):
