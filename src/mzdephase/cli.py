@@ -440,6 +440,9 @@ def _sweep_locations(flag: str | None, run: dict) -> list[str]:
             f"{field}: expected a list of one or more of "
             f"{', '.join(analysis.LOCATIONS)}; got {raw!r}"
         ])
+    for k, loc in enumerate(locations):
+        if loc in locations[:k]:
+            raise ConfigError([f"{field}: location {loc} is repeated; got {raw!r}"])
     return locations
 
 

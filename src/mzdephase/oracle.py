@@ -202,19 +202,6 @@ def _initial_amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid) -> np.nd
     return c[:, None] * np.sqrt(grid.weights / 2.0)
 
 
-def _amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray) -> np.ndarray:
-    """Path-major amplitude array psi[time, inside path, polarization,
-    frequency] at every one of ``times``: each polarization block of a path
-    is contiguous."""
-    start = _initial_amplitudes(cfg, grid)
-    psi = np.empty((len(times), 2, 2, len(grid.omegas)), dtype=complex)
-    for j, window in enumerate((cfg.window0, cfg.window1)):
-        coupling = effective_time(window, times)
-        for lam, n_lam in enumerate((window.n_h, window.n_v)):
-            psi[:, j, lam] = start[lam] * _grid_phases(n_lam * coupling, grid)
-    return psi
-
-
 def _path_blocks(
     cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray, stage: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -228,10 +215,13 @@ def _path_blocks(
     coherence is one Fourier sum sum_w g[w] exp(i x omega_w).  Inside, path j
     starts from amplitudes with no phase yet, and x = (n_h - n_v) times its
     window's coupling time.  Outside, both arm windows close before the
-    output coupling opens: each port starts from the amplitudes at the output
-    start mixed by the beam splitter, and x = (n_h - n_v) times the output
-    coupling time, the same for both ports.  The sums run over chunks of
-    delays, each one folded matrix product (``_fourier_sums``).
+    output coupling opens: each port starts from the arm amplitudes at the
+    output start mixed by the beam splitter, and x = (n_h - n_v) times the
+    output coupling time, the same for both ports.  Those arm amplitudes are
+    the start amplitudes times one ``_grid_phases`` of the arm delays
+    [arm, polarization], n times the arm's coupling time at the output
+    start.  The sums run over chunks of delays, each one folded matrix
+    product (``_fourier_sums``).
     """
     if stage == "inside":
         # both paths start from the same amplitudes: one block, two delays
@@ -241,7 +231,11 @@ def _path_blocks(
     elif stage == "outside":
         # both ports share one delay: two blocks
         out = cfg.window_out
-        psi = _amplitudes(cfg, grid, np.array([out.t_start]))[0]
+        arm_delays = np.array([
+            [n * effective_time(w, out.t_start) for n in (w.n_h, w.n_v)]
+            for w in (cfg.window0, cfg.window1)
+        ])
+        psi = _initial_amplitudes(cfg, grid) * _grid_phases(arm_delays, grid)
         psi = np.stack([psi[0] + psi[1], psi[0] - psi[1]]) / np.sqrt(2.0)
         delays = out.delta_n * effective_time(out, times)
     else:

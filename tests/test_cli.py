@@ -513,6 +513,9 @@ def test_empty_grid_flag_exits_2(tmp_path, command, capsys):
     (None, {"locations": "path0_out"}, "run.locations"),
     (None, {"locations": []}, "run.locations"),
     (None, {"locations": ["path0_out", 3]}, "run.locations"),
+    # a repeated location wrote the same column twice
+    ("joint_out,joint_out", {}, "--locations"),
+    (None, {"locations": ["path0_out", "path1_out", "path0_out"]}, "run.locations"),
 ])
 def test_sweep_rejects_bad_locations(tmp_path, flag, run, field, capsys):
     argv = ["sweep", "--config", write_config(tmp_path, dict(BASELINE, run=run)),

@@ -1,3 +1,5 @@
+import cmath
+import math
 import re
 from dataclasses import replace
 
@@ -34,15 +36,24 @@ from mzdephase.oracle import (
 DIST = FrequencyDistribution(400.0)
 
 
+def _state_of(blocks, conditioning=None):
+    """The polarization state of the path blocks of one time, traced over
+    the path (conditioning None) or projected on one path or port,
+    normalized; a conditioning weight of zero raises."""
+    populations, coherence = blocks
+    if conditioning is None:
+        (p_h, p_v), c = populations.sum(axis=0), coherence[0].sum()
+    else:
+        (p_h, p_v), c = populations[conditioning], coherence[0, conditioning]
+    norm = p_h + p_v
+    if norm < oracle._CONDITION_TOL:
+        raise oracle._impossible(norm)
+    return DensityMatrix(p_h / norm, p_v / norm, c / norm)
+
+
 def _oracle_state(cfg, grid, t, stage, conditioning=None):
-    """The oracle's polarization state at time t: the path blocks of the
-    stage traced over the path (conditioning None) or projected on one path
-    or port, normalized; a conditioning weight of zero raises."""
-    (p_h, p_v, c), norm = oracle._conditioned(
-        oracle._path_blocks(cfg, grid, np.array([t]), stage), [conditioning])
-    if norm[0] < oracle._CONDITION_TOL:
-        raise oracle._impossible(norm[0])
-    return DensityMatrix(p_h[0] / norm[0], p_v[0] / norm[0], c[0, 0] / norm[0])
+    """The oracle's polarization state at time t in the given stage."""
+    return _state_of(oracle._path_blocks(cfg, grid, np.array([t]), stage), conditioning)
 
 
 def _oracle_port_probabilities(cfg, grid, t):
@@ -168,12 +179,11 @@ def test_port_weights_sum_to_one(grid, baseline):
 
 
 def test_inside_conditioning_probability_is_half(grid, baseline):
-    from mzdephase.oracle import _amplitudes
-
-    psi = _amplitudes(baseline, grid, np.array([30.0]))[0]
+    psi = _reference_amplitudes(baseline, grid, 30.0)
+    populations, _ = oracle._path_blocks(baseline, grid, np.array([30.0]), "inside")
     for j in (0, 1):
-        weight = np.sum(np.abs(psi[j]) ** 2)
-        assert weight == pytest.approx(0.5, abs=1e-12)
+        assert np.sum(np.abs(psi[j]) ** 2) == pytest.approx(0.5, abs=1e-12)
+        assert populations[j].sum() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_conditional_states_match_closed_form(grid, baseline):
@@ -310,37 +320,45 @@ def test_tail_truncation_sensitivity(baseline):
 # ---------------------------------------------------------------------------
 
 def _per_cell_compare(cfg, grid, times):
-    """oracle_compare as one _oracle_state (and port-weight) call per cell."""
+    """oracle_compare one time at a time, unfused: the path blocks of each
+    (time, stage), every conditioning state and both port weights of that
+    time read from them, and each state compared with its closed form."""
     from mzdephase import interferometer as itf
 
     cells = {
-        "path0": ("inside", 0, lambda t: itf.path_state_inside(cfg, 0, t)),
-        "path1": ("inside", 1, lambda t: itf.path_state_inside(cfg, 1, t)),
-        "joint_inside": ("inside", None, lambda t: itf.joint_state_inside(cfg, t)),
-        "path0_out": ("outside", 0, lambda t: itf.conditional_state_outside(cfg, 0, t)),
-        "path1_out": ("outside", 1, lambda t: itf.conditional_state_outside(cfg, 1, t)),
-        "joint_out": ("outside", None, lambda t: itf.averaged_state_outside(cfg, t)),
+        "inside": {
+            0: lambda t: itf.path_state_inside(cfg, 0, t),
+            1: lambda t: itf.path_state_inside(cfg, 1, t),
+            None: lambda t: itf.joint_state_inside(cfg, t),
+        },
+        "outside": {
+            0: lambda t: itf.conditional_state_outside(cfg, 0, t),
+            1: lambda t: itf.conditional_state_outside(cfg, 1, t),
+            None: lambda t: itf.averaged_state_outside(cfg, t),
+        },
     }
     p_analytic = itf.path_probabilities(cfg)
+    for port in (0, 1):
+        if p_analytic[port] < itf.DARK_PORT_TOL:
+            del cells["outside"][port]
     start = cfg.window_out.t_start
     worst_state = worst_prob = 0.0
-    for stage, conditioning, reference in cells.values():
-        if stage == "outside" and conditioning is not None:
-            if p_analytic[conditioning] < itf.DARK_PORT_TOL:
-                continue
-        for t in times:
+    for t in times:
+        for stage, references in cells.items():
             if (stage == "inside" and not 0 <= t <= start) or (
                 stage == "outside" and t < start
             ):
                 continue
-            simulated = _oracle_state(cfg, grid, t, stage, conditioning)
-            worst_state = max(worst_state, trace_distance(reference(t), simulated))
+            blocks = oracle._path_blocks(cfg, grid, np.array([t]), stage)
+            for conditioning, reference in references.items():
+                simulated = _state_of(blocks, conditioning)
+                worst_state = max(worst_state, trace_distance(reference(t), simulated))
             if stage == "outside":
-                p = _oracle_port_probabilities(cfg, grid, t)
+                p0, p1 = blocks[0].sum(axis=-1)
                 worst_prob = max(
-                    worst_prob, abs(p[0] - p_analytic[0]), abs(p[1] - p_analytic[1])
+                    worst_prob, abs(p0 - p_analytic[0]), abs(p1 - p_analytic[1])
                 )
-    return worst_state, worst_prob
+    return worst_state, float(worst_prob)
 
 
 def _assert_fused_matches_per_cell(cfg, grid, times):
@@ -379,30 +397,29 @@ def test_fused_compare_skips_dark_port(grid):
     _assert_fused_matches_per_cell(cfg, grid, times)
 
 
-def test_amplitudes_of_a_time_array_match_each_time(grid, baseline):
-    from mzdephase.oracle import _amplitudes
-
-    times = np.array([0.0, 12.5, 50.0, 60.0, 400.0])
-    batch = _amplitudes(baseline, grid, times)
-    assert batch.shape == (len(times), 2, 2, len(grid.omegas))
-    for t, psi in zip(times, batch):
-        np.testing.assert_array_equal(psi, _amplitudes(baseline, grid, np.array([t]))[0])
+def _reference_amplitudes(cfg, grid, t):
+    """Amplitudes psi[inside path, polarization, frequency] at time t, with
+    one complex exp per frequency: half the input spectrum on each path,
+    each polarization delayed by n t_eff of its arm."""
+    pol = cfg.pol
+    c = np.array([pol.c_h * np.exp(1j * pol.theta), pol.c_v])
+    arms = (cfg.window0, cfg.window1)
+    delays = np.array([[w.n_h, w.n_v] for w in arms]) * [[effective_time(w, t)] for w in arms]
+    return c[:, None] * np.sqrt(grid.weights / 2.0) * np.exp(1j * delays[..., None] * grid.omegas)
 
 
 def _reference_blocks(cfg, grid, times, stage):
     """Blocks rho[time, path, a, b] of each time straight from its
-    amplitudes: psi psi^H inside; outside, the closed arms mixed by the beam
-    splitter and each polarization multiplied by its own output phase before
-    psi psi^H."""
-    from mzdephase.oracle import _amplitudes
-
+    amplitudes: psi psi^H inside; outside, the arms at the output start mixed
+    by the beam splitter and each polarization multiplied by its own output
+    phase before psi psi^H."""
     out = cfg.window_out
     blocks = []
     for t in times:
         if stage == "inside":
-            psi = _amplitudes(cfg, grid, np.array([t]))[0]
+            psi = _reference_amplitudes(cfg, grid, t)
         else:
-            arms = _amplitudes(cfg, grid, np.array([out.t_start]))[0]
+            arms = _reference_amplitudes(cfg, grid, out.t_start)
             psi = np.stack([arms[0] + arms[1], arms[0] - arms[1]]) / np.sqrt(2.0)
             tau = effective_time(out, t)
             psi = psi * np.exp(1j * np.outer([out.n_h, out.n_v], grid.omegas) * tau)
@@ -454,6 +471,53 @@ def test_path_blocks_match_per_time_amplitudes(cfg):
             np.testing.assert_allclose(
                 at_t[:, [0, 1], [0, 1]], populations, rtol=0, atol=1e-9, err_msg=stage)
         np.testing.assert_allclose(coherence, want[:, :, 0, 1], rtol=0, atol=1e-9, err_msg=stage)
+
+
+_INDICES = st.floats(1.5, 1.58)
+_BIREFRINGENCE = st.tuples(st.floats(0.003, 0.02), st.sampled_from([1.0, -1.0])).map(
+    lambda pair: pair[0] * pair[1])
+
+
+@st.composite
+def _unequal_arm_configs(draw):
+    """Arms with their own indices, starts and durations, closed before a
+    finite output window opens, and an input with a relative phase."""
+
+    def window(t_start, duration, n_v=None):
+        n_v = draw(_INDICES) if n_v is None else n_v
+        return InteractionWindow(n_v + draw(_BIREFRINGENCE), n_v, t_start, t_start + duration)
+
+    arm0 = window(draw(st.floats(1.0, 20.0)), draw(st.floats(20.0, 60.0)))
+    # arm 1 opens later, and its V delay lies within 3 / sigma of arm 0's, so
+    # that the two arms interfere at the output ports
+    n_v1 = draw(_INDICES)
+    delay1 = arm0.n_v * (arm0.t_stop - arm0.t_start) + draw(st.floats(-3.0, 3.0))
+    arm1 = window(arm0.t_start + draw(st.floats(1.0, 15.0)), delay1 / n_v1, n_v1)
+    start = max(arm0.t_stop, arm1.t_stop) + draw(st.floats(0.0, 5.0))
+    out = window(start, draw(st.floats(100.0, 1000.0)))
+    angle = draw(st.floats(0.1, 1.47))
+    pol = PolarizationState(
+        math.cos(angle), math.sin(angle) * cmath.exp(1j * draw(st.floats(0.0, 6.28))),
+        draw(st.floats(0.0, 6.28)))
+    return InterferometerConfig(FrequencyDistribution(draw(st.floats(100.0, 2000.0))),
+                                arm0, arm1, out, pol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=_unequal_arm_configs())
+def test_outside_blocks_match_per_time_amplitudes(cfg):
+    # the output stage, built from the arm phases at the output start,
+    # against psi psi^H of every time from one complex exp per frequency,
+    # before and after the output window closes
+    grid = FrequencyGrid.build(cfg.dist, n=801)
+    out = cfg.window_out
+    times = np.append(np.linspace(out.t_start, out.t_stop + 200.0, 16), out.t_stop)
+    times = times[max_component_delay(cfg, times) <= alias_free_delay(grid)]
+    populations, coherence = oracle._path_blocks(cfg, grid, times, "outside")
+    want = _reference_blocks(cfg, grid, times, "outside")
+    for at_t in want:
+        np.testing.assert_allclose(at_t[:, [0, 1], [0, 1]], populations, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(coherence, want[:, :, 0, 1], rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
