@@ -10,12 +10,16 @@ chunk of times at once; every state, conditional state and port weight at a
 time is read from the same per-path polarization blocks, each of trace its
 probability.  On the uniform grid each phase exp(i x omega) factorises into a
 coarse and a fine one, with k = a w + b and w = isqrt(n - 1) + 1, so a time
-costs about 2 sqrt(n) cos/sin, not n.  A Fourier sum never forms the n
-phases: the weights, zero-padded to rows x w, are folded once into a
-(w, rows) matrix per block, the fine phases of a chunk multiply it in one
-matrix product, and the coarse phases weight the rows of the product.
-Nothing here uses the closed-form interferometer expressions; only the
-comparison harness does, to quantify their agreement.
+costs about 2 sqrt(n) cos/sin, not n.  Every amplitude lives in that folded
+layout: frequency k = a w + b at [a, b] of a rows x w array, zero-padded past
+n.  Both stages start from the same folded start amplitudes; the output
+stage's are their product with the coarse and fine phases of the arm delays,
+mixed into the ports in place, and each block's weights g = psi_H psi_V^* are
+written over its amplitudes.  A Fourier sum never forms the n phases: the
+fine phases of a chunk multiply the (w, rows) transpose of g in one matrix
+product, and the coarse phases weight the rows of the product.  Nothing here
+uses the closed-form interferometer expressions; only the comparison harness
+does, to quantify their agreement, over the cells of both stages at once.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import numpy as np
 from .core import FrequencyDistribution, InterferometerConfig, effective_time
 from .core import check_density_matrices, trace_distances
 from .errors import ImpossibleOutcome
-from .interferometer import LOCATION_STAGES, _check_times, _closed_form_states, path_probabilities
+from .interferometer import _check_times, _closed_form_stage, path_probabilities
 
 DEFAULT_N_FREQ = 2001
 HALF_WIDTH = 8.0  # of every grid around mu, in units of sigma
@@ -157,14 +161,6 @@ def _coarse_fine(x: np.ndarray, grid: FrequencyGrid) -> tuple[np.ndarray, np.nda
     return coarse, _phase(x * (grid.step * np.arange(w)))
 
 
-def _grid_phases(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """exp(i x omega) at every grid frequency, of shape x.shape + (n,), from
-    about 2 sqrt(n) cos/sin per x: the rows x w outer product of the coarse
-    and the fine phases, cut to n."""
-    coarse, fine = _coarse_fine(x, grid)
-    return (coarse[..., None] * fine[..., None, :]).reshape(*x.shape, -1)[..., : len(grid.omegas)]
-
-
 def _delays_per_chunk(n: int, blocks: int) -> int:
     """Delays summed per chunk: each adds rows x blocks entries to the folded
     product, and a chunk holds at most ``CHUNK_ELEMENTS``."""
@@ -172,34 +168,82 @@ def _delays_per_chunk(n: int, blocks: int) -> int:
 
 
 def _fourier_sums(x: np.ndarray, g: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """sum_k g[k, j] exp(i x omega_k) of each block j at every delay of the
+    """sum_k g[j, k] exp(i x omega_k) of each block j at every delay of the
     1-D ``x``, of shape (len(x), blocks), without forming the n phases.
 
-    With k = a w + b the sum is sum_a coarse_a(x) sum_b fine_b(x) g[a w + b]:
-    g, zero-padded to rows x w, is folded once into the (w, rows x blocks)
-    matrix of the inner sums, and each chunk of delays takes one matrix
-    product with its fine phases, weighted by its coarse ones and summed over
-    the rows.
+    ``g`` is folded: of shape (blocks, rows, w), entry [j, a, b] the weight
+    of frequency k = a w + b, zero past n.  The sum is then sum_a coarse_a(x)
+    sum_b fine_b(x) g[j, a, b]: each chunk of delays takes one matrix product
+    of its fine phases with the (w, blocks x rows) transpose of g, no copy,
+    whose rows the coarse phases weight and sum.
     """
-    n, blocks = g.shape
-    w, rows = _fold(n)
-    folded = np.zeros((rows * w, blocks), dtype=complex)
-    folded[:n] = g
-    folded = folded.reshape(rows, w, blocks).swapaxes(0, 1).reshape(w, rows * blocks)
+    blocks, rows, w = g.shape
+    folded = g.reshape(blocks * rows, w).T
     sums = np.empty((len(x), blocks), dtype=complex)
-    per_chunk = _delays_per_chunk(n, blocks)
+    per_chunk = _delays_per_chunk(len(grid.omegas), blocks)
     for lo in range(0, len(x), per_chunk):
         coarse, fine = _coarse_fine(x[lo : lo + per_chunk], grid)
-        inner = (fine @ folded).reshape(len(fine), rows, blocks)
-        sums[lo : lo + per_chunk] = (coarse[:, None] @ inner)[:, 0]
+        inner = (fine @ folded).reshape(len(fine), blocks, rows)
+        sums[lo : lo + per_chunk] = (inner @ coarse[:, :, None])[..., 0]
     return sums
 
 
-def _initial_amplitudes(cfg: InterferometerConfig, grid: FrequencyGrid) -> np.ndarray:
-    """Amplitudes a[polarization, frequency] of either inside path right after
-    the input beam splitter, before any coupling."""
-    c = np.array([cfg.pol.c_h * np.exp(1j * cfg.pol.theta), cfg.pol.c_v])
-    return c[:, None] * np.sqrt(grid.weights / 2.0)
+def _start_amplitudes(grid: FrequencyGrid) -> np.ndarray:
+    """sqrt(p_k / 2), the amplitude of either inside path right after the
+    input beam splitter before its polarization constant, folded: of shape
+    (rows, w), entry [a, b] that of frequency k = a w + b, zero past n."""
+    n = len(grid.omegas)
+    w, rows = _fold(n)
+    start = np.zeros(rows * w)
+    start[:n] = np.sqrt(grid.weights / 2.0)
+    return start.reshape(rows, w)
+
+
+def _stage_blocks(
+    cfg: InterferometerConfig, grid: FrequencyGrid, start: np.ndarray, times: np.ndarray,
+    stage: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_path_blocks`` of one stage from the folded start amplitudes.
+
+    The amplitudes psi[polarization, path or port, a, b] of the stage are
+    built in the folded layout of ``start``.  The populations are read from
+    them, and g = psi_H psi_V^* is written over the H amplitudes, the folded
+    weights of ``_fourier_sums``.
+    """
+    pol = cfg.pol
+    c = np.array([pol.c_h * np.exp(1j * pol.theta), pol.c_v])
+    if stage == "inside":
+        # both paths start from the same amplitudes: one block, two delays
+        psi = c[:, None, None, None] * start
+        windows = (cfg.window0, cfg.window1)
+        delays = np.stack([w.delta_n * effective_time(w, times) for w in windows], axis=1)
+    elif stage == "outside":
+        # both ports share one delay: two blocks
+        out = cfg.window_out
+        arm_delays = np.array([
+            [w.n_h * effective_time(w, out.t_start) for w in (cfg.window0, cfg.window1)],
+            [w.n_v * effective_time(w, out.t_start) for w in (cfg.window0, cfg.window1)],
+        ])
+        coarse, fine = _coarse_fine(arm_delays, grid)
+        # the output beam splitter's 1/sqrt(2) joins the polarization constants
+        coarse *= (c / np.sqrt(2.0))[:, None, None]
+        psi = coarse[..., None] * fine[..., None, :]
+        psi *= start
+        # the ports, in place: arm 0 + arm 1, then arm 0 - arm 1
+        arm0, arm1 = psi[:, 0], psi[:, 1]
+        arm0 += arm1
+        arm1 *= -2.0
+        arm1 += arm0
+        delays = out.delta_n * effective_time(out, times)
+    else:
+        raise ValueError(f"unknown stage {stage!r}")
+    # sum |psi|^2 of each polarization and block, one dot product of its real
+    # and imaginary parts with themselves
+    parts = psi.view(float).reshape(-1, 2 * start.size)
+    populations = np.array([part @ part for part in parts]).reshape(psi.shape[:2]).T
+    g = np.multiply(psi[0], np.conjugate(psi[1], out=psi[1]), out=psi[0])
+    coherence = _fourier_sums(delays.ravel(), g, grid).reshape(len(times), 2)
+    return np.broadcast_to(populations, (2, 2)).copy(), coherence
 
 
 def _path_blocks(
@@ -218,42 +262,30 @@ def _path_blocks(
     output coupling opens: each port starts from the arm amplitudes at the
     output start mixed by the beam splitter, and x = (n_h - n_v) times the
     output coupling time, the same for both ports.  Those arm amplitudes are
-    the start amplitudes times one ``_grid_phases`` of the arm delays
-    [arm, polarization], n times the arm's coupling time at the output
-    start.  The sums run over chunks of delays, each one folded matrix
-    product (``_fourier_sums``).
+    the start amplitudes times the coarse and the fine phases of the arm
+    delays [polarization, arm], n times the arm's coupling time at the
+    output start.  Every amplitude is built, and g written, in the folded
+    layout that the sums read, each chunk of delays one matrix product
+    (``_fourier_sums``).
     """
-    if stage == "inside":
-        # both paths start from the same amplitudes: one block, two delays
-        psi = _initial_amplitudes(cfg, grid)[None]
-        windows = (cfg.window0, cfg.window1)
-        delays = np.stack([w.delta_n * effective_time(w, times) for w in windows], axis=1)
-    elif stage == "outside":
-        # both ports share one delay: two blocks
-        out = cfg.window_out
-        arm_delays = np.array([
-            [n * effective_time(w, out.t_start) for n in (w.n_h, w.n_v)]
-            for w in (cfg.window0, cfg.window1)
-        ])
-        psi = _initial_amplitudes(cfg, grid) * _grid_phases(arm_delays, grid)
-        psi = np.stack([psi[0] + psi[1], psi[0] - psi[1]]) / np.sqrt(2.0)
-        delays = out.delta_n * effective_time(out, times)
-    else:
-        raise ValueError(f"unknown stage {stage!r}")
-    g = (psi[:, 0] * psi[:, 1].conj()).T
-    coherence = _fourier_sums(delays.ravel(), g, grid).reshape(len(times), 2)
-    populations = np.sum(psi.real**2 + psi.imag**2, axis=-1)
-    return np.broadcast_to(populations, (2, 2)).copy(), coherence
+    return _stage_blocks(cfg, grid, _start_amplitudes(grid), times, stage)
 
 
-def _conditioned(blocks, conditionings) -> tuple[tuple, np.ndarray]:
-    """States (p_h[k], p_v[k], c[time, k]) under each of the ``conditionings``
-    (None traces out the path, an integer projects on that one), not yet
-    divided by the weight [k] of each, which is also returned."""
+def _time_major(populations: np.ndarray, coherence: np.ndarray) -> tuple:
+    """The cells (p_h, p_v, c) of the states with populations [location,
+    polarization] and coherences [time, location], flat and time-major."""
+    p_h, p_v = np.tile(np.transpose(populations), len(coherence))
+    return p_h, p_v, coherence.ravel()
+
+
+def _conditioned(blocks, conditionings) -> tuple:
+    """The cells (p_h, p_v, c) of each time and each of the
+    ``conditionings`` (None traces out the path, an integer projects on that
+    one), time-major, not yet divided by their weight."""
     populations, coherence = blocks
-    pops = np.stack([populations.sum(0) if c is None else populations[c] for c in conditionings])
+    pops = [populations.sum(0) if c is None else populations[c] for c in conditionings]
     coh = np.stack([coherence.sum(1) if c is None else coherence[:, c] for c in conditionings], 1)
-    return (pops[:, 0], pops[:, 1], coh), pops[:, 0] + pops[:, 1]
+    return _time_major(np.array(pops), coh)
 
 
 def _impossible(norm) -> ImpossibleOutcome:
@@ -272,19 +304,21 @@ def oracle_compare(
 
     Sweeps the (time, location) matrix of every location, comparing states
     by trace distance, and also compares the analytic port probabilities
-    against the oracle port weights.  Inside locations only use times up to
-    the start of the output coupling, outside locations only times from it
-    on.  A port the closed forms refuse as dark is skipped.  Each stage sums
-    its times in chunks of at most ``CHUNK_ELEMENTS`` phases, and reads every
-    location of a time from the same blocks.
+    against the oracle port weights, which do not change with time, on every
+    check.  Inside locations only use times up to the start of the output
+    coupling, outside locations only times from it on.  A port the closed
+    forms refuse as dark is skipped.  Both stages start from the same folded
+    amplitudes; each sums its times in chunks of at most ``CHUNK_ELEMENTS``
+    phases, and reads every location of a time from the same blocks.  The
+    closed forms of a stage come from one evaluation (``_closed_form_stage``).
 
-    A stage's states are validated and compared as one batch.  The first
-    cell, in (time, location) order and simulated before closed form, that
-    DensityMatrix would reject raises its ValueError; a simulated
-    conditioning weight of zero raises ImpossibleOutcome.  Before anything
-    is compared, ValueError refuses ``times`` that are empty or not 1-D, and
-    names the first time that is NaN, infinite or negative, which no stage
-    would take.
+    The states of both stages are conditioned, validated and compared as one
+    batch.  The first cell, stage by stage from the inside one, time-major,
+    in location order and simulated before closed form, that DensityMatrix
+    would reject raises its ValueError; a simulated conditioning weight of
+    zero raises ImpossibleOutcome.  Before anything is compared, ValueError
+    refuses ``times`` that are empty or not 1-D, and names the first time
+    that is NaN, infinite or negative, which no stage would take.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -295,37 +329,36 @@ def oracle_compare(
         _check_times(float(t))
         raise ValueError(f"time {float(t)!r} is negative")
     out_start = cfg.window_out.t_start
-    stage_times = {
-        "inside": times[times <= out_start],
-        "outside": times[times >= out_start],
-    }
-    worst_state = 0.0
-    worst_prob = 0.0
+    stage_times = {"inside": times[times <= out_start], "outside": times[times >= out_start]}
+    start = _start_amplitudes(grid)
+    simulated_cells, reference_cells = [], []  # of each stage
     for stage, todo in stage_times.items():
-        references = {}  # closed forms by conditioning; a dark port has none
-        for here, c in LOCATION_STAGES.values():
-            if here == stage and len(todo):
-                try:
-                    references[c] = _closed_form_states(cfg, stage, c, todo, cfg.pol)
-                except ImpossibleOutcome:
-                    pass
-        if not references:
+        # the output stage is built also without times: its port weights,
+        # the traces of its blocks, do not change with time
+        if stage == "inside" and not len(todo):
             continue
-        blocks = _path_blocks(cfg, grid, todo, stage)
-        (p_h, p_v, c), norm = _conditioned(blocks, list(references))
-        impossible = norm < _CONDITION_TOL
-        # one rounded reciprocal scales populations and coherences alike
-        inverse = 1.0 / np.where(impossible, 1.0, norm)
-        simulated = (p_h * inverse, p_v * inverse, c * inverse)
-        reference = [np.array(x).T for x in zip(*references.values())]
-        # cells in (time, location) order, the simulated state first
-        cells = [np.stack(pair, axis=-1) for pair in zip(simulated, reference)]
-        if impossible.any():  # at every time, as populations do not change
-            k = int(np.argmax(impossible))
-            check_density_matrices(cells[0][:k], cells[1][:k], cells[2][0, :k])
-            raise _impossible(norm[k])
-        check_density_matrices(*cells)
-        worst_state = max(worst_state, float(np.max(trace_distances(reference, simulated))))
-        if stage == "outside":  # a port's weight is the trace of its block
+        blocks = _stage_blocks(cfg, grid, start, todo, stage)
+        if stage == "outside":
             worst_prob = float(np.max(np.abs(blocks[0].sum(1) - path_probabilities(cfg))))
+        # closed forms by conditioning; a dark port has none
+        references = _closed_form_stage(cfg, stage, todo, cfg.pol)
+        simulated_cells.append(_conditioned(blocks, list(references)))
+        forms = references.values()
+        reference_cells.append(_time_major(np.array([form[:2] for form in forms]),
+                                           np.stack([form[2] for form in forms], 1)))
+    p_h, p_v, c = (np.concatenate(x) for x in zip(*simulated_cells))
+    reference = [np.concatenate(x) for x in zip(*reference_cells)]
+    norm = p_h + p_v
+    impossible = norm < _CONDITION_TOL
+    # one rounded reciprocal scales populations and coherences alike
+    inverse = 1.0 / np.where(impossible, 1.0, norm)
+    simulated = (p_h * inverse, p_v * inverse, c * inverse)
+    # the simulated state of a cell before its closed form
+    cells = [np.stack(pair, axis=-1) for pair in zip(simulated, reference)]
+    if impossible.any():
+        k = int(np.argmax(impossible))
+        check_density_matrices(*(x[:k] for x in cells))
+        raise _impossible(norm[k])
+    check_density_matrices(*cells)
+    worst_state = float(np.max(trace_distances(reference, simulated)))
     return OracleDeviation(worst_state, worst_prob)

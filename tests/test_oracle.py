@@ -319,13 +319,13 @@ def test_tail_truncation_sensitivity(baseline):
 # fused, chunked comparison against per-cell evaluation
 # ---------------------------------------------------------------------------
 
-def _per_cell_compare(cfg, grid, times):
-    """oracle_compare one time at a time, unfused: the path blocks of each
-    (time, stage), every conditioning state and both port weights of that
-    time read from them, and each state compared with its closed form."""
+def _per_location_states(cfg):
+    """The closed-form state of each location at time t, by stage and by
+    conditioning in location order (path0, path1, joint_inside, then
+    path0_out, path1_out, joint_out); a dark port has none."""
     from mzdephase import interferometer as itf
 
-    cells = {
+    states = {
         "inside": {
             0: lambda t: itf.path_state_inside(cfg, 0, t),
             1: lambda t: itf.path_state_inside(cfg, 1, t),
@@ -337,12 +337,26 @@ def _per_cell_compare(cfg, grid, times):
             None: lambda t: itf.averaged_state_outside(cfg, t),
         },
     }
-    p_analytic = itf.path_probabilities(cfg)
     for port in (0, 1):
-        if p_analytic[port] < itf.DARK_PORT_TOL:
-            del cells["outside"][port]
+        if itf.path_probabilities(cfg)[port] < itf.DARK_PORT_TOL:
+            del states["outside"][port]
+    return states
+
+
+def _per_cell_compare(cfg, grid, times):
+    """oracle_compare one time at a time, unfused: the path blocks of each
+    (time, stage), every conditioning state and both port weights of that
+    time read from them, and each state compared with its closed form."""
+    from mzdephase.interferometer import path_probabilities
+
+    cells = _per_location_states(cfg)
+    p_analytic = path_probabilities(cfg)
     start = cfg.window_out.t_start
-    worst_state = worst_prob = 0.0
+    worst_state = 0.0
+    # the port weights do not change with time: compared on every check,
+    # also when no time reaches the output start
+    p0, p1 = oracle._path_blocks(cfg, grid, np.array([start]), "outside")[0].sum(axis=-1)
+    worst_prob = max(abs(p0 - p_analytic[0]), abs(p1 - p_analytic[1]))
     for t in times:
         for stage, references in cells.items():
             if (stage == "inside" and not 0 <= t <= start) or (
@@ -562,7 +576,9 @@ def test_phase_matches_complex_exp_within_one_ulp():
 @pytest.mark.parametrize("mu", [1.0, 400.0])
 @pytest.mark.parametrize("n", [3, 4, 51, 2001, 8001])
 def test_grid_phases_match_complex_exp(n, mu):
-    from mzdephase.oracle import _grid_phases
+    # exp(i x omega_k) at k = a w + b as the product of the coarse phase a
+    # and the fine phase b, as the output stage builds its arm amplitudes
+    from mzdephase.oracle import _coarse_fine
 
     grid = FrequencyGrid.build(FrequencyDistribution(mu), n)
     period = 2.0 * np.pi / grid.step
@@ -570,7 +586,8 @@ def test_grid_phases_match_complex_exp(n, mu):
         np.linspace(-period, period, 41),
         np.random.default_rng(n).uniform(-period, period, 61),
     ]).reshape(3, 34)
-    got = _grid_phases(x, grid)
+    coarse, fine = _coarse_fine(x, grid)
+    got = (coarse[..., None] * fine[..., None, :]).reshape(3, 34, -1)[..., :n]
     assert got.shape == (3, 34, n)
     want = np.exp(1j * x[..., None] * grid.omegas)
     bound = 8.0 * np.finfo(float).eps * period * np.max(np.abs(grid.omegas))
@@ -597,7 +614,11 @@ def test_fourier_sums_match_direct_sums(n, mu, blocks, count, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-period, period, count)
     g = rng.normal(size=(n, blocks)) + 1j * rng.normal(size=(n, blocks))
-    got = _fourier_sums(x, g, grid)
+    # folded: block j, frequency k = a w + b at [j, a, b], zero past n
+    w, rows = oracle._fold(n)
+    folded = np.zeros((blocks, rows * w), dtype=complex)
+    folded[:, :n] = g.T
+    got = _fourier_sums(x, folded.reshape(blocks, rows, w), grid)
     assert got.shape == (count, blocks)
     want = np.exp(1j * x[:, None] * grid.omegas) @ g
     bound = 8.0 * np.finfo(float).eps * period * np.max(np.abs(grid.omegas))
@@ -622,62 +643,83 @@ def test_oracle_evaluates_few_phases(monkeypatch):
     assert 0 < sum(evaluated) < 0.05 * len(grid.omegas) * len(times)
 
 
-def _per_cell_inside_error(cfg, blocks, times):
-    """The error the first failing inside cell raises when the cells are
-    evaluated one by one, time after time, in the default location order
-    (path0, path1, joint_inside), the simulated state before the closed form."""
-    from mzdephase import interferometer as itf
+def _per_cell_error(cfg, stage_blocks, stage_times):
+    """The error the first failing cell raises when the cells are evaluated
+    one by one, stage by stage from the inside one, time after time, in
+    location order, the simulated state before the closed form."""
     from mzdephase.core import DensityMatrix
 
-    populations, coherence = blocks
-    closed = (
-        lambda t: itf.path_state_inside(cfg, 0, t),
-        lambda t: itf.path_state_inside(cfg, 1, t),
-        lambda t: itf.joint_state_inside(cfg, t),
-    )
+    closed = _per_location_states(cfg)
     try:
-        for t, at_t in zip(times, coherence):
-            for c, reference in zip((0, 1, None), closed):
-                (p_h, p_v), coh = (
-                    (populations.sum(axis=0), at_t.sum()) if c is None
-                    else (populations[c], at_t[c]))
-                norm = float(p_h + p_v)
-                if norm < 1e-14:
-                    raise ImpossibleOutcome(
-                        f"conditioning weight {norm!r} is zero within tolerance"
-                    )
-                DensityMatrix(p_h / norm, p_v / norm, coh / norm)
-                reference(float(t))
+        for stage, references in closed.items():
+            populations, coherence = stage_blocks[stage]
+            for t, at_t in zip(stage_times[stage], coherence):
+                for c, reference in references.items():
+                    (p_h, p_v), coh = (
+                        (populations.sum(axis=0), at_t.sum()) if c is None
+                        else (populations[c], at_t[c]))
+                    norm = float(p_h + p_v)
+                    if norm < 1e-14:
+                        raise ImpossibleOutcome(
+                            f"conditioning weight {norm!r} is zero within tolerance"
+                        )
+                    DensityMatrix(p_h / norm, p_v / norm, coh / norm)
+                    reference(float(t))
     except (ImpossibleOutcome, ValueError) as exc:
         return type(exc), str(exc)
     return None
 
 
+def _stage_blocks_returning(blocks):
+    """A stand-in for oracle._stage_blocks that returns the given blocks of
+    a stage and the oracle's own blocks of any other."""
+    stage_blocks = oracle._stage_blocks
+
+    def fake(cfg, grid, start, times, stage):
+        if stage in blocks:
+            return blocks[stage]
+        return stage_blocks(cfg, grid, start, times, stage)
+
+    return fake
+
+
+# the cells spoiled in each stage: the empty paths or ports have zero
+# populations and coherences at every time; each cell (time, path or port)
+# not positive semidefinite has its coherence raised
 @pytest.mark.parametrize("spoil", [
-    ([0], []),
-    ([1], [(0, 0)]),
-    ([1], [(2, 0)]),
-    ([], [(0, 1)]),
-    ([], [(3, 0), (1, 1)]),
-    ([0, 1], []),
+    {"inside": ([0], [])},
+    {"inside": ([1], [(0, 0)])},
+    {"inside": ([1], [(2, 0)])},
+    {"inside": ([], [(0, 1)])},
+    {"inside": ([], [(3, 0), (1, 1)])},
+    {"inside": ([0, 1], [])},
+    {"outside": ([], [(2, 0), (1, 1), (2, 1)])},
+    {"inside": ([], [(4, 1)]), "outside": ([], [(0, 0)])},
 ])
 def test_batched_errors_name_the_first_failing_cell(baseline, grid, monkeypatch, spoil):
-    # the empty paths have zero populations and coherences at every time;
-    # each cell (time, path) not positive semidefinite has its coherence
-    # raised
-    empty, not_psd = spoil
-    times = np.array([0.0, 10.0, 20.0, 30.0, 40.0])
-    populations, coherence = oracle._path_blocks(baseline, grid, times, "inside")
-    for path in empty:
-        populations[path] = coherence[:, path] = 0.0
-    for k, path in not_psd:
-        coherence[k, path] += 1.0
-    blocks = populations, coherence
-    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: blocks)
-    want = _per_cell_inside_error(baseline, blocks, times)
+    # both stages are validated as one batch: the first failing cell is the
+    # one the per-cell evaluation meets first, an inside cell before any
+    # outside one
+    start = baseline.window_out.t_start
+    stage_times = {
+        "inside": np.array([0.0, 10.0, 20.0, 30.0, 40.0]),
+        "outside": np.array([100.0, 200.0, 300.0]),
+    }
+    assert stage_times["inside"][-1] < start < stage_times["outside"][0]
+    stage_blocks = {}
+    for stage, times in stage_times.items():
+        populations, coherence = oracle._path_blocks(baseline, grid, times, stage)
+        empty, not_psd = spoil.get(stage, ([], []))
+        for path in empty:
+            populations[path] = coherence[:, path] = 0.0
+        for k, path in not_psd:
+            coherence[k, path] += 1.0
+        stage_blocks[stage] = populations, coherence
+    monkeypatch.setattr(oracle, "_stage_blocks", _stage_blocks_returning(stage_blocks))
+    want = _per_cell_error(baseline, stage_blocks, stage_times)
     assert want is not None
     with pytest.raises(want[0]) as caught:
-        oracle_compare(baseline, grid, times)
+        oracle_compare(baseline, grid, np.concatenate(list(stage_times.values())))
     assert str(caught.value) == want[1]
 
 
@@ -685,7 +727,8 @@ def test_compare_names_the_impossible_conditioning_weight(baseline, grid, monkey
     times = np.array([100.0, 200.0])
     populations, coherence = oracle._path_blocks(baseline, grid, times, "outside")
     populations[1] = coherence[:, 1] = 0.0
-    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: (populations, coherence))
+    monkeypatch.setattr(oracle, "_stage_blocks",
+                        _stage_blocks_returning({"outside": (populations, coherence)}))
     with pytest.raises(ImpossibleOutcome, match=r"^conditioning weight 0\.0 is zero within tolerance$"):
         oracle_compare(baseline, grid, times)
 
@@ -703,15 +746,80 @@ def test_batched_check_reads_the_simulated_state_first(
     populations, coherence = oracle._path_blocks(baseline, grid, times, "inside")
     if spoil_simulated:
         coherence[1, 0] += 1.0
-    closed = oracle._closed_form_states
+    closed = oracle._closed_form_stage
 
-    def spoiled(cfg, stage, conditioning, at, pol):
-        pop_h, pop_v, coh = closed(cfg, stage, conditioning, at, pol)
-        coh = coh.copy()
-        coh[1] = np.nan
-        return pop_h, pop_v, coh
+    def spoiled(cfg, stage, at, pol):
+        states = closed(cfg, stage, at, pol)
+        if stage == "inside":
+            pop_h, pop_v, coh = states[0]
+            coh = coh.copy()
+            coh[1] = np.nan
+            states[0] = pop_h, pop_v, coh
+        return states
 
-    monkeypatch.setattr(oracle, "_path_blocks", lambda *args: (populations, coherence))
-    monkeypatch.setattr(oracle, "_closed_form_states", spoiled)
+    monkeypatch.setattr(oracle, "_stage_blocks",
+                        _stage_blocks_returning({"inside": (populations, coherence)}))
+    monkeypatch.setattr(oracle, "_closed_form_stage", spoiled)
     with pytest.raises(ValueError, match=message):
         oracle_compare(baseline, grid, times)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_port_probabilities_are_compared_on_inside_only_times(name):
+    # the port weights do not change with time: a check whose times all lie
+    # before the output start compares them too, where it reported 0
+    cfg = preset(name)
+    grid = FrequencyGrid.build(cfg.dist)
+    start = cfg.window_out.t_start
+    inside = np.linspace(0.0, start, 5)[:-1]
+    got = oracle_compare(cfg, grid, inside).probability_deviation
+    assert got == oracle_compare(cfg, grid, [*inside, start]).probability_deviation
+
+
+@st.composite
+def _closed_form_configs(draw):
+    """Random configs, some with a dark port (identical arms), some with a
+    bright port that takes no H light (equal H delays, different V ones), some
+    without outside birefringence."""
+    cfg = random_config(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    w0, w1 = cfg.window0, cfg.window1
+    kind = draw(st.sampled_from(["random", "dark", "no_coherence"]))
+    if kind == "dark":
+        w1 = w0
+    elif kind == "no_coherence":
+        w1 = InteractionWindow(w0.n_h, w0.n_v + draw(st.floats(0.02, 0.05)), w0.t_start, w0.t_stop)
+    out = cfg.window_out
+    if draw(st.booleans()):
+        out = InteractionWindow(out.n_v, out.n_v, out.t_start, out.t_stop)
+    return InterferometerConfig(cfg.dist, w0, w1, out, cfg.pol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_closed_form_configs(), unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       far=st.booleans())
+def test_stage_closed_forms_are_the_per_location_ones_bit_for_bit(cfg, unit, far):
+    # one evaluation of a stage's closed forms against _closed_form_states of
+    # each location; far out, with outside birefringence, every Gaussian of
+    # the transfer underflows
+    from mzdephase import interferometer as itf
+
+    start = cfg.window_out.t_start
+    stage_times = {
+        "inside": start * np.array(unit),
+        "outside": np.append(start + 3000.0 * np.array(unit), [1e300, 1.7e308] if far else []),
+    }
+    for stage, times in stage_times.items():
+        got = itf._closed_form_stage(cfg, stage, times, cfg.pol)
+        want = {}
+        for here, c in LOCATION_STAGES.values():
+            if here == stage:
+                try:
+                    want[c] = itf._closed_form_states(cfg, stage, c, times, cfg.pol)
+                except ImpossibleOutcome:
+                    pass
+        assert list(got) == list(want)
+        for c, states in want.items():
+            for x, y in zip(got[c], states):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        if stage == "outside" and far and cfg.window_out.delta_n:
+            assert all(np.all(states[2][-2:] == 0) for states in got.values())

@@ -54,6 +54,8 @@ def test_every_exported_name_is_documented_in_the_python_api_section():
     ("oracle", "oracle_port_probabilities"),
     ("maps", "propagator_from_coherence_factors"),
     ("oracle", "_amplitudes"),
+    ("oracle", "_grid_phases"),
+    ("oracle", "_initial_amplitudes"),
 ])
 def test_names_that_only_tests_used_are_gone(module, name):
     assert not hasattr(mzdephase, name)
