@@ -10,7 +10,6 @@ import numpy as np
 
 from ._intervals import RISE_TOL, merge_rising_steps
 from .core import (
-    DensityMatrix,
     InterferometerConfig,
     PolarizationState,
     effective_time,
@@ -70,17 +69,16 @@ class TraceDistanceSeries:
         object.__setattr__(self, "values", values)
 
 
-def _state_at(cfg: InterferometerConfig, location: str, t: float) -> DensityMatrix:
+def _state_at(location: str):
+    """The public per-point state function of a location, as state(cfg, t);
+    an unknown location raises ValueError."""
     if location not in LOCATION_STAGES:
         raise ValueError(f"unknown location {location!r}")
     stage, index = LOCATION_STAGES[location]
-    if stage == "inside":
-        if index is None:
-            return joint_state_inside(cfg, t)
-        return path_state_inside(cfg, index, t)
     if index is None:
-        return averaged_state_outside(cfg, t)
-    return conditional_state_outside(cfg, index, t)
+        return joint_state_inside if stage == "inside" else averaged_state_outside
+    conditioned = path_state_inside if stage == "inside" else conditional_state_outside
+    return lambda cfg, t: conditioned(cfg, index, t)
 
 
 def trace_distance_series(
@@ -96,10 +94,10 @@ def trace_distance_series(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
+    state = _state_at(location)
     cfg_p = replace(cfg, pol=PolarizationState.plus())
     cfg_m = replace(cfg, pol=PolarizationState.minus())
-    values = [trace_distance(_state_at(cfg_p, location, t), _state_at(cfg_m, location, t))
-              for t in grid.tolist()]
+    values = [trace_distance(state(cfg_p, t), state(cfg_m, t)) for t in grid.tolist()]
     return TraceDistanceSeries(grid, values, location)
 
 

@@ -82,14 +82,6 @@ class PolarizationState:
         s = 1.0 / math.sqrt(2.0)
         return cls(s, -s)
 
-    @classmethod
-    def horizontal(cls) -> "PolarizationState":
-        return cls(1.0, 0.0)
-
-    @classmethod
-    def vertical(cls) -> "PolarizationState":
-        return cls(0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class InteractionWindow:

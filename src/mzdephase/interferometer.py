@@ -97,8 +97,9 @@ def _lambda_of_total_time(cfg: InterferometerConfig, total):
 
 
 def _check_index(kind: str, j) -> None:
-    """Raise ValueError unless j names inside path or output port 0 or 1."""
-    if j not in (0, 1):
+    """Raise ValueError naming j unless it is the integer 0 or 1, a Python or
+    numpy int but not a bool, of an inside path or output port (kind)."""
+    if not (type(j) is int or isinstance(j, np.integer)) or j not in (0, 1):
         raise ValueError(f"{kind} index {j!r} is neither 0 nor 1")
 
 
@@ -121,15 +122,7 @@ def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
     is not finite, raises ValueError.
     """
     _check_index("port", jp)
-    _check_times(t)
-    return _transfer(cfg, cfg.outside_terms.transfer_weights[jp], t)
-
-
-def _check_inside_time(cfg: InterferometerConfig, t: float):
-    if t < 0 or t > cfg.window_out.t_start:
-        raise ValueError(
-            f"t={t} outside the inside region [0, {cfg.window_out.t_start}]"
-        )
+    return _closed_form(cfg, "outside", jp, t)[0]
 
 
 def joint_state_inside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
@@ -148,6 +141,7 @@ def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMat
     Each path is taken with probability exactly 1/2, and conditioning gives
     back the plain single-path dephasing channel of that arm.
     """
+    _check_index("path", j)
     return _state(cfg, "inside", j, t)
 
 
@@ -190,6 +184,7 @@ def conditional_state_outside(cfg: InterferometerConfig, jp: int, t: float) -> D
     output beam splitter.  The port's evolution before the division by its
     probability, trace-non-increasing, is ``maps.kraus_conditional``.
     """
+    _check_index("port", jp)
     return _state(cfg, "outside", jp, t)
 
 
@@ -212,37 +207,46 @@ def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
     [conjugate, weight_v |c_v|^2]], once a port without H-V coherence has
     its transfer set to zero (``_closed_form_states``).  The weights are one
     except on an output port, where they are its interference weights and
-    the trace is its probability.  An index other than 0 or 1, or a time not
-    finite, raises ValueError.
+    the trace is its probability.  Every time is checked here: inside, one
+    outside [0, window_out.t_start] raises ValueError, and then, at either
+    stage, one that is not finite.  The conditioning is not checked: the
+    public functions check the index their caller passes.
     """
-    if stage == "inside" or conditioning is None:
-        _check_times(times)  # coherence_transfer checks a port's
+    if stage == "inside":
+        stop = cfg.window_out.t_start
+        if type(times) is float:
+            ends = (times,)
+        else:
+            ends = (np.min(times), np.max(times)) if np.size(times) else ()
+        for t in ends:
+            if t < 0 or t > stop:
+                raise ValueError(f"t={t} outside the inside region [0, {stop}]")
+    _check_times(times)
     if stage == "inside":
         if conditioning is not None:
-            _check_index("path", conditioning)
             window = (cfg.window0, cfg.window1)[conditioning]
             return single_path_kappa(window, cfg.dist, times), 1.0, 1.0
         k0 = single_path_kappa(cfg.window0, cfg.dist, times)
         k1 = single_path_kappa(cfg.window1, cfg.dist, times)
         return (k0 + k1) / 2.0, 1.0, 1.0
+    terms = cfg.outside_terms
     if conditioning is None:
-        return _transfer(cfg, cfg.outside_terms.transfer_weights[2], times), 1.0, 1.0
-    transfer = coherence_transfer(cfg, conditioning, times)
-    weight_h, weight_v = cfg.outside_terms.port_weights[conditioning]
-    return transfer, weight_h, weight_v
+        return _transfer(cfg, terms.transfer_weights[2], times), 1.0, 1.0
+    return (_transfer(cfg, terms.transfer_weights[conditioning], times),
+            *terms.port_weights[conditioning])
 
 
-def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times,
-                        pol: PolarizationState, form=None) -> tuple:
+def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, form,
+                        pol: PolarizationState) -> tuple:
     """The closed-form states, of unit trace, of the input pol at a (stage,
-    conditioning) location as (pop_h, pop_v, coherence), the coherence one
-    per entry of ``times``: _closed_form's state, or ``form`` when that is
-    already evaluated at ``times``, divided by its conditioning probability.
+    conditioning) location as (pop_h, pop_v, coherence), the coherence a
+    scalar or an array as the transfer is: the location's evaluated
+    ``_closed_form``, ``form``, divided by its conditioning probability.
     That is one except on an output port, where a dark port raises
     ImpossibleOutcome and a port without H-V coherence (_lacks_coherence)
     has a coherence of exactly zero, not its roundoff.  Only the input
     populations, coherence and port probabilities read pol."""
-    transfer, weight_h, weight_v = form or _closed_form(cfg, stage, conditioning, times)
+    transfer, weight_h, weight_v = form
     on_port = stage == "outside" and conditioning is not None
     if on_port and _lacks_coherence(weight_h, weight_v):
         transfer = np.zeros_like(transfer)
@@ -271,18 +275,16 @@ def _closed_form_stage(cfg: InterferometerConfig, stage: str, times,
     states = {}
     for conditioning, form in zip((0, 1, None), forms):
         try:
-            states[conditioning] = _closed_form_states(cfg, stage, conditioning, times, pol, form)
+            states[conditioning] = _closed_form_states(cfg, stage, conditioning, form, pol)
         except ImpossibleOutcome:  # a dark port
             pass
     return states
 
 
 def _state(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> DensityMatrix:
-    """The closed-form state at a (stage, conditioning) location at one time.
-    Inside, t must lie in [0, window_out.t_start]."""
-    if stage == "inside":
-        _check_inside_time(cfg, t)
-    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, t, cfg.pol))
+    """The closed-form state at a (stage, conditioning) location at one time."""
+    form = _closed_form(cfg, stage, conditioning, t)
+    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, form, cfg.pol))
 
 
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
@@ -303,11 +305,8 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
     if location not in LOCATION_STAGES:
         raise ValueError(f"unknown location {location!r}")
     stage, conditioning = LOCATION_STAGES[location]
-    times = np.asarray(times, dtype=float)
-    if stage == "inside" and times.size:
-        _check_inside_time(cfg, times.min())
-        _check_inside_time(cfg, times.max())
-    pop_h, pop_v, coherence = _closed_form_states(cfg, stage, conditioning, times,
+    form = _closed_form(cfg, stage, conditioning, np.asarray(times, dtype=float))
+    pop_h, pop_v, coherence = _closed_form_states(cfg, stage, conditioning, form,
                                                   PolarizationState.plus())
     check_density_matrices(pop_h, pop_v, coherence)
     return 2.0 * np.asarray(coherence)

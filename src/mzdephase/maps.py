@@ -26,7 +26,7 @@ import numpy as np
 from ._intervals import RISE_TOL, merge_rising_steps
 from .core import InterferometerConfig
 from .errors import ZeroCoherenceFactor
-from .interferometer import ZERO_F_TOL, _closed_form, _lacks_coherence, coherence_transfer
+from .interferometer import ZERO_F_TOL, _check_index, _closed_form, _lacks_coherence
 
 # eigenvalue tolerance of the Choi-based complete-positivity checks
 CP_TOL = 1e-10
@@ -89,8 +89,10 @@ def _check_finite(**arguments) -> None:
 
 def _port_terms(cfg: InterferometerConfig, jp: int, times):
     """(f, h, v) of port jp: its coherence transfer at ``times`` and its
-    interference weights.  A port that the interferometer module finds
-    without H-V coherence raises ZeroCoherenceFactor."""
+    interference weights.  A port index other than 0 or 1 raises ValueError,
+    and a port that the interferometer module finds without H-V coherence
+    ZeroCoherenceFactor."""
+    _check_index("port", jp)
     f, h, v = _closed_form(cfg, "outside", jp, times)
     if _lacks_coherence(h, v):
         raise ZeroCoherenceFactor(f"port {jp} has no H-V coherence: weights ({h!r}, {v!r})")
@@ -125,7 +127,7 @@ def propagator(
     if t2 < t1:
         raise ValueError(f"t2={t2} must not precede t1={t1}")
     f1 = complex(_port_terms(cfg, jp, t1)[0])
-    f2 = complex(coherence_transfer(cfg, jp, t2))
+    f2 = complex(_closed_form(cfg, "outside", jp, t2)[0])
     if abs(f1) < ZERO_F_TOL:
         raise ZeroCoherenceFactor(f"port {jp}, t1={t1}: |f1|={abs(f1)!r}: propagator undefined")
     return QuantumOperation(1.0, 1.0, f2 / f1)

@@ -203,12 +203,27 @@ def _stage_blocks(
     cfg: InterferometerConfig, grid: FrequencyGrid, start: np.ndarray, times: np.ndarray,
     stage: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_path_blocks`` of one stage from the folded start amplitudes.
+    """Polarization blocks, summed over frequency, each of trace its
+    probability, of each inside path or output port of one stage: the
+    populations [path, polarization] and the H-V coherences [time, path] at
+    every one of ``times``, from the folded start amplitudes ``start``
+    (``_start_amplitudes(grid)``).
 
-    The amplitudes psi[polarization, path or port, a, b] of the stage are
-    built in the folded layout of ``start``.  The populations are read from
+    Every coupling is diagonal in polarization, so a block's populations,
+    sum_w |psi|^2, do not change with time and are summed once.  Its H-V
+    coherence is one Fourier sum sum_w g[w] exp(i x omega_w).  Inside, path j
+    starts from amplitudes with no phase yet, and x = (n_h - n_v) times its
+    window's coupling time.  Outside, both arm windows close before the
+    output coupling opens: each port starts from the arm amplitudes at the
+    output start mixed by the beam splitter, and x = (n_h - n_v) times the
+    output coupling time, the same for both ports.  Those arm amplitudes are
+    the start amplitudes times the coarse and the fine phases of the arm
+    delays [polarization, arm], n times the arm's coupling time at the
+    output start.  The amplitudes psi[polarization, path or port, a, b] are
+    built in the folded layout of ``start``, the populations are read from
     them, and g = psi_H psi_V^* is written over the H amplitudes, the folded
-    weights of ``_fourier_sums``.
+    weights that the sums read, each chunk of delays one matrix product
+    (``_fourier_sums``).
     """
     pol = cfg.pol
     c = np.array([pol.c_h * np.exp(1j * pol.theta), pol.c_v])
@@ -244,31 +259,6 @@ def _stage_blocks(
     g = np.multiply(psi[0], np.conjugate(psi[1], out=psi[1]), out=psi[0])
     coherence = _fourier_sums(delays.ravel(), g, grid).reshape(len(times), 2)
     return np.broadcast_to(populations, (2, 2)).copy(), coherence
-
-
-def _path_blocks(
-    cfg: InterferometerConfig, grid: FrequencyGrid, times: np.ndarray, stage: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Polarization blocks, summed over frequency, each of trace its
-    probability, of each inside path or output port: the populations [path,
-    polarization] and the H-V coherences [time, path] at every one of
-    ``times``.
-
-    Every coupling is diagonal in polarization, so a block's populations,
-    sum_w |psi|^2, do not change with time and are summed once.  Its H-V
-    coherence is one Fourier sum sum_w g[w] exp(i x omega_w).  Inside, path j
-    starts from amplitudes with no phase yet, and x = (n_h - n_v) times its
-    window's coupling time.  Outside, both arm windows close before the
-    output coupling opens: each port starts from the arm amplitudes at the
-    output start mixed by the beam splitter, and x = (n_h - n_v) times the
-    output coupling time, the same for both ports.  Those arm amplitudes are
-    the start amplitudes times the coarse and the fine phases of the arm
-    delays [polarization, arm], n times the arm's coupling time at the
-    output start.  Every amplitude is built, and g written, in the folded
-    layout that the sums read, each chunk of delays one matrix product
-    (``_fourier_sums``).
-    """
-    return _stage_blocks(cfg, grid, _start_amplitudes(grid), times, stage)
 
 
 def _time_major(populations: np.ndarray, coherence: np.ndarray) -> tuple:

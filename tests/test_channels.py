@@ -32,7 +32,7 @@ def test_initial_state_untouched():
 
 def test_basis_state_has_nothing_to_dephase():
     for t in (0.0, 30.0, 500.0):
-        got = _path_state(PolarizationState.horizontal(), WINDOW1, DIST, t)
+        got = _path_state(PolarizationState(1.0, 0.0), WINDOW1, DIST, t)
         np.testing.assert_allclose(got.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
 

@@ -123,8 +123,8 @@ def test_trace_distance_identical_states():
 
 
 def test_trace_distance_orthogonal_pure_states():
-    h = pure_density(PolarizationState.horizontal())
-    v = pure_density(PolarizationState.vertical())
+    h = pure_density(PolarizationState(1.0, 0.0))
+    v = pure_density(PolarizationState(0.0, 1.0))
     assert trace_distance(h, v) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -161,7 +161,7 @@ def test_pure_density_plus_state():
 
 
 def test_pure_density_horizontal():
-    rho = pure_density(PolarizationState.horizontal())
+    rho = pure_density(PolarizationState(1.0, 0.0))
     np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
 

@@ -212,7 +212,7 @@ def _propagator_of(f1, f2):
     """maps.propagator from t1 = 0 to t2 = 1 on a port 0 whose coherence
     transfer is f1 at t1 and f2 at t2."""
     with mock.patch.object(maps, "_port_terms", return_value=(f1, 1.0, 1.0)), \
-            mock.patch.object(maps, "coherence_transfer", return_value=f2):
+            mock.patch.object(maps, "_closed_form", return_value=(f2, 1.0, 1.0)):
         return propagator(None, 0, 0.0, 1.0)
 
 
@@ -385,8 +385,8 @@ def test_a_step_within_cp_tol_of_the_boundary_has_a_kraus_form(baseline):
 # path and port indices
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("index", [2, -1])
-@pytest.mark.parametrize("call", [
+# every public function that takes a path or port index
+_INDEXED_CALLS = pytest.mark.parametrize("call", [
     lambda cfg, j: path_state_inside(cfg, j, 30.0),
     lambda cfg, j: conditional_state_outside(cfg, j, 500.0),
     lambda cfg, j: coherence_transfer(cfg, j, 500.0),
@@ -395,9 +395,23 @@ def test_a_step_within_cp_tol_of_the_boundary_has_a_kraus_form(baseline):
     lambda cfg, j: divisibility_scan(cfg, j, [100.0, 200.0, 300.0]),
 ], ids=["path_state_inside", "conditional_state_outside", "coherence_transfer",
         "kraus_conditional", "propagator", "divisibility_scan"])
+
+
+@pytest.mark.parametrize("index", [2, -1, None, 1.0, np.float64(1.0), True, "1"],
+                         ids=["2", "-1", "None", "1.0", "np.float64(1.0)", "True", "'1'"])
+@_INDEXED_CALLS
 def test_index_other_than_0_or_1_is_rejected(baseline, call, index):
-    with pytest.raises(ValueError, match=f"index {index} is neither 0 nor 1"):
+    # only the integers 0 and 1 name a path or port: None is not the average,
+    # and neither a float nor a bool is an index
+    with pytest.raises(ValueError, match=re.escape(f"index {index!r} is neither 0 nor 1")):
         call(baseline, index)
+
+
+@_INDEXED_CALLS
+def test_a_numpy_integer_index_is_the_python_one(baseline, call):
+    # repr writes every number of a state, map or interval list exactly
+    for j in (0, 1):
+        assert repr(call(baseline, np.int64(j))) == repr(call(baseline, j))
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,20 @@ def _state_of(blocks, conditioning=None):
     return DensityMatrix(p_h / norm, p_v / norm, c / norm)
 
 
+def _blocks(cfg, grid, times, stage):
+    """The oracle's blocks of one stage at ``times``, from the start
+    amplitudes of the grid."""
+    return oracle._stage_blocks(cfg, grid, oracle._start_amplitudes(grid), times, stage)
+
+
 def _oracle_state(cfg, grid, t, stage, conditioning=None):
     """The oracle's polarization state at time t in the given stage."""
-    return _state_of(oracle._path_blocks(cfg, grid, np.array([t]), stage), conditioning)
+    return _state_of(_blocks(cfg, grid, np.array([t]), stage), conditioning)
 
 
 def _oracle_port_probabilities(cfg, grid, t):
     """The oracle's output-port weights at time t."""
-    populations, _ = oracle._path_blocks(cfg, grid, np.array([t]), "outside")
+    populations, _ = _blocks(cfg, grid, np.array([t]), "outside")
     p0, p1 = populations.sum(axis=-1)
     return float(p0), float(p1)
 
@@ -180,7 +186,7 @@ def test_port_weights_sum_to_one(grid, baseline):
 
 def test_inside_conditioning_probability_is_half(grid, baseline):
     psi = _reference_amplitudes(baseline, grid, 30.0)
-    populations, _ = oracle._path_blocks(baseline, grid, np.array([30.0]), "inside")
+    populations, _ = _blocks(baseline, grid, np.array([30.0]), "inside")
     for j in (0, 1):
         assert np.sum(np.abs(psi[j]) ** 2) == pytest.approx(0.5, abs=1e-12)
         assert populations[j].sum() == pytest.approx(0.5, abs=1e-12)
@@ -235,7 +241,7 @@ def test_dark_port_conditioning_raises(grid):
 
 def test_unknown_stage_rejected(grid, baseline):
     with pytest.raises(ValueError, match="^unknown stage 'nowhere'$"):
-        oracle._path_blocks(baseline, grid, np.array([0.0]), "nowhere")
+        _blocks(baseline, grid, np.array([0.0]), "nowhere")
 
 
 def test_populations_time_independent_after_exit(grid):
@@ -355,7 +361,7 @@ def _per_cell_compare(cfg, grid, times):
     worst_state = 0.0
     # the port weights do not change with time: compared on every check,
     # also when no time reaches the output start
-    p0, p1 = oracle._path_blocks(cfg, grid, np.array([start]), "outside")[0].sum(axis=-1)
+    p0, p1 = _blocks(cfg, grid, np.array([start]), "outside")[0].sum(axis=-1)
     worst_prob = max(abs(p0 - p_analytic[0]), abs(p1 - p_analytic[1]))
     for t in times:
         for stage, references in cells.items():
@@ -363,7 +369,7 @@ def _per_cell_compare(cfg, grid, times):
                 stage == "outside" and t < start
             ):
                 continue
-            blocks = oracle._path_blocks(cfg, grid, np.array([t]), stage)
+            blocks = _blocks(cfg, grid, np.array([t]), stage)
             for conditioning, reference in references.items():
                 simulated = _state_of(blocks, conditioning)
                 worst_state = max(worst_state, trace_distance(reference(t), simulated))
@@ -468,8 +474,6 @@ BLOCK_CONFIGS = {name: preset(name) for name in PRESETS} | {
 def test_path_blocks_match_per_time_amplitudes(cfg):
     # one Fourier sum per path or port against psi psi^H of every time; dtau0
     # has a dark output port, the random configs a nonzero theta
-    from mzdephase.oracle import _path_blocks
-
     grid = FrequencyGrid.build(cfg.dist, n=801)
     start = cfg.window_out.t_start
     stage_times = {
@@ -479,7 +483,7 @@ def test_path_blocks_match_per_time_amplitudes(cfg):
     for stage, times in stage_times.items():
         times = times[max_component_delay(cfg, times) <= alias_free_delay(grid)]
         assert len(times) > 5
-        populations, coherence = _path_blocks(cfg, grid, times, stage)
+        populations, coherence = _blocks(cfg, grid, times, stage)
         want = _reference_blocks(cfg, grid, times, stage)
         for at_t in want:
             np.testing.assert_allclose(
@@ -527,7 +531,7 @@ def test_outside_blocks_match_per_time_amplitudes(cfg):
     out = cfg.window_out
     times = np.append(np.linspace(out.t_start, out.t_stop + 200.0, 16), out.t_stop)
     times = times[max_component_delay(cfg, times) <= alias_free_delay(grid)]
-    populations, coherence = oracle._path_blocks(cfg, grid, times, "outside")
+    populations, coherence = _blocks(cfg, grid, times, "outside")
     want = _reference_blocks(cfg, grid, times, "outside")
     for at_t in want:
         np.testing.assert_allclose(at_t[:, [0, 1], [0, 1]], populations, rtol=0, atol=1e-9)
@@ -708,7 +712,7 @@ def test_batched_errors_name_the_first_failing_cell(baseline, grid, monkeypatch,
     assert stage_times["inside"][-1] < start < stage_times["outside"][0]
     stage_blocks = {}
     for stage, times in stage_times.items():
-        populations, coherence = oracle._path_blocks(baseline, grid, times, stage)
+        populations, coherence = _blocks(baseline, grid, times, stage)
         empty, not_psd = spoil.get(stage, ([], []))
         for path in empty:
             populations[path] = coherence[:, path] = 0.0
@@ -725,7 +729,7 @@ def test_batched_errors_name_the_first_failing_cell(baseline, grid, monkeypatch,
 
 def test_compare_names_the_impossible_conditioning_weight(baseline, grid, monkeypatch):
     times = np.array([100.0, 200.0])
-    populations, coherence = oracle._path_blocks(baseline, grid, times, "outside")
+    populations, coherence = _blocks(baseline, grid, times, "outside")
     populations[1] = coherence[:, 1] = 0.0
     monkeypatch.setattr(oracle, "_stage_blocks",
                         _stage_blocks_returning({"outside": (populations, coherence)}))
@@ -743,7 +747,7 @@ def test_batched_check_reads_the_simulated_state_first(
     # at the second time both the simulated and the closed-form path0 state
     # may fail, the closed form with a NaN coherence
     times = np.array([0.0, 10.0])
-    populations, coherence = oracle._path_blocks(baseline, grid, times, "inside")
+    populations, coherence = _blocks(baseline, grid, times, "inside")
     if spoil_simulated:
         coherence[1, 0] += 1.0
     closed = oracle._closed_form_stage
@@ -814,7 +818,8 @@ def test_stage_closed_forms_are_the_per_location_ones_bit_for_bit(cfg, unit, far
         for here, c in LOCATION_STAGES.values():
             if here == stage:
                 try:
-                    want[c] = itf._closed_form_states(cfg, stage, c, times, cfg.pol)
+                    form = itf._closed_form(cfg, stage, c, times)
+                    want[c] = itf._closed_form_states(cfg, stage, c, form, cfg.pol)
                 except ImpossibleOutcome:
                     pass
         assert list(got) == list(want)
