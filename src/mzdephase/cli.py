@@ -12,7 +12,6 @@ import math
 import os
 import select
 import sys
-from importlib.resources import files
 
 import numpy as np
 
@@ -55,7 +54,7 @@ _SCHEMA = {
 
 def preset_path(name: str):
     """Path of a shipped experiment preset (dtau10, dtau2p5, dtau1p5, dtau0p5, dtau0)."""
-    return files("mzdephase").joinpath("presets", f"{name}.json")
+    return os.path.join(os.path.dirname(__file__), "presets", f"{name}.json")
 
 
 def _section(data: dict, name: str, problems: list[str]) -> dict[str, float]:

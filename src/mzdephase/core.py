@@ -306,7 +306,7 @@ def effective_time(window: InteractionWindow, t):
         t, start, stop = float(t), window.t_start, window.t_stop
         t = start if start > t else t
         return (stop if stop < t else t) - start
-    return np.clip(np.asarray(t, dtype=float), window.t_start, window.t_stop) - window.t_start
+    return np.asarray(t, dtype=float).clip(window.t_start, window.t_stop) - window.t_start
 
 
 def kappa_of_delay(dist: FrequencyDistribution, x):

@@ -59,31 +59,22 @@ def _transfer(cfg: InterferometerConfig, weights, t):
     ``cfg.outside_terms.transfer_weights`` at scalar or array laboratory
     times t: e^(i mu s) sum_i w_i e^(-(b_i + s)^2 / 2) over the centres b =
     (d_0, d_1, a_1, a_2), with s = dn_out T after a total outside
-    interaction time T.  A float t is evaluated without numpy.  At array
-    times ``weights`` may also be a sequence of rows, whose transfers, a
-    list of one per row, share one evaluation of the Gaussians and of the
-    phase.  Where every Gaussian underflows the transfer is exactly 0, also
-    where mu s overflows."""
+    interaction time T.  A float t is evaluated without numpy.  Where every
+    Gaussian underflows the transfer is exactly 0, also where mu s
+    overflows."""
     terms = cfg.outside_terms
     s = terms.dn_out * effective_time(cfg.window_out, t)
     b0, b1, b2, b3 = terms.d_0, terms.d_1, terms.a_1, terms.a_2
+    w0, w1, w2, w3 = weights
     if type(s) is float:
-        w0, w1, w2, w3 = weights
         x0, x1, x2, x3 = b0 + s, b1 + s, b2 + s, b3 + s
         m = (w0 * math.exp(-0.5 * (x0 * x0)) + w1 * math.exp(-0.5 * (x1 * x1))
              + w2 * math.exp(-0.5 * (x2 * x2)) + w3 * math.exp(-0.5 * (x3 * x3)))
         return cmath.exp(1j * (cfg.dist.mu * s)) * m if m else 0j
-    one_row = isinstance(weights[0], complex)
     with np.errstate(over="ignore", invalid="ignore"):
         g0, g1, g2, g3 = np.exp(-0.5 * np.square(np.add.outer((b0, b1, b2, b3), s)))
-        phase = np.exp(1j * (cfg.dist.mu * s))
-        transfers = []
-        for w0, w1, w2, w3 in (weights,) if one_row else weights:
-            m = w0 * g0 + w1 * g1 + w2 * g2 + w3 * g3
-            transfers.append(np.where(m == 0.0, 0j, phase * m))
-    if not one_row:
-        return transfers
-    out = transfers[0]
+        m = w0 * g0 + w1 * g1 + w2 * g2 + w3 * g3
+        out = np.where(m == 0.0, 0j, np.exp(1j * (cfg.dist.mu * s)) * m)
     return out if out.ndim else complex(out)
 
 
@@ -258,22 +249,11 @@ def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, for
 def _closed_form_stage(cfg: InterferometerConfig, stage: str, times,
                        pol: PolarizationState) -> dict:
     """``_closed_form_states`` of every location of a stage at the array
-    ``times``, keyed by conditioning (0, 1, None) in that order, from one
-    evaluation of the stage's closed forms: inside, the two path kappas,
-    whose mean is the joint state's; outside, the transfers of all three
-    rows of ``transfer_weights`` from one set of Gaussians and one phase.
-    A dark port has no entry."""
-    _check_times(times)
-    if stage == "inside":
-        k0 = single_path_kappa(cfg.window0, cfg.dist, times)
-        k1 = single_path_kappa(cfg.window1, cfg.dist, times)
-        forms = ((k0, 1.0, 1.0), (k1, 1.0, 1.0), ((k0 + k1) / 2.0, 1.0, 1.0))
-    else:
-        terms = cfg.outside_terms
-        f0, f1, f = _transfer(cfg, terms.transfer_weights, times)
-        forms = ((f0, *terms.port_weights[0]), (f1, *terms.port_weights[1]), (f, 1.0, 1.0))
+    ``times``, keyed by conditioning (0, 1, None) in that order, each from
+    its own ``_closed_form``.  A dark port has no entry."""
     states = {}
-    for conditioning, form in zip((0, 1, None), forms):
+    for conditioning in (0, 1, None):
+        form = _closed_form(cfg, stage, conditioning, times)
         try:
             states[conditioning] = _closed_form_states(cfg, stage, conditioning, form, pol)
         except ImpossibleOutcome:  # a dark port

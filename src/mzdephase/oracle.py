@@ -300,7 +300,8 @@ def oracle_compare(
     forms refuse as dark is skipped.  Both stages start from the same folded
     amplitudes; each sums its times in chunks of at most ``CHUNK_ELEMENTS``
     phases, and reads every location of a time from the same blocks.  The
-    closed forms of a stage come from one evaluation (``_closed_form_stage``).
+    closed forms of a stage are those of each of its locations
+    (``_closed_form_stage``).
 
     The states of both stages are conditioned, validated and compared as one
     batch.  The first cell, stage by stage from the inside one, time-major,

@@ -40,6 +40,11 @@ BASELINE = {
 }
 
 
+def preset_doc(name):
+    with open(preset_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -324,7 +329,7 @@ _VALUES = st.one_of(
     st.lists(st.tuples(st.sampled_from(_TARGETS), _VALUES), min_size=1, max_size=4),
 )
 def test_mutated_presets_give_a_config_or_a_config_error(name, changes):
-    doc = json.loads(preset_path(name).read_text())
+    doc = preset_doc(name)
     for path, value in changes:
         doc = mutated(doc, path, value)
     try:
@@ -701,7 +706,7 @@ _AMPLITUDES = st.one_of(
 def test_divisibility_report_ignores_the_input_polarization(name, amplitudes, theta):
     # darkness and the rise threshold are those of the |+> / |-> pair, whose
     # trace distance the backflow detector reads
-    doc = EQUAL_H if name == "equal-H" else json.loads(preset_path(name).read_text())
+    doc = EQUAL_H if name == "equal-H" else preset_doc(name)
     grid = parse_grid(f"{doc['output']['t_start']}:3000:2")
 
     def report(polarization):
@@ -1057,6 +1062,24 @@ def _run_python(args, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
+
+
+def test_importing_the_cli_loads_no_importlib_resources():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # importlib.resources brings pathlib, tempfile and zipfile into the
+    # start-up of every command; -S keeps the site module from importing it
+    # first, so only numpy and src are on the path
+    numpy_dir = Path(np.__file__).resolve().parents[1]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (numpy_dir, src)))}
+    script = "import sys, numpy, mzdephase.cli; print('importlib.resources' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 def test_closed_stdout_exits_1_without_a_traceback():
     import os
