@@ -227,17 +227,17 @@ def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
             *terms.port_weights[conditioning])
 
 
-def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, form,
+def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times,
                         pol: PolarizationState) -> tuple:
     """The closed-form states, of unit trace, of the input pol at a (stage,
     conditioning) location as (pop_h, pop_v, coherence), the coherence a
-    scalar or an array as the transfer is: the location's evaluated
-    ``_closed_form``, ``form``, divided by its conditioning probability.
-    That is one except on an output port, where a dark port raises
-    ImpossibleOutcome and a port without H-V coherence (_lacks_coherence)
-    has a coherence of exactly zero, not its roundoff.  Only the input
-    populations, coherence and port probabilities read pol."""
-    transfer, weight_h, weight_v = form
+    scalar or an array as ``times`` is: the location's ``_closed_form`` at
+    ``times`` divided by its conditioning probability.  That is one except
+    on an output port, where a dark port raises ImpossibleOutcome and a port
+    without H-V coherence (_lacks_coherence) has a coherence of exactly
+    zero, not its roundoff.  Only the input populations, coherence and port
+    probabilities read pol."""
+    transfer, weight_h, weight_v = _closed_form(cfg, stage, conditioning, times)
     on_port = stage == "outside" and conditioning is not None
     if on_port and _lacks_coherence(weight_h, weight_v):
         transfer = np.zeros_like(transfer)
@@ -246,25 +246,9 @@ def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, for
             pol.coherence * transfer * scale)
 
 
-def _closed_form_stage(cfg: InterferometerConfig, stage: str, times,
-                       pol: PolarizationState) -> dict:
-    """``_closed_form_states`` of every location of a stage at the array
-    ``times``, keyed by conditioning (0, 1, None) in that order, each from
-    its own ``_closed_form``.  A dark port has no entry."""
-    states = {}
-    for conditioning in (0, 1, None):
-        form = _closed_form(cfg, stage, conditioning, times)
-        try:
-            states[conditioning] = _closed_form_states(cfg, stage, conditioning, form, pol)
-        except ImpossibleOutcome:  # a dark port
-            pass
-    return states
-
-
 def _state(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> DensityMatrix:
     """The closed-form state at a (stage, conditioning) location at one time."""
-    form = _closed_form(cfg, stage, conditioning, t)
-    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, form, cfg.pol))
+    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, t, cfg.pol))
 
 
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:
@@ -285,8 +269,7 @@ def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.nda
     if location not in LOCATION_STAGES:
         raise ValueError(f"unknown location {location!r}")
     stage, conditioning = LOCATION_STAGES[location]
-    form = _closed_form(cfg, stage, conditioning, np.asarray(times, dtype=float))
-    pop_h, pop_v, coherence = _closed_form_states(cfg, stage, conditioning, form,
-                                                  PolarizationState.plus())
+    pop_h, pop_v, coherence = _closed_form_states(
+        cfg, stage, conditioning, np.asarray(times, dtype=float), PolarizationState.plus())
     check_density_matrices(pop_h, pop_v, coherence)
     return 2.0 * np.asarray(coherence)

@@ -32,7 +32,7 @@ import numpy as np
 from .core import FrequencyDistribution, InterferometerConfig, effective_time
 from .core import check_density_matrices, trace_distances
 from .errors import ImpossibleOutcome
-from .interferometer import _check_times, _closed_form_stage, path_probabilities
+from .interferometer import _check_times, _closed_form_states, path_probabilities
 
 DEFAULT_N_FREQ = 2001
 HALF_WIDTH = 8.0  # of every grid around mu, in units of sigma
@@ -261,21 +261,12 @@ def _stage_blocks(
     return np.broadcast_to(populations, (2, 2)).copy(), coherence
 
 
-def _time_major(populations: np.ndarray, coherence: np.ndarray) -> tuple:
-    """The cells (p_h, p_v, c) of the states with populations [location,
-    polarization] and coherences [time, location], flat and time-major."""
-    p_h, p_v = np.tile(np.transpose(populations), len(coherence))
-    return p_h, p_v, coherence.ravel()
-
-
-def _conditioned(blocks, conditionings) -> tuple:
-    """The cells (p_h, p_v, c) of each time and each of the
-    ``conditionings`` (None traces out the path, an integer projects on that
-    one), time-major, not yet divided by their weight."""
-    populations, coherence = blocks
-    pops = [populations.sum(0) if c is None else populations[c] for c in conditionings]
-    coh = np.stack([coherence.sum(1) if c is None else coherence[:, c] for c in conditionings], 1)
-    return _time_major(np.array(pops), coh)
+def _time_major(states) -> tuple:
+    """The cells (p_h, p_v, c), flat and time-major, of the locations whose
+    ``states`` are (p_h, p_v, c) with the coherences c at every time."""
+    p_h, p_v, coherences = zip(*states)
+    coherence = np.stack(coherences, 1)
+    return np.tile(p_h, len(coherence)), np.tile(p_v, len(coherence)), coherence.ravel()
 
 
 def _impossible(norm) -> ImpossibleOutcome:
@@ -299,9 +290,7 @@ def oracle_compare(
     coupling, outside locations only times from it on.  A port the closed
     forms refuse as dark is skipped.  Both stages start from the same folded
     amplitudes; each sums its times in chunks of at most ``CHUNK_ELEMENTS``
-    phases, and reads every location of a time from the same blocks.  The
-    closed forms of a stage are those of each of its locations
-    (``_closed_form_stage``).
+    phases, and reads every location of a time from the same blocks.
 
     The states of both stages are conditioned, validated and compared as one
     batch.  The first cell, stage by stage from the inside one, time-major,
@@ -328,15 +317,24 @@ def oracle_compare(
         # the traces of its blocks, do not change with time
         if stage == "inside" and not len(todo):
             continue
-        blocks = _stage_blocks(cfg, grid, start, todo, stage)
+        populations, coherence = _stage_blocks(cfg, grid, start, todo, stage)
         if stage == "outside":
-            worst_prob = float(np.max(np.abs(blocks[0].sum(1) - path_probabilities(cfg))))
-        # closed forms by conditioning; a dark port has none
-        references = _closed_form_stage(cfg, stage, todo, cfg.pol)
-        simulated_cells.append(_conditioned(blocks, list(references)))
-        forms = references.values()
-        reference_cells.append(_time_major(np.array([form[:2] for form in forms]),
-                                           np.stack([form[2] for form in forms], 1)))
+            worst_prob = float(np.max(np.abs(populations.sum(1) - path_probabilities(cfg))))
+        simulated_states, reference_states = [], []  # of each location
+        for conditioning in (0, 1, None):
+            try:
+                reference_states.append(
+                    _closed_form_states(cfg, stage, conditioning, todo, cfg.pol))
+            except ImpossibleOutcome:  # a dark port
+                continue
+            # None traces out the path, an integer projects on that one
+            if conditioning is None:
+                (p_h, p_v), c = populations.sum(0), coherence.sum(1)
+            else:
+                (p_h, p_v), c = populations[conditioning], coherence[:, conditioning]
+            simulated_states.append((p_h, p_v, c))
+        simulated_cells.append(_time_major(simulated_states))
+        reference_cells.append(_time_major(reference_states))
     p_h, p_v, c = (np.concatenate(x) for x in zip(*simulated_cells))
     reference = [np.concatenate(x) for x in zip(*reference_cells)]
     norm = p_h + p_v

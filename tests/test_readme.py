@@ -57,6 +57,8 @@ def test_every_exported_name_is_documented_in_the_python_api_section():
     ("oracle", "_grid_phases"),
     ("oracle", "_initial_amplitudes"),
     ("oracle", "_path_blocks"),
+    ("oracle", "_conditioned"),
+    ("interferometer", "_closed_form_stage"),
     ("core", "PolarizationState.horizontal"),
     ("core", "PolarizationState.vertical"),
 ])
