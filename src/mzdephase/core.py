@@ -147,11 +147,12 @@ class OutsideTerms(NamedTuple):
 
 def _port_probabilities(terms: OutsideTerms, pol: PolarizationState) -> tuple[float, float]:
     """Detection probabilities of the two output ports for the input pol:
-    the interference weights of ``terms``, weighted by its populations, on
-    top of the balanced 1/2 background.  They sum to one and are Python
-    floats, also for amplitudes given as numpy scalars."""
-    p0 = float((2.0 + pol.population_h * terms.kappa_h + pol.population_v * terms.kappa_v) / 4.0)
-    return p0, 1.0 - p0
+    the trace of each port's state, its population weights in ``terms``
+    weighted by the input populations, over the input's trace, so that a
+    nearly dark port keeps its precision.  Python floats, also for
+    amplitudes given as numpy scalars."""
+    p_h, p_v = pol.population_h, pol.population_v
+    return tuple(float((h * p_h + v * p_v) / (p_h + p_v)) for h, v in terms.port_weights)
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,9 @@ def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMat
 def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
     """Detection probabilities of the two output ports.
 
-    Interference weights, weighted by the input populations, on top of the
-    balanced 1/2 background (``cfg.outside_terms``); they sum to one.
+    The trace of each port's state: its population weights
+    (``cfg.outside_terms``), weighted by the input populations, as a share
+    of the input's trace; they sum to one within rounding.
     """
     return cfg._probabilities
 

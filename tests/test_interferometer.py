@@ -497,6 +497,20 @@ def test_a_bright_port_without_h_v_coherence_has_exactly_zero_coherence():
     assert conditional_state_outside(cfg, 1, 11.0).coherence == 0.0
 
 
+def test_a_nearly_dark_port_keeps_its_probability_and_a_unit_trace():
+    # equal-H port 1 takes only V light, here |c_v|^2 = 1e-6 of the input:
+    # its probability is its V weight times that, to the last digit, where
+    # one minus port 0's probability was 9e-11 off and left its state's
+    # trace outside [0, 1]
+    pol = PolarizationState(math.cos(1e-3), math.sin(1e-3))
+    cfg = replace(build_config(EQUAL_H)[0], pol=pol)
+    weight_v = cfg.outside_terms.port_weights[1][1]
+    assert path_probabilities(cfg)[1] == pytest.approx(weight_v * pol.population_v, rel=1e-15)
+    state = conditional_state_outside(cfg, 1, 20.0)
+    assert state.population_h == 0.0
+    assert state.population_v == pytest.approx(1.0, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # vectorised coherence factors of the |+> / |-> pair
 # ---------------------------------------------------------------------------
