@@ -297,7 +297,6 @@ def cmd_estimate(cfg: InterferometerConfig, scan: tuple[float, float] | None) ->
     _check_delays(cfg, scan[1])
     analysis.check_estimator_regime(cfg)
     t_max, peak = analysis.lambda_peak(cfg, scan)
-    estimate = analysis.time_difference_from_peak(cfg, t_max)
     t0, t1 = cfg.window0.duration, cfg.window1.duration
     index_mode = abs(t0 - t1) < 1e-12 and (
         cfg.window0.n_h != cfg.window1.n_h or cfg.window0.n_v != cfg.window1.n_v
@@ -305,21 +304,20 @@ def cmd_estimate(cfg: InterferometerConfig, scan: tuple[float, float] | None) ->
     print(f"peak_total_interaction_time: {_fmt(t_max)}")
     print(f"peak_value: {_fmt(peak)}")
     if index_mode:
-        delta_idx = abs(cfg.window_out.delta_n) * t_max / t0
+        quantity, label = "index_difference", "index_difference_estimate"
+        estimate = abs(cfg.window_out.delta_n) * t_max / t0
         truth = max(
             abs(cfg.window0.n_h - cfg.window1.n_h),
             abs(cfg.window0.n_v - cfg.window1.n_v),
         )
-        print("estimated_quantity: index_difference")
-        print(f"index_difference_estimate: {_fmt(delta_idx)}")
-        print(f"ground_truth: {_fmt(truth)}")
-        rel = abs(delta_idx - truth) / truth if truth else math.inf
     else:
+        quantity, label = "interaction_time_difference", "time_difference_estimate"
+        estimate = analysis.time_difference_from_peak(cfg, t_max)
         truth = abs(t0 - t1)
-        print("estimated_quantity: interaction_time_difference")
-        print(f"time_difference_estimate: {_fmt(estimate)}")
-        print(f"ground_truth: {_fmt(truth)}")
-        rel = abs(estimate - truth) / truth if truth else math.inf
+    print(f"estimated_quantity: {quantity}")
+    print(f"{label}: {_fmt(estimate)}")
+    print(f"ground_truth: {_fmt(truth)}")
+    rel = abs(estimate - truth) / truth if truth else math.inf
     print(f"relative_error: {_fmt(rel) if math.isfinite(rel) else 'n/a'}")
     return 0
 

@@ -145,16 +145,6 @@ class OutsideTerms(NamedTuple):
     transfer_weights: tuple[tuple[complex, complex, complex, complex], ...]
 
 
-def _port_probabilities(terms: OutsideTerms, pol: PolarizationState) -> tuple[float, float]:
-    """Detection probabilities of the two output ports for the input pol:
-    the trace of each port's state, its population weights in ``terms``
-    weighted by the input populations, over the input's trace, so that a
-    nearly dark port keeps its precision.  Python floats, also for
-    amplitudes given as numpy scalars."""
-    p_h, p_v = pol.population_h, pol.population_v
-    return tuple(float((h * p_h + v * p_v) / (p_h + p_v)) for h, v in terms.port_weights)
-
-
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Full experiment description: spectrum, the two inside couplings, the
@@ -213,11 +203,6 @@ class InterferometerConfig:
                               (e_0 / 4.0, e_1 / 4.0, -e_2 / 4.0, -e_3 / 4.0),
                               (e_0 / 2.0, e_1 / 2.0, 0j, 0j)),
         )
-
-    @cached_property
-    def _probabilities(self) -> tuple[float, float]:
-        """The port probabilities of ``pol``, computed on first use and kept."""
-        return _port_probabilities(self.outside_terms, self.pol)
 
 
 class DensityMatrix:

@@ -19,7 +19,6 @@ from .core import (
     DensityMatrix,
     InterferometerConfig,
     PolarizationState,
-    _port_probabilities,
     check_density_matrices,
     effective_time,
     kappa_of_delay,
@@ -136,14 +135,20 @@ def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMat
     return _state(cfg, "inside", j, t)
 
 
-def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
-    """Detection probabilities of the two output ports.
+def _port_probability(weights: tuple[float, float], pol: PolarizationState) -> float:
+    """The trace of a port's state for the input pol: its population weights
+    (h, v) weighted by the input populations, over the input's trace, so a
+    nearly dark port keeps its precision; a float also for numpy amplitudes."""
+    h, v = weights
+    p_h, p_v = pol.population_h, pol.population_v
+    return float((h * p_h + v * p_v) / (p_h + p_v))
 
-    The trace of each port's state: its population weights
-    (``cfg.outside_terms``), weighted by the input populations, as a share
-    of the input's trace; they sum to one within rounding.
-    """
-    return cfg._probabilities
+
+def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
+    """Detection probabilities of the two output ports: ``_port_probability``,
+    which computes every port probability, of each row of
+    ``cfg.outside_terms.port_weights``; they sum to one within rounding."""
+    return tuple(_port_probability(weights, cfg.pol) for weights in cfg.outside_terms.port_weights)
 
 
 def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
@@ -152,14 +157,10 @@ def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
     return weight_h < ZERO_F_TOL or weight_v < ZERO_F_TOL
 
 
-def _bright_port(cfg: InterferometerConfig, jp: int, pol: PolarizationState) -> float:
-    """The conditioning probability of port jp for the input pol; a dark port
-    raises.  The configured polarization's is read from the config, which
-    keeps its probabilities."""
-    if pol is cfg.pol:
-        prob = cfg._probabilities[jp]
-    else:
-        prob = _port_probabilities(cfg.outside_terms, pol)[jp]
+def _bright_port(jp: int, weights: tuple[float, float], pol: PolarizationState) -> float:
+    """The conditioning probability of port jp for the input pol, computed
+    from its population weights by ``_port_probability``; a dark port raises."""
+    prob = _port_probability(weights, pol)
     if prob < DARK_PORT_TOL:
         raise ImpossibleOutcome(
             f"output port {jp} has probability {prob!r}; cannot condition on it"
@@ -242,7 +243,7 @@ def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, tim
     on_port = stage == "outside" and conditioning is not None
     if on_port and _lacks_coherence(weight_h, weight_v):
         transfer = np.zeros_like(transfer)
-    scale = 1.0 / (_bright_port(cfg, conditioning, pol) if on_port else 1.0)
+    scale = 1.0 / (_bright_port(conditioning, (weight_h, weight_v), pol) if on_port else 1.0)
     return (weight_h * pol.population_h * scale, weight_v * pol.population_v * scale,
             pol.coherence * transfer * scale)
 

@@ -169,7 +169,9 @@ def divisibility_scan(cfg: InterferometerConfig, jp: int, grid) -> list[tuple[fl
     order; a port without H-V coherence yields none.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
+    if len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
     try:
         f, h, v = _port_terms(cfg, jp, grid)

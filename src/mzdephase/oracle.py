@@ -93,12 +93,14 @@ class FrequencyGrid:
 
     @classmethod
     def build(cls, dist: FrequencyDistribution, n: int = DEFAULT_N_FREQ) -> "FrequencyGrid":
-        """Uniform trapezoid grid over mu +- HALF_WIDTH * sigma.
+        """Uniform trapezoid grid of n >= 3 points over mu +- HALF_WIDTH * sigma.
 
         Weights are the Gaussian density times the trapezoid rule, rescaled to
         sum exactly to one so truncation never leaks probability; the uniform
         step is a common factor and drops out.
         """
+        if n < 3:
+            raise ValueError(f"n must be at least 3, got {n!r}")
         omegas = np.linspace(dist.mu - HALF_WIDTH, dist.mu + HALF_WIDTH, n)
         weights = np.exp(-0.5 * (omegas - dist.mu) ** 2)
         weights[[0, -1]] *= 0.5

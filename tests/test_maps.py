@@ -526,5 +526,8 @@ def test_divisibility_scan_full_interference_empty():
 
 
 def test_divisibility_scan_rejects_bad_grid(baseline):
-    with pytest.raises(ValueError):
-        divisibility_scan(baseline, 0, [100.0, 90.0])
+    for grid in ([100.0, 90.0], [100.0]):
+        with pytest.raises(ValueError, match="^grid must be strictly increasing with at least 2"):
+            divisibility_scan(baseline, 0, grid)
+    with pytest.raises(ValueError, match=re.escape("grid must be 1-D, got shape (2, 2)")):
+        divisibility_scan(baseline, 0, [[100.0, 200.0], [300.0, 400.0]])

@@ -170,6 +170,13 @@ def test_every_increasing_grid_build_makes_is_uniform(n):
                 FrequencyGrid.build(FrequencyDistribution(mu), n)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_build_refuses_fewer_than_three_points(n):
+    # the trapezoid rule halves the two end weights of at least 3 points
+    with pytest.raises(ValueError, match=f"^n must be at least 3, got {n}$"):
+        FrequencyGrid.build(DIST, n)
+
+
 # ---------------------------------------------------------------------------
 # oracle states
 # ---------------------------------------------------------------------------

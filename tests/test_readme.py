@@ -61,6 +61,8 @@ def test_every_exported_name_is_documented_in_the_python_api_section():
     ("interferometer", "_closed_form_stage"),
     ("core", "PolarizationState.horizontal"),
     ("core", "PolarizationState.vertical"),
+    ("core", "_port_probabilities"),
+    ("core", "InterferometerConfig._probabilities"),
 ])
 def test_names_that_only_tests_used_are_gone(module, name):
     # a dotted name is an attribute of a class of the module
