@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from ._intervals import RISE_TOL, merge_rising_steps
 from .core import (
     InterferometerConfig,
     PolarizationState,
+    _Value,
     effective_time,
     trace_distance,
 )
@@ -40,19 +41,19 @@ PEAK_FLOOR_TOL = 1e-12
 PEAK_REACH = math.sqrt(2.0 * math.log(2.0 / PEAK_FLOOR_TOL))
 
 
-@dataclass(frozen=True)
-class TraceDistanceSeries:
+class TraceDistanceSeries(_Value):
     """Trace distance of the evolved maximally coherent pair on a time grid."""
 
+    __slots__ = _FIELDS = ("times", "values", "location")
     times: np.ndarray
     values: np.ndarray
     location: str
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if self.location not in LOCATIONS:
-            raise ValueError(f"unknown location {self.location!r}")
+    def __init__(self, times: np.ndarray, values: np.ndarray, location: str):
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if location not in LOCATIONS:
+            raise ValueError(f"unknown location {location!r}")
         if times.ndim != 1 or values.ndim != 1:
             raise ValueError(
                 f"times and values must be 1-D, got shapes {times.shape} and {values.shape}"
@@ -67,6 +68,7 @@ class TraceDistanceSeries:
             raise ValueError("trace distances must lie in [0, 1]")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "location", location)
 
 
 def _state_at(location: str):

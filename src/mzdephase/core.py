@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -28,8 +28,43 @@ MAX_GRID_POINTS = 1_000_000
 FAR_DELAY = 1e150
 
 
-@dataclass(frozen=True)
-class FrequencyDistribution:
+class _Value:
+    """Base of the frozen value types: from the class's ``_FIELDS`` it gives
+    what a frozen dataclass generates, without generating code at import:
+    == with the same class and hash of the field tuple, the dataclass repr,
+    FrozenInstanceError on any assignment or deletion, and copies and
+    pickles that rebuild through __init__.  A subclass declares
+    ``__slots__`` and stores its fields in __init__ with object.__setattr__."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FrequencyDistribution(_Value):
     """Gaussian spectrum of the frequency environment.
 
     mu is the mean angular frequency, in units of the standard deviation,
@@ -37,15 +72,16 @@ class FrequencyDistribution:
     mu = 400.
     """
 
+    __slots__ = _FIELDS = ("mu",)
     mu: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
+    def __init__(self, mu: float):
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu!r}")
+        object.__setattr__(self, "mu", mu)
 
 
-@dataclass(frozen=True)
-class PolarizationState:
+class PolarizationState(_Value):
     """Qubit amplitudes for H and V plus their constant relative phase theta,
     which must be finite: the input coherence is c_h e^(i theta) c_v^*.
 
@@ -54,23 +90,27 @@ class PolarizationState:
     construction; == and hash read only the three fields.
     """
 
+    _FIELDS = ("c_h", "c_v", "theta")
+    __slots__ = _FIELDS + ("coherence", "population_h", "population_v")
     c_h: complex
     c_v: complex
-    theta: float = 0.0
+    theta: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
+    def __init__(self, c_h: complex, c_v: complex, theta: float = 0.0):
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
         try:
-            norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
+            norm = abs(c_h) ** 2 + abs(c_v) ** 2
         except OverflowError:  # an amplitude beyond the float range
             norm = math.inf
         if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails it too
             raise ValueError(f"|c_h|^2 + |c_v|^2 = {norm!r}, expected 1")
-        object.__setattr__(self, "coherence",
-                           self.c_h * cmath.exp(1j * self.theta) * self.c_v.conjugate())
-        object.__setattr__(self, "population_h", abs(self.c_h) ** 2)
-        object.__setattr__(self, "population_v", abs(self.c_v) ** 2)
+        object.__setattr__(self, "c_h", c_h)
+        object.__setattr__(self, "c_v", c_v)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "coherence", c_h * cmath.exp(1j * theta) * c_v.conjugate())
+        object.__setattr__(self, "population_h", abs(c_h) ** 2)
+        object.__setattr__(self, "population_v", abs(c_v) ** 2)
 
     @classmethod
     def plus(cls) -> "PolarizationState":

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import cmath
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._intervals import RISE_TOL, merge_rising_steps
-from .core import InterferometerConfig
+from .core import InterferometerConfig, _Value
 from .errors import ZeroCoherenceFactor
 from .interferometer import ZERO_F_TOL, _check_index, _closed_form, _lacks_coherence
 
@@ -32,8 +31,7 @@ from .interferometer import ZERO_F_TOL, _check_index, _closed_form, _lacks_coher
 CP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class QuantumOperation:
+class QuantumOperation(_Value):
     """The diagonal qubit map rho -> [[h rho_HH, g rho_HV], [g^* rho_VH,
     v rho_VV]], given by its three numbers; a NaN or infinite one raises
     ValueError naming it.
@@ -43,15 +41,16 @@ class QuantumOperation:
     not; a map that is not CP keeps its numbers for inspection.
     """
 
+    __slots__ = _FIELDS = ("h", "v", "g")
     h: float
     v: float
     g: complex
 
-    def __post_init__(self):
-        _check_finite(h=self.h, v=self.v, g=self.g)
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "v", float(self.v))
-        object.__setattr__(self, "g", complex(self.g))
+    def __init__(self, h: float, v: float, g: complex):
+        _check_finite(h=h, v=v, g=g)
+        object.__setattr__(self, "h", float(h))
+        object.__setattr__(self, "v", float(v))
+        object.__setattr__(self, "g", complex(g))
 
     @property
     def choi(self) -> np.ndarray:

@@ -24,12 +24,11 @@ does, to quantify their agreement, over the cells of both stages at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import FrequencyDistribution, InterferometerConfig, effective_time
+from .core import FrequencyDistribution, InterferometerConfig, _Value, effective_time
 from .core import check_density_matrices, trace_distances
 from .errors import ImpossibleOutcome
 from .interferometer import _check_times, _closed_form_states, path_probabilities
@@ -54,8 +53,7 @@ _CONDITION_TOL = 1e-14
 _UNIFORM_ULPS = 4
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(_Value):
     """Quadrature discretization of the Gaussian spectrum.
 
     ``omegas`` are the sample frequencies, uniform within a few ulps, and
@@ -63,14 +61,17 @@ class FrequencyGrid:
     The canonical grid uses at least 201 points over mu +- 8 sigma.
     """
 
+    __slots__ = _FIELDS = ("omegas", "weights")
     omegas: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if omegas.ndim != 1 or omegas.shape != weights.shape or len(omegas) < 3:
+    def __init__(self, omegas: np.ndarray, weights: np.ndarray):
+        omegas = np.asarray(omegas, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if omegas.ndim != 1 or omegas.shape != weights.shape:
             raise ValueError("omegas and weights must be equal-length 1d arrays")
+        if len(omegas) < 3:
+            raise ValueError(f"omegas must hold at least 3 points, got {len(omegas)}")
         # each check is written so that NaN fails it
         if not np.all(np.diff(omegas) > 0):
             raise ValueError("omegas must be strictly increasing")

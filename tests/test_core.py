@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mzdephase.analysis import TraceDistanceSeries
 from mzdephase.core import (
     PSD_TOL,
     TRACE_TOL,
@@ -23,6 +25,8 @@ from mzdephase.core import (
     trace_distance,
     trace_distances,
 )
+from mzdephase.maps import QuantumOperation
+from mzdephase.oracle import FrequencyGrid
 
 DIST = FrequencyDistribution(mu=400.0)
 
@@ -505,3 +509,61 @@ def test_scalar_and_array_kernels_agree(window_and_t, mu):
         kappa = kappa_of_delay(dist, x)
         assert type(kappa) is complex
         assert abs(kappa - kappa_of_delay(dist, np.array([x]))[0]) <= 1e-15
+
+
+_WINDOWS = (InteractionWindow(1.553, 1.544, 0.0, 50.0), InteractionWindow(1.553, 1.544, 0.0, 40.0),
+            InteractionWindow(1.553, 1.544, 60.0, math.inf))
+
+
+# each value type: its fields, positional arguments that build it, and its
+# repr text where that text is short (None: built from the fields' reprs)
+_VALUE_TYPES = [
+    (FrequencyDistribution, ("mu",), lambda: (400.0,), "FrequencyDistribution(mu=400.0)"),
+    (PolarizationState, ("c_h", "c_v", "theta"), lambda: (0.6, 0.8j, 0.25),
+     "PolarizationState(c_h=0.6, c_v=0.8j, theta=0.25)"),
+    (InteractionWindow, ("n_h", "n_v", "t_start", "t_stop"), lambda: (1.553, 1.544, 0.0, 50.0),
+     "InteractionWindow(n_h=1.553, n_v=1.544, t_start=0.0, t_stop=50.0)"),
+    (InterferometerConfig, ("dist", "window0", "window1", "window_out", "pol"),
+     lambda: (DIST, *_WINDOWS, PolarizationState.plus()), None),
+    (QuantumOperation, ("h", "v", "g"), lambda: (1.0, 1.0, 0.5j),
+     "QuantumOperation(h=1.0, v=1.0, g=0.5j)"),
+    (TraceDistanceSeries, ("times", "values", "location"),
+     lambda: (np.array([60.0, 61.0]), np.array([0.5, 0.25]), "path0_out"), None),
+    (FrequencyGrid, ("omegas", "weights"),
+     lambda: (np.array([1.0, 2.0, 3.0]), np.array([0.25, 0.5, 0.25])), None),
+]
+
+
+@pytest.mark.parametrize("cls, names, args, text", _VALUE_TYPES,
+                         ids=[case[0].__name__ for case in _VALUE_TYPES])
+def test_value_types_behave_as_frozen_dataclasses(cls, names, args, text):
+    def fields(value):
+        return [getattr(value, name) for name in names]
+
+    def same(a, b):
+        return type(a) is type(b) and all(
+            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+            for x, y in zip(fields(a), fields(b)))
+
+    value = cls(*args())
+    holds_arrays = any(isinstance(x, np.ndarray) for x in fields(value))
+    assert same(value, cls(**dict(zip(names, args()))))
+    assert value == value and value != object() and value != tuple(fields(value))
+    if holds_arrays:  # == and hash compare the field tuples, as a dataclass does
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        other = cls(*args())
+        assert other is not value and other == value and hash(other) == hash(value)
+        assert hash(value) == hash(tuple(fields(value)))
+    want = text or f"{cls.__qualname__}(" + ", ".join(
+        f"{name}={x!r}" for name, x in zip(names, fields(value))) + ")"
+    assert repr(value) == want
+    for name, x in zip(names, fields(value)):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, x)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert same(copied, value)
+    assert dataclasses.is_dataclass(value) == (cls in (InteractionWindow, InterferometerConfig))

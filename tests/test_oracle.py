@@ -96,7 +96,7 @@ def test_default_grid_shape_and_normalization(grid):
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^omegas must hold at least 3 points, got 2$"):
         FrequencyGrid(np.array([1.0, 2.0]), np.array([0.5, 0.5]))  # too short
     with pytest.raises(ValueError):
         FrequencyGrid(np.array([1.0, 2.0, 1.5]), np.array([0.3, 0.4, 0.3]))
