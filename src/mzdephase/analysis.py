@@ -99,6 +99,8 @@ def trace_distance_series(
     state = _state_at(location)
     cfg_p = replace(cfg, pol=PolarizationState.plus())
     cfg_m = replace(cfg, pol=PolarizationState.minus())
+    if "outside_terms" in vars(cfg):  # the table reads no polarization: the copies share it
+        vars(cfg_p)["outside_terms"] = vars(cfg_m)["outside_terms"] = cfg.outside_terms
     values = [trace_distance(state(cfg_p, t), state(cfg_m, t)) for t in grid.tolist()]
     return TraceDistanceSeries(grid, values, location)
 

@@ -31,7 +31,8 @@ FAR_DELAY = 1e150
 class _Value:
     """Base of the frozen value types: from the class's ``_FIELDS`` it gives
     what a frozen dataclass generates, without generating code at import:
-    == with the same class and hash of the field tuple, the dataclass repr,
+    == with the same class, array fields by np.array_equal, and hash of the
+    field tuple, a TypeError where it holds an array; the dataclass repr,
     FrozenInstanceError on any assignment or deletion, and copies and
     pickles that rebuild through __init__.  A subclass declares
     ``__slots__`` and stores its fields in __init__ with object.__setattr__."""
@@ -43,9 +44,10 @@ class _Value:
         return tuple(getattr(self, name) for name in self._FIELDS)
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a is b or a == b
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

@@ -14,16 +14,14 @@ import math
 
 import numpy as np
 
-from .channels import single_path_kappa
 from .core import (
     DensityMatrix,
     InterferometerConfig,
     PolarizationState,
     check_density_matrices,
-    effective_time,
     kappa_of_delay,
 )
-from .errors import ImpossibleOutcome
+from .errors import ImpossibleOutcome, ZeroCoherenceFactor
 
 # below this conditioning probability a port is considered analytically dark
 DARK_PORT_TOL = 1e-14
@@ -44,6 +42,8 @@ LOCATION_STAGES = {
     "path1_out": ("outside", 1),
     "joint_out": ("outside", None),
 }
+# the location of each (stage, conditioning)
+_LOCATIONS = {stage: location for location, stage in LOCATION_STAGES.items()}
 
 
 def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
@@ -53,27 +53,18 @@ def interference_kappas(cfg: InterferometerConfig) -> tuple[float, float]:
     return cfg.outside_terms.kappa_h, cfg.outside_terms.kappa_v
 
 
-def _transfer(cfg: InterferometerConfig, weights, t):
-    """The outside coherence transfer with one row of
-    ``cfg.outside_terms.transfer_weights`` at scalar or array laboratory
-    times t: e^(i mu s) sum_i w_i e^(-(b_i + s)^2 / 2) over the centres b =
-    (d_0, d_1, a_1, a_2), with s = dn_out T after a total outside
-    interaction time T.  A float t is evaluated without numpy.  Where every
-    Gaussian underflows the transfer is exactly 0, also where mu s
-    overflows."""
-    terms = cfg.outside_terms
-    s = terms.dn_out * effective_time(cfg.window_out, t)
-    b0, b1, b2, b3 = terms.d_0, terms.d_1, terms.a_1, terms.a_2
-    w0, w1, w2, w3 = weights
-    if type(s) is float:
-        x0, x1, x2, x3 = b0 + s, b1 + s, b2 + s, b3 + s
-        m = (w0 * math.exp(-0.5 * (x0 * x0)) + w1 * math.exp(-0.5 * (x1 * x1))
-             + w2 * math.exp(-0.5 * (x2 * x2)) + w3 * math.exp(-0.5 * (x3 * x3)))
-        return cmath.exp(1j * (cfg.dist.mu * s)) * m if m else 0j
+def _transfer(form: tuple, t):
+    """The outside coherence transfer of a location's ``_form`` at an array
+    of laboratory times t, 0-d included: e^(i mu s) sum_i w_i
+    e^(-(b_i + s)^2 / 2) over the centres b = (d_0, d_1, a_1, a_2), with s =
+    dn_out T after a total outside interaction time T.  Where every Gaussian
+    underflows the transfer is exactly 0, also where mu s overflows."""
+    start, end, b0, b1, b2, b3, dn, w0, w1, w2, w3 = form[2]
+    s = dn * (np.asarray(t, dtype=float).clip(start, end) - start)  # as effective_time
     with np.errstate(over="ignore", invalid="ignore"):
         g0, g1, g2, g3 = np.exp(-0.5 * np.square(np.add.outer((b0, b1, b2, b3), s)))
         m = w0 * g0 + w1 * g1 + w2 * g2 + w3 * g3
-        out = np.where(m == 0.0, 0j, np.exp(1j * (cfg.dist.mu * s)) * m)
+        out = np.where(m == 0.0, 0j, np.exp(1j * (form[1].mu * s)) * m)
     return out if out.ndim else complex(out)
 
 
@@ -95,9 +86,8 @@ def _check_index(kind: str, j) -> None:
 
 def _check_times(times) -> None:
     """Raise ValueError naming the first time that is NaN or infinite."""
-    if not (isinstance(times, float) and math.isfinite(times)):
-        for t in np.asarray(times, dtype=float)[~np.isfinite(times)].flat:
-            raise ValueError(f"time {float(t)!r} is not finite")
+    for t in np.asarray(times, dtype=float)[~np.isfinite(times)].flat:
+        raise ValueError(f"time {float(t)!r} is not finite")
 
 
 def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
@@ -112,6 +102,8 @@ def coherence_transfer(cfg: InterferometerConfig, jp: int, t):
     is not finite, raises ValueError.
     """
     _check_index("port", jp)
+    if isinstance(t, (float, int, np.number)):
+        return _evaluate(cfg, ("path0_out", "path1_out")[jp], t)[1]
     return _closed_form(cfg, "outside", jp, t)[0]
 
 
@@ -122,7 +114,7 @@ def joint_state_inside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
     populations stay put and the coherence carries the mean of the two
     decoherence factors.
     """
-    return _state(cfg, "inside", None, t)
+    return _state(cfg, "joint_inside", t)
 
 
 def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMatrix:
@@ -132,7 +124,7 @@ def path_state_inside(cfg: InterferometerConfig, j: int, t: float) -> DensityMat
     back the plain single-path dephasing channel of that arm.
     """
     _check_index("path", j)
-    return _state(cfg, "inside", j, t)
+    return _state(cfg, ("path0", "path1")[j], t)
 
 
 def _port_probability(weights: tuple[float, float], pol: PolarizationState) -> float:
@@ -151,23 +143,6 @@ def path_probabilities(cfg: InterferometerConfig) -> tuple[float, float]:
     return tuple(_port_probability(weights, cfg.pol) for weights in cfg.outside_terms.port_weights)
 
 
-def _lacks_coherence(weight_h: float, weight_v: float) -> bool:
-    """Whether a port with these interference weights carries no H-V
-    coherence: a weight below ZERO_F_TOL takes no light of its polarization."""
-    return weight_h < ZERO_F_TOL or weight_v < ZERO_F_TOL
-
-
-def _bright_port(jp: int, weights: tuple[float, float], pol: PolarizationState) -> float:
-    """The conditioning probability of port jp for the input pol, computed
-    from its population weights by ``_port_probability``; a dark port raises."""
-    prob = _port_probability(weights, pol)
-    if prob < DARK_PORT_TOL:
-        raise ImpossibleOutcome(
-            f"output port {jp} has probability {prob!r}; cannot condition on it"
-        )
-    return prob
-
-
 def conditional_state_outside(cfg: InterferometerConfig, jp: int, t: float) -> DensityMatrix:
     """State on output port jp at laboratory time t.
 
@@ -178,7 +153,7 @@ def conditional_state_outside(cfg: InterferometerConfig, jp: int, t: float) -> D
     probability, trace-non-increasing, is ``maps.kraus_conditional``.
     """
     _check_index("port", jp)
-    return _state(cfg, "outside", jp, t)
+    return _state(cfg, ("path0_out", "path1_out")[jp], t)
 
 
 def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix:
@@ -188,69 +163,141 @@ def averaged_state_outside(cfg: InterferometerConfig, t: float) -> DensityMatrix
     interference term: the coherence is the mean of the two path decoherence
     factors, each with the outside delay added to its full inside delay.
     """
-    return _state(cfg, "outside", None, t)
+    return _state(cfg, "joint_out", t)
 
 
 def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
-    """(transfer, weight_h, weight_v) of the closed-form state at a (stage,
-    conditioning) location before the division by its conditioning
-    probability, the transfer a scalar or an array as ``times`` is.
-
-    The state is [[weight_h |c_h|^2, c_h e^(i theta) c_v^* transfer],
-    [conjugate, weight_v |c_v|^2]], once a port without H-V coherence has
-    its transfer set to zero (``_closed_form_states``).  The weights are one
-    except on an output port, where they are its interference weights and
-    the trace is its probability.  Every time is checked here: inside, one
-    outside [0, window_out.t_start] raises ValueError, and then, at either
-    stage, one that is not finite.  The conditioning is not checked: the
-    public functions check the index their caller passes.
-    """
+    """(transfer, (weight_h, weight_v), lacking) at a (stage, conditioning)
+    location at an array of ``times``, read from the location's ``_form``:
+    the state [[weight_h |c_h|^2, c_h e^(i theta) c_v^* transfer],
+    [conjugate, weight_v |c_v|^2]] before the division by its conditioning
+    probability (``_closed_form_states``), and the no-coherence verdict.  Every time is
+    checked first: inside, one outside [0, window_out.t_start] raises
+    ValueError, and then one that is not finite.  The caller checks the
+    conditioning."""
     if stage == "inside":
         stop = cfg.window_out.t_start
-        if type(times) is float:
-            ends = (times,)
-        else:
-            ends = (np.min(times), np.max(times)) if np.size(times) else ()
-        for t in ends:
+        for t in (np.min(times), np.max(times)) if np.size(times) else ():
             if t < 0 or t > stop:
                 raise ValueError(f"t={t} outside the inside region [0, {stop}]")
     _check_times(times)
-    if stage == "inside":
-        if conditioning is not None:
-            window = (cfg.window0, cfg.window1)[conditioning]
-            return single_path_kappa(window, cfg.dist, times), 1.0, 1.0
-        k0 = single_path_kappa(cfg.window0, cfg.dist, times)
-        k1 = single_path_kappa(cfg.window1, cfg.dist, times)
-        return (k0 + k1) / 2.0, 1.0, 1.0
-    terms = cfg.outside_terms
-    if conditioning is None:
-        return _transfer(cfg, terms.transfer_weights[2], times), 1.0, 1.0
-    return (_transfer(cfg, terms.transfer_weights[conditioning], times),
-            *terms.port_weights[conditioning])
+    location = _LOCATIONS[stage, conditioning]
+    form = cfg.__dict__.get("_form_" + location) or _form(cfg, location)
+    if form[0] is None:
+        return _transfer(form, times), form[3], form[5]
+    k = [kappa_of_delay(form[1], dn * (np.asarray(times, dtype=float).clip(start, end) - start))
+         for start, end, dn in form[2]]  # as single_path_kappa
+    return (k[0] if len(k) == 1 else (k[0] + k[1]) / 2.0), form[3], form[5]
 
 
 def _closed_form_states(cfg: InterferometerConfig, stage: str, conditioning, times,
                         pol: PolarizationState) -> tuple:
-    """The closed-form states, of unit trace, of the input pol at a (stage,
-    conditioning) location as (pop_h, pop_v, coherence), the coherence a
-    scalar or an array as ``times`` is: the location's ``_closed_form`` at
-    ``times`` divided by its conditioning probability.  That is one except
-    on an output port, where a dark port raises ImpossibleOutcome and a port
-    without H-V coherence (_lacks_coherence) has a coherence of exactly
-    zero, not its roundoff.  Only the input populations, coherence and port
-    probabilities read pol."""
-    transfer, weight_h, weight_v = _closed_form(cfg, stage, conditioning, times)
-    on_port = stage == "outside" and conditioning is not None
-    if on_port and _lacks_coherence(weight_h, weight_v):
+    """The unit-trace states of the input pol at a (stage, conditioning)
+    location as (pop_h, pop_v, coherence), the coherence an array as
+    ``times`` is: ``_closed_form`` at ``times`` through ``_pol_terms``, and
+    exactly zero, not its roundoff, on a port without H-V coherence."""
+    transfer, weights, lacking = _closed_form(cfg, stage, conditioning, times)
+    if lacking:
         transfer = np.zeros_like(transfer)
-    scale = 1.0 / (_bright_port(conditioning, (weight_h, weight_v), pol) if on_port else 1.0)
-    return (weight_h * pol.population_h * scale, weight_v * pol.population_v * scale,
-            pol.coherence * transfer * scale)
+    port = conditioning if stage == "outside" else None
+    pop_h, pop_v, coherence, scale = _pol_terms(port, weights, pol)
+    return pop_h, pop_v, coherence * transfer * scale
 
 
-def _state(cfg: InterferometerConfig, stage: str, conditioning, t: float) -> DensityMatrix:
-    """The closed-form state at a (stage, conditioning) location at one time."""
-    return DensityMatrix(*_closed_form_states(cfg, stage, conditioning, t, cfg.pol))
+def _pol_terms(port, weights: tuple[float, float], pol: PolarizationState) -> tuple:
+    """(pop_h, pop_v, coherence, scale) of the input pol at a location with
+    population weights (h, v): scale is 1 over the probability of output
+    port ``port`` (``_port_probability``), or one off a port (None), and the
+    populations are weighted and scaled; a dark port raises ImpossibleOutcome."""
+    prob = 1.0 if port is None else _port_probability(weights, pol)
+    if prob < DARK_PORT_TOL:
+        raise ImpossibleOutcome(
+            f"output port {port} has probability {prob!r}; cannot condition on it")
+    scale = 1.0 / prob
+    return (weights[0] * pol.population_h * scale, weights[1] * pol.population_v * scale,
+            pol.coherence, scale)
+
+
+def _form(cfg: InterferometerConfig, location: str, t=0.0) -> tuple:
+    """The scalar form of a location: (stop, dist, sum, weights, state,
+    lacking), every number of its states fixed over time, kept on cfg as
+    ``outside_terms`` is and built outside only for a finite time t, so the
+    time is checked before the table.  stop ends the inside region (None
+    outside); sum holds each inside window's (t_start, t_stop, delta_n), or
+    the output window's ends, the centres b, dn_out and the transfer
+    weights; weights are a port's population weights, else ones; state is
+    _pol_terms for cfg.pol, or a dark port's message; lacking says that a
+    port carries no H-V coherence: a weight below ZERO_F_TOL takes no light
+    of its polarization."""
+    stage, port = LOCATION_STAGES[location]
+    weights, windows = (1.0, 1.0), (cfg.window0, cfg.window1)
+    if stage == "inside":
+        gaussians = tuple((w.t_start, w.t_stop, w.delta_n) for w in (
+            windows if port is None else windows[port:port + 1]))
+        stop, port = cfg.window_out.t_start, None
+    else:
+        if not math.isfinite(t):
+            _check_times(t)
+        terms, w = cfg.outside_terms, cfg.window_out
+        stop, gaussians = None, (w.t_start, w.t_stop, *terms[:5],  # d_0, d_1, a_1, a_2, dn_out
+                                 *terms.transfer_weights[2 if port is None else port])
+        weights = weights if port is None else terms.port_weights[port]
+    try:
+        state = _pol_terms(port, weights, cfg.pol)
+    except ImpossibleOutcome as exc:
+        state = str(exc)
+    lacking = weights[0] < ZERO_F_TOL or weights[1] < ZERO_F_TOL
+    form = cfg.__dict__["_form_" + location] = stop, cfg.dist, gaussians, weights, state, lacking
+    return form
+
+
+def _evaluate(cfg: InterferometerConfig, location: str, t) -> tuple:
+    """(form, transfer) of a location at a scalar time t, in float64: its
+    ``_form`` and one Gaussian sum of it, bit for bit the array form's.  t
+    is checked first, in the array form's order: inside [0, stop], then
+    finite."""
+    form = cfg.__dict__.get("_form_" + location) or _form(cfg, location, t)
+    stop, dist, gaussians = form[0], form[1], form[2]
+    if stop is not None and (t < 0 or t > stop):
+        raise ValueError(f"t={t} outside the inside region [0, {stop}]")
+    if not math.isfinite(t := float(t)):
+        _check_times(t)
+    if stop is not None:
+        k = []
+        for start, end, dn in gaussians:
+            u = start if start > t else t
+            x = dn * ((end if end < u else u) - start)  # as single_path_kappa
+            k.append(cmath.exp(complex(-0.5 * (x * x), dist.mu * x)))
+        return form, k[0] if len(k) == 1 else (k[0] + k[1]) / 2.0
+    start, end, b0, b1, b2, b3, dn, w0, w1, w2, w3 = gaussians
+    t = start if start > t else t
+    s = dn * ((end if end < t else t) - start)  # as effective_time
+    x0, x1, x2, x3 = b0 + s, b1 + s, b2 + s, b3 + s
+    m = (w0 * math.exp(-0.5 * (x0 * x0)) + w1 * math.exp(-0.5 * (x1 * x1))
+         + w2 * math.exp(-0.5 * (x2 * x2)) + w3 * math.exp(-0.5 * (x3 * x3)))
+    return form, cmath.exp(1j * (dist.mu * s)) * m if m else 0j
+
+
+def _port_terms(cfg: InterferometerConfig, jp: int, t) -> tuple:
+    """(f, h, v) of port jp at time t, read from the port's scalar form: its
+    coherence transfer and its interference weights.  A port index other
+    than 0 or 1 raises ValueError, and a port without H-V coherence
+    ZeroCoherenceFactor."""
+    _check_index("port", jp)
+    form, f = _evaluate(cfg, ("path0_out", "path1_out")[jp], t)
+    h, v = form[3]
+    if form[5]:
+        raise ZeroCoherenceFactor(f"port {jp} has no H-V coherence: weights ({h!r}, {v!r})")
+    return f, h, v
+
+
+def _state(cfg: InterferometerConfig, location: str, t) -> DensityMatrix:
+    """The closed-form state at a location at one time, from its scalar form."""
+    form, transfer = _evaluate(cfg, location, t)
+    if type(form[4]) is str:
+        raise ImpossibleOutcome(form[4])
+    pop_h, pop_v, coherence, scale = form[4]
+    return DensityMatrix(pop_h, pop_v, coherence * (0j if form[5] else transfer) * scale)
 
 
 def coherence_factors(cfg: InterferometerConfig, location: str, times) -> np.ndarray:

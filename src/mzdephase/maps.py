@@ -25,7 +25,7 @@ import numpy as np
 from ._intervals import RISE_TOL, merge_rising_steps
 from .core import InterferometerConfig, _Value
 from .errors import ZeroCoherenceFactor
-from .interferometer import ZERO_F_TOL, _check_index, _closed_form, _lacks_coherence
+from .interferometer import ZERO_F_TOL, _check_index, _closed_form, _port_terms
 
 # eigenvalue tolerance of the Choi-based complete-positivity checks
 CP_TOL = 1e-10
@@ -86,18 +86,6 @@ def _check_finite(**arguments) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _port_terms(cfg: InterferometerConfig, jp: int, times):
-    """(f, h, v) of port jp: its coherence transfer at ``times`` and its
-    interference weights.  A port index other than 0 or 1 raises ValueError,
-    and a port that the interferometer module finds without H-V coherence
-    ZeroCoherenceFactor."""
-    _check_index("port", jp)
-    f, h, v = _closed_form(cfg, "outside", jp, times)
-    if _lacks_coherence(h, v):
-        raise ZeroCoherenceFactor(f"port {jp} has no H-V coherence: weights ({h!r}, {v!r})")
-    return f, h, v
-
-
 def kraus_conditional(cfg: InterferometerConfig, jp: int, t: float) -> QuantumOperation:
     """The conditional evolution on port jp at laboratory time t, before the
     division by the port probability, whose Kraus form is its ``kraus``:
@@ -126,7 +114,7 @@ def propagator(
     if t2 < t1:
         raise ValueError(f"t2={t2} must not precede t1={t1}")
     f1 = complex(_port_terms(cfg, jp, t1)[0])
-    f2 = complex(_closed_form(cfg, "outside", jp, t2)[0])
+    f2 = complex(_port_terms(cfg, jp, t2)[0])
     if abs(f1) < ZERO_F_TOL:
         raise ZeroCoherenceFactor(f"port {jp}, t1={t1}: |f1|={abs(f1)!r}: propagator undefined")
     return QuantumOperation(1.0, 1.0, f2 / f1)
@@ -172,9 +160,9 @@ def divisibility_scan(cfg: InterferometerConfig, jp: int, grid) -> list[tuple[fl
         raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
     if len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with at least 2 points")
-    try:
-        f, h, v = _port_terms(cfg, jp, grid)
-    except ZeroCoherenceFactor:
+    _check_index("port", jp)
+    f, (h, v), lacking = _closed_form(cfg, "outside", jp, grid)
+    if lacking:
         return []
     rising = np.diff(np.abs(f)) > RISE_TOL * (h + v) / 2.0
     return merge_rising_steps(grid, rising)

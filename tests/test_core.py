@@ -549,13 +549,13 @@ def test_value_types_behave_as_frozen_dataclasses(cls, names, args, text):
     holds_arrays = any(isinstance(x, np.ndarray) for x in fields(value))
     assert same(value, cls(**dict(zip(names, args()))))
     assert value == value and value != object() and value != tuple(fields(value))
-    if holds_arrays:  # == and hash compare the field tuples, as a dataclass does
+    other = cls(*args())
+    assert other is not value and (other == value) is True and (other != value) is False
+    if holds_arrays:  # hash reads the field tuple, as a dataclass does
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
     else:
-        other = cls(*args())
-        assert other is not value and other == value and hash(other) == hash(value)
-        assert hash(value) == hash(tuple(fields(value)))
+        assert hash(other) == hash(value) == hash(tuple(fields(value)))
     want = text or f"{cls.__qualname__}(" + ", ".join(
         f"{name}={x!r}" for name, x in zip(names, fields(value))) + ")"
     assert repr(value) == want
@@ -565,5 +565,25 @@ def test_value_types_behave_as_frozen_dataclasses(cls, names, args, text):
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
             delattr(value, name)
     for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert same(copied, value)
+        assert same(copied, value) and (copied == value) is True
     assert dataclasses.is_dataclass(value) == (cls in (InteractionWindow, InterferometerConfig))
+
+
+def test_values_that_hold_arrays_compare_their_arrays_by_their_elements():
+    # two separately built grids or series hold distinct, equal arrays: ==
+    # compares them element by element, where comparing the field tuples
+    # asked numpy for the truth value of an array
+    grid = FrequencyGrid.build(DIST, 201)
+    assert (grid == FrequencyGrid.build(DIST, 201)) is True
+    assert (grid == pickle.loads(pickle.dumps(grid))) is True
+    assert (grid != FrequencyGrid.build(DIST, 203)) is True
+    assert (grid == FrequencyGrid.build(FrequencyDistribution(mu=300.0), 201)) is False
+    times, values = [60.0, 61.0, 62.0], [0.5, 0.25, 0.125]
+    series = TraceDistanceSeries(times, values, "path0_out")
+    assert (series == TraceDistanceSeries(times, values, "path0_out")) is True
+    assert (series == TraceDistanceSeries(times[:2], values[:2], "path0_out")) is False
+    assert (series == TraceDistanceSeries(times, [0.5, 0.25, 0.0], "path0_out")) is False
+    assert (series == TraceDistanceSeries(times, values, "path1_out")) is False
+    for value in (grid, series):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)

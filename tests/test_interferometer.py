@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import EQUAL_H, PRESETS, preset, random_config, random_polarization
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mzdephase import channels, core, interferometer, maps
@@ -350,8 +350,8 @@ def transfer_rounding(cfg, row, t):
 @given(st.integers(0, 2**32 - 1), st.floats(1.0, 1e9))
 def test_the_transfer_table_is_the_per_term_sum_within_its_rounding(seed, mu):
     # every outside coherence is one Gaussian sum of constant weights, read
-    # by coherence_transfer (ports) and _closed_form (the port average), in
-    # a float and an array form
+    # by coherence_transfer (ports), in a float and an array form, and for
+    # the port average by _evaluate (float) and _closed_form (array)
     cfg = replace(random_config(np.random.default_rng(seed)), dist=FrequencyDistribution(mu))
     start = cfg.window_out.t_start
     grid = np.concatenate((np.linspace(start - 5.0, start + 300.0, 61),
@@ -359,6 +359,8 @@ def test_the_transfer_table_is_the_per_term_sum_within_its_rounding(seed, mu):
     eps = np.finfo(float).eps
     for row in (0, 1, 2):
         def table(t):
+            if row == 2 and type(t) is float:
+                return interferometer._evaluate(cfg, "joint_out", t)[1]
             if row == 2:
                 return interferometer._closed_form(cfg, "outside", None, t)[0]
             return coherence_transfer(cfg, row, t)
@@ -401,31 +403,43 @@ def test_every_outside_form_is_zero_far_out_without_a_warning(t):
 
 def test_a_warm_config_evaluates_only_the_transfer_terms(monkeypatch, baseline):
     kernel = _counted(monkeypatch, "kappa_of_delay", (core, channels, interferometer))
+    forms = _counted(monkeypatch, "_form", (interferometer,))
+    points = _counted(monkeypatch, "_evaluate", (interferometer,))
     sums = _counted(monkeypatch, "_transfer", (interferometer,))
     conditional_state_outside(baseline, 0, 500.0)
-    # the table's two interference weights, once, and one Gaussian sum of the
-    # port's transfer weights per state
-    assert len(kernel) == 2 and len(sums) == 1
-    for jp, t in ((0, 700.0), (1, 1665.0), (None, 900.0)):
-        kernel.clear(), sums.clear()
-        if jp is None:
-            averaged_state_outside(baseline, t)
-        else:
-            conditional_state_outside(baseline, jp, t)
-        assert kernel == [] and len(sums) == 1
-        assert sums[0][1] is baseline.outside_terms.transfer_weights[2 if jp is None else jp]
-    kernel.clear(), sums.clear()
+    # the table's two interference weights and the port's scalar form, once,
+    # and one evaluation of the form, one Gaussian sum, per state
+    assert len(kernel) == 2 and len(forms) == 1 and len(points) == 1 and sums == []
+    # (port, time, forms built, call): a form is built once per location
+    calls = ((0, 700.0, 0, lambda: conditional_state_outside(baseline, 0, 700.0)),
+             (1, 1665.0, 1, lambda: conditional_state_outside(baseline, 1, 1665.0)),
+             (None, 900.0, 1, lambda: averaged_state_outside(baseline, 900.0)),
+             (1, 1700.0, 0, lambda: coherence_transfer(baseline, 1, 1700.0)),
+             (0, 800.0, 0, lambda: maps.kraus_conditional(baseline, 0, 800.0)))
+    for jp, t, built, call in calls:
+        kernel.clear(), forms.clear(), points.clear()
+        call()
+        location = "joint_out" if jp is None else f"path{jp}_out"
+        assert kernel == [] and sums == [] and len(forms) == built
+        assert points == [(baseline, location, t)]
+        # the form holds the table's row of transfer weights
+        assert vars(baseline)[f"_form_{location}"][2][7:] == (
+            baseline.outside_terms.transfer_weights[2 if jp is None else jp])
+    kernel.clear(), forms.clear(), points.clear()
+    maps.propagator(baseline, 0, 1000.0, 1001.0)
+    assert kernel == [] and forms == [] and len(points) == 2 and sums == []
     interference_kappas(baseline)
     path_probabilities(baseline)
-    assert kernel == [] and sums == []
+    assert kernel == [] and forms == [] and len(points) == 2 and sums == []
     # the |+>/|-> pair is an argument of the closed forms, not a config copy
-    # with a table of its own: one Gaussian sum per location, no kernel call
+    # with a table of its own: one Gaussian sum per location, of the array
+    # form, from the same scalar form, and no kernel call
     grid = np.linspace(60.0, 3000.0, 50)
-    for row, location in enumerate(("path0_out", "path1_out", "joint_out")):
+    for location in ("path0_out", "path1_out", "joint_out"):
         sums.clear()
         coherence_factors(baseline, location, grid)
-        assert kernel == [] and len(sums) == 1
-        assert sums[0][1] is baseline.outside_terms.transfer_weights[row]
+        assert kernel == [] and forms == [] and len(sums) == 1
+        assert sums[0][0] is vars(baseline)[f"_form_{location}"]
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +628,24 @@ def test_a_float32_time_is_evaluated_in_float64():
             assert _bits(got) == _bits(want), name
 
 
+def test_an_integer_time_is_the_equal_float_time_bit_for_bit():
+    # every scalar time is read by the float form, so an integer gives the
+    # float form's result; an integer outside time took the array form,
+    # whose exp rounds differently in the last bits
+    cfg = preset("dtau10")
+    calls = {
+        "coherence_transfer": lambda t: coherence_transfer(cfg, 0, t),
+        "conditional_state_outside": lambda t: conditional_state_outside(cfg, 1, t),
+        "averaged_state_outside": lambda t: averaged_state_outside(cfg, t),
+        "kraus_conditional": lambda t: maps.kraus_conditional(cfg, 0, t),
+        "propagator": lambda t: maps.propagator(cfg, 1, 60, t),
+    }
+    for name, call in calls.items():
+        for t in range(60, 3000, 7):
+            assert _bits(call(t)) == _bits(call(float(t))), (name, t)
+            assert _bits(call(np.int64(t))) == _bits(call(float(t))), (name, t)
+
+
 def test_pair_state_check_rejects_what_density_matrix_rejects():
     # populations (a, b) and off-diagonal modulus r, on either side of the
     # PSD and unit-trace tolerances by a factor of two
@@ -707,3 +739,144 @@ def test_averaged_outside_late_time_decay(baseline):
     mods = [abs(averaged_state_outside(baseline, t).coherence) for t in ts]
     assert np.all(np.diff(mods) <= 1e-15)
     assert mods[-1] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the scalar forms against a reference of the per-call float arithmetic
+# ---------------------------------------------------------------------------
+
+def _ref_effective(window, t):
+    # min(max(t, t_start), t_stop) - t_start, as the builtins pick: the
+    # first argument where the two compare equal
+    return min(max(t, window.t_start), window.t_stop) - window.t_start
+
+
+def _ref_transfer(cfg, location, t):
+    """(transfer, weight_h, weight_v) of a location at a float time t,
+    derived from cfg on every call: the time checks, the inside path
+    factors or the outside Gaussian sum of one row of the table."""
+    stage, j = interferometer.LOCATION_STAGES[location]
+    stop = cfg.window_out.t_start
+    if stage == "inside" and (t < 0 or t > stop):
+        raise ValueError(f"t={t} outside the inside region [0, {stop}]")
+    if not math.isfinite(t):
+        raise ValueError(f"time {t!r} is not finite")
+    if stage == "inside":
+        kappas, windows = [], (cfg.window0, cfg.window1)
+        for window in windows if j is None else (windows[j],):
+            x = window.delta_n * _ref_effective(window, t)
+            kappas.append(cmath.exp(complex(-0.5 * (x * x), cfg.dist.mu * x)))
+        return (kappas[0] if j is not None else (kappas[0] + kappas[1]) / 2.0), 1.0, 1.0
+    terms = cfg.outside_terms
+    s = terms.dn_out * _ref_effective(cfg.window_out, t)
+    x0, x1, x2, x3 = terms.d_0 + s, terms.d_1 + s, terms.a_1 + s, terms.a_2 + s
+    w0, w1, w2, w3 = terms.transfer_weights[2 if j is None else j]
+    m = (w0 * math.exp(-0.5 * (x0 * x0)) + w1 * math.exp(-0.5 * (x1 * x1))
+         + w2 * math.exp(-0.5 * (x2 * x2)) + w3 * math.exp(-0.5 * (x3 * x3)))
+    f = cmath.exp(1j * (cfg.dist.mu * s)) * m if m else 0j
+    return (f, 1.0, 1.0) if j is None else (f, *terms.port_weights[j])
+
+
+def _ref_state(cfg, location, t):
+    f, h, v = _ref_transfer(cfg, location, t)
+    pol = cfg.pol
+    port = interferometer.LOCATION_STAGES[location][0] == "outside" and location != "joint_out"
+    if port and (h < interferometer.ZERO_F_TOL or v < interferometer.ZERO_F_TOL):
+        f = np.zeros_like(f)
+    scale = 1.0
+    if port:
+        prob = float((h * pol.population_h + v * pol.population_v)
+                     / (pol.population_h + pol.population_v))
+        if prob < interferometer.DARK_PORT_TOL:
+            raise ImpossibleOutcome(
+                f"output port {location[4]} has probability {prob!r}; cannot condition on it")
+        scale = prob
+    scale = 1.0 / scale
+    return DensityMatrix(h * pol.population_h * scale, v * pol.population_v * scale,
+                         pol.coherence * f * scale)
+
+
+def _ref_port(cfg, jp, t):
+    f, h, v = _ref_transfer(cfg, f"path{jp}_out", t)
+    if h < interferometer.ZERO_F_TOL or v < interferometer.ZERO_F_TOL:
+        raise maps.ZeroCoherenceFactor(f"port {jp} has no H-V coherence: weights ({h!r}, {v!r})")
+    return f, h, v
+
+
+def _ref_propagator(cfg, jp, t1, t2):
+    if t2 < t1:
+        raise ValueError(f"t2={t2} must not precede t1={t1}")
+    f1 = _ref_port(cfg, jp, t1)[0]
+    f2 = _ref_transfer(cfg, f"path{jp}_out", t2)[0]
+    if abs(f1) < interferometer.ZERO_F_TOL:
+        raise maps.ZeroCoherenceFactor(
+            f"port {jp}, t1={t1}: |f1|={abs(f1)!r}: propagator undefined")
+    return maps.QuantumOperation(1.0, 1.0, f2 / f1)
+
+
+def _outcome(call):
+    """The bytes of a call's result, or the type and message it raised."""
+    try:
+        return _bits(call())
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+# dtau0's port 1 is dark, EQUAL_H's port 1 carries no H-V coherence, and mu
+# 1e308 makes the table overflow on the first outside call
+_SPECIAL = ("dtau0", "dtau10", "equal-H", "overflow")
+
+
+@st.composite
+def _configs_and_times(draw):
+    case = draw(st.sampled_from(("random",) + _SPECIAL))
+    if case == "random":
+        cfg = random_config(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif case == "equal-H":
+        cfg = build_config(EQUAL_H)[0]
+    else:
+        cfg = preset("dtau0" if case == "dtau0" else "dtau10")
+        if case == "overflow":
+            cfg = replace(cfg, dist=FrequencyDistribution(1e308))
+    pols = (cfg.pol, random_polarization(np.random.default_rng(draw(st.integers(0, 99)))),
+            PolarizationState(1.0, 0.0), PolarizationState(0.0, 1.0), PolarizationState.plus())
+    cfg = replace(cfg, pol=draw(st.sampled_from(pols)))
+    start = cfg.window_out.t_start
+    time = st.one_of(st.floats(), st.floats(0.0, start), st.floats(start, start + 4000.0),
+                     st.sampled_from([0.0, -0.0, start, 1e300, 1.7e308, -1.0, math.nan]))
+    return cfg, draw(st.lists(time, min_size=2, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs_and_times())
+# a first time that is not finite, on a config whose table overflows: the
+# time is named, and the table is not built
+@example((replace(preset("dtau10"), dist=FrequencyDistribution(1e308)), [math.nan, 70.0]))
+def test_every_per_point_function_is_the_per_call_float_arithmetic_bit_for_bit(case):
+    # each call on a fresh copy, whose scalar form is built by that call, and
+    # on one warm config, which keeps its forms from call to call
+    cfg, times = case
+    states = {"path0": lambda c, t: path_state_inside(c, 0, t),
+              "path1": lambda c, t: path_state_inside(c, 1, t),
+              "joint_inside": joint_state_inside,
+              "path0_out": lambda c, t: conditional_state_outside(c, 0, t),
+              "path1_out": lambda c, t: conditional_state_outside(c, 1, t),
+              "joint_out": averaged_state_outside}
+    calls = []
+    for t in times:
+        for location, state in states.items():
+            calls.append((lambda c, t=t, s=state: s(c, t),
+                          lambda t=t, location=location: _ref_state(cfg, location, t)))
+        for jp in (0, 1):
+            calls += [(lambda c, t=t, jp=jp: coherence_transfer(c, jp, t),
+                       lambda t=t, jp=jp: _ref_transfer(cfg, f"path{jp}_out", t)[0]),
+                      (lambda c, t=t, jp=jp: maps.kraus_conditional(c, jp, t),
+                       lambda t=t, jp=jp: maps.QuantumOperation(*_ref_port(cfg, jp, t)[1:],
+                                                                _ref_port(cfg, jp, t)[0])),
+                      (lambda c, t=t, jp=jp: maps.propagator(c, jp, times[0], t),
+                       lambda t=t, jp=jp: _ref_propagator(cfg, jp, times[0], t))]
+    warm = replace(cfg)
+    for call, reference in calls:
+        want = _outcome(reference)
+        assert _outcome(lambda: call(replace(cfg))) == want
+        assert _outcome(lambda: call(warm)) == want
