@@ -171,10 +171,10 @@ def _closed_form(cfg: InterferometerConfig, stage: str, conditioning, times):
     location at an array of ``times``, read from the location's ``_form``:
     the state [[weight_h |c_h|^2, c_h e^(i theta) c_v^* transfer],
     [conjugate, weight_v |c_v|^2]] before the division by its conditioning
-    probability (``_closed_form_states``), and the no-coherence verdict.  Every time is
-    checked first: inside, one outside [0, window_out.t_start] raises
-    ValueError, and then one that is not finite.  The caller checks the
-    conditioning."""
+    probability (``_closed_form_states``), and the no-coherence verdict.
+    Every time is checked first: inside, one outside [0, window_out.t_start]
+    raises ValueError, and then one that is not finite.  The caller checks
+    the conditioning."""
     if stage == "inside":
         stop = cfg.window_out.t_start
         for t in (np.min(times), np.max(times)) if np.size(times) else ():
